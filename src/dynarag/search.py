@@ -2,9 +2,11 @@
 
 Both indexes are immutable after ingest and score by exact cosine similarity
 over the full corpus (desk scale; the brute-force scan is the implementation,
-not an approximation). Ties break by url ascending so results are totally
-ordered. The web index can interleave corpus items flagged as hard negatives
-at a configurable rate to mimic retrieval noise.
+not an approximation). A partial selection of the k-th largest score, then an
+exact sort of the candidates at or above it, orders the top k as a full sort
+would: by score, ties by url ascending. The web index can interleave corpus
+items flagged as hard negatives at a configurable rate to mimic retrieval
+noise.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class KgEntry:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "KgEntry":
-        embedding = np.asarray(raw["image_embedding"], dtype=np.float64)
+        embedding = _finite(raw["image_embedding"])
         norm = float(np.linalg.norm(embedding))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"embedding norm {norm} is not 1 within 1e-9")
@@ -116,10 +118,27 @@ def _read_jsonl(path: str | Path, parse) -> list:
     return items
 
 
-def _rank(matrix: np.ndarray, urls: list[str], query: np.ndarray) -> list[tuple[int, float]]:
-    """All indexes scored against the query, sorted by (-score, url)."""
-    scores = matrix @ query
-    order = sorted(range(len(urls)), key=lambda i: (-scores[i], urls[i]))
+def _finite(values) -> np.ndarray:
+    """Embedding as float64; NaN or infinite components raise ValueError."""
+    array = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError("embedding has non-finite values")
+    return array
+
+
+def _top_k(scores: np.ndarray, urls: list[str], k: int) -> list[tuple[int, float]]:
+    """The k >= 1 best positions by (-score, url), each with its score.
+
+    Exact: every position scoring at least the k-th largest (finite) score is
+    a candidate, so ties straddling the boundary are all sorted by url.
+    """
+    n = len(urls)
+    if k < n:
+        kth = np.partition(scores, n - k)[n - k]
+        candidates = np.flatnonzero(scores >= kth).tolist()
+    else:
+        candidates = range(n)
+    order = sorted(candidates, key=lambda i: (-scores[i], urls[i]))[:k]
     return [(i, float(scores[i])) for i in order]
 
 
@@ -130,10 +149,14 @@ class WebSearchIndex:
                  hard_negative_rate: float = 0.0):
         self.encoder = encoder or HashedTextEncoder()
         self.hard_negative_rate = hard_negative_rate
-        self._docs: list[WebDoc] | None = None
-        self._positives: list[int] = []
-        self._negatives: list[int] = []
-        self._matrix: np.ndarray | None = None
+        # Positives and hard negatives are ranked apart, each by one GEMV over
+        # its own contiguous matrix of title + snippet embeddings.
+        self._pos_docs: list[WebDoc] = []
+        self._neg_docs: list[WebDoc] = []
+        self._pos_urls: list[str] = []
+        self._neg_urls: list[str] = []
+        self._pos_matrix: np.ndarray | None = None
+        self._neg_matrix: np.ndarray | None = None
 
     @classmethod
     def ingest(cls, corpus_path: str | Path, encoder: HashedTextEncoder | None = None,
@@ -148,47 +171,46 @@ class WebSearchIndex:
             if doc.url in seen:
                 raise ValueError(f"duplicate url in corpus: {doc.url}")
             seen.add(doc.url)
-        self._docs = list(docs)
-        self._positives = [i for i, d in enumerate(docs) if not d.is_hard_negative]
-        self._negatives = [i for i, d in enumerate(docs) if d.is_hard_negative]
-        vectors = [self.encoder.encode(f"{d.title} {d.snippet}") for d in docs]
-        self._matrix = (
-            np.vstack(vectors) if vectors else np.zeros((0, self.encoder.dim))
-        )
+        self._pos_docs = [d for d in docs if not d.is_hard_negative]
+        self._neg_docs = [d for d in docs if d.is_hard_negative]
+        self._pos_urls = [d.url for d in self._pos_docs]
+        self._neg_urls = [d.url for d in self._neg_docs]
+        self._pos_matrix = self._embed(self._pos_docs)
+        self._neg_matrix = self._embed(self._neg_docs)
         return self
 
+    def _embed(self, docs: list[WebDoc]) -> np.ndarray:
+        vectors = [self.encoder.encode(f"{d.title} {d.snippet}") for d in docs]
+        return np.vstack(vectors) if vectors else np.zeros((0, self.encoder.dim))
+
     def __len__(self) -> int:
-        return len(self._docs) if self._docs is not None else 0
+        return len(self._pos_docs) + len(self._neg_docs)
 
     def search(self, query: str, k: int) -> list[SearchHit]:
-        if self._docs is None:
+        if self._pos_matrix is None:
             raise IndexNotBuilt("ingest a corpus before searching")
         if k < 0:
             raise ValueError("k must be non-negative")
         k = min(k, WEB_RESULT_CAP)
-        if k == 0 or not self._docs:
+        if k == 0 or not len(self):
             return []
         qvec = self.encoder.encode(query)
-
-        def ranked(indices: list[int]) -> list[tuple[int, float]]:
-            sub = self._matrix[indices]
-            scores = sub @ qvec
-            order = sorted(
-                range(len(indices)),
-                key=lambda j: (-scores[j], self._docs[indices[j]].url),
-            )
-            return [(indices[j], float(scores[j])) for j in order]
-
-        positives = ranked(self._positives)
-        negatives = ranked(self._negatives) if self.hard_negative_rate > 0 else []
+        # merged[:k] never holds more than k of either partition, so the top k
+        # of each is enough.
+        positives = [(self._pos_docs[i], score) for i, score in
+                     _top_k(self._pos_matrix @ qvec, self._pos_urls, k)]
+        negatives = [(self._neg_docs[i], score) for i, score in
+                     _top_k(self._neg_matrix @ qvec, self._neg_urls, k)
+                     ] if self.hard_negative_rate > 0 else []
         merged = _interleave(positives, negatives, self.hard_negative_rate)
-        return [
-            SearchHit(Source.WEB, score, self._docs[i]) for i, score in merged[:k]
-        ]
+        return [SearchHit(Source.WEB, score, d) for d, score in merged[:k]]
 
 
 def _interleave(positives: list, negatives: list, rate: float) -> list:
-    """Inject one negative after every 1/rate positives (credit accumulator)."""
+    """Inject one negative after every 1/rate positives (credit accumulator).
+
+    Once the negatives run out, the remaining positives follow uninterrupted.
+    """
     if rate <= 0 or not negatives:
         return list(positives)
     out = []
@@ -200,9 +222,8 @@ def _interleave(positives: list, negatives: list, rate: float) -> list:
         while credit >= 1.0:
             credit -= 1.0
             nxt = next(pool, None)
-            if nxt is None:
-                return out
-            out.append(nxt)
+            if nxt is not None:
+                out.append(nxt)
     return out
 
 
@@ -211,6 +232,7 @@ class ImageKgIndex:
 
     def __init__(self):
         self._entries: list[KgEntry] | None = None
+        self._urls: list[str] = []
         self._matrix: np.ndarray | None = None
 
     @classmethod
@@ -221,6 +243,7 @@ class ImageKgIndex:
 
     def build(self, entries: list[KgEntry]) -> "ImageKgIndex":
         self._entries = list(entries)
+        self._urls = [e.url for e in entries]
         vectors = [e.image_embedding for e in entries]
         dim = vectors[0].shape[0] if vectors else 0
         self._matrix = np.vstack(vectors) if vectors else np.zeros((0, dim))
@@ -229,12 +252,6 @@ class ImageKgIndex:
     def __len__(self) -> int:
         return len(self._entries) if self._entries is not None else 0
 
-    @property
-    def dim(self) -> int | None:
-        if self._matrix is None or self._matrix.shape[0] == 0:
-            return None
-        return self._matrix.shape[1]
-
     def search(self, image_embedding: np.ndarray, k: int) -> list[SearchHit]:
         if self._entries is None:
             raise IndexNotBuilt("ingest a corpus before searching")
@@ -242,15 +259,14 @@ class ImageKgIndex:
             raise ValueError("k must be non-negative")
         if k == 0 or not self._entries:
             return []
-        query = np.asarray(image_embedding, dtype=np.float64)
+        query = _finite(image_embedding)
         if query.shape[0] != self._matrix.shape[1]:
             raise DimensionMismatch(
                 f"query dim {query.shape[0]} != index dim {self._matrix.shape[1]}"
             )
-        ranked = _rank(self._matrix, [e.url for e in self._entries], query)
         return [
             SearchHit(Source.IMAGE_KG, score, self._entries[i])
-            for i, score in ranked[:k]
+            for i, score in _top_k(self._matrix @ query, self._urls, k)
         ]
 
 
@@ -268,12 +284,12 @@ class ImageRecord:
     def from_dict(cls, raw: dict) -> "ImageRecord":
         return cls(
             image_id=raw["image_id"],
-            whole_embedding=np.asarray(raw["whole_embedding"], dtype=np.float64),
+            whole_embedding=_finite(raw["whole_embedding"]),
             regions=[
                 {
                     "label": r["label"],
                     "bbox": tuple(r["bbox"]),
-                    "embedding": np.asarray(r["embedding"], dtype=np.float64),
+                    "embedding": _finite(r["embedding"]),
                     "confidence": float(r.get("confidence", 1.0)),
                 }
                 for r in raw.get("regions", [])

@@ -8,9 +8,13 @@ from dynarag.encoders import HashedTextEncoder
 from dynarag.errors import DimensionMismatch, IndexNotBuilt, ParseError
 from dynarag.search import (
     ImageKgIndex,
+    ImageRecord,
+    ImageStore,
     KgEntry,
     WebDoc,
     WebSearchIndex,
+    _interleave,
+    _top_k,
     unit_embedding_for,
 )
 
@@ -122,6 +126,17 @@ def test_hard_negative_interleave_positions():
     assert flags == [False, False, True, False, False, True]
 
 
+def test_interleave_keeps_positives_after_negatives_run_out():
+    docs = [doc(i, f"relevant topic words {i}") for i in range(100)]
+    docs += [doc(200 + i, f"noise page {i}", hard=True) for i in range(3)]
+    index = WebSearchIndex(hard_negative_rate=0.5).build(docs)
+    hits = index.search("relevant topic words", 20)
+    assert len(hits) == 20
+    flags = [h.payload.is_hard_negative for h in hits]
+    assert [pos for pos, hard in enumerate(flags, start=1) if hard] == [3, 6, 9]
+    assert _interleave(["p1", "p2", "p3"], ["n1"], 1.0) == ["p1", "n1", "p2", "p3"]
+
+
 def test_rate_zero_returns_no_negatives():
     docs = [doc(0, "real content"), doc(1, "noise", hard=True)]
     index = WebSearchIndex(hard_negative_rate=0.0).build(docs)
@@ -180,6 +195,40 @@ def test_kg_embedding_norm_validated():
             "entity_name": "bad", "url": "kg://bad",
             "image_embedding": [1.0, 1.0], "attributes": {},
         })
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kg_embedding_must_be_finite(bad):
+    with pytest.raises(ValueError):
+        KgEntry.from_dict({
+            "entity_name": "bad", "url": "kg://bad",
+            "image_embedding": [bad, bad], "attributes": {},
+        })
+
+
+def test_image_record_embeddings_must_be_finite(tmp_path):
+    good = {"image_id": "img", "whole_embedding": [1.0, 0.0],
+            "regions": [{"label": "cup", "bbox": [0, 0, 5, 5],
+                         "embedding": [0.0, 1.0]}]}
+    ImageRecord.from_dict(good)
+    with pytest.raises(ValueError):
+        ImageRecord.from_dict({**good, "whole_embedding": [math.nan, 0.0]})
+    bad_region = {**good["regions"][0], "embedding": [0.0, math.inf]}
+    with pytest.raises(ValueError):
+        ImageRecord.from_dict({**good, "regions": [bad_region]})
+
+    path = tmp_path / "images.jsonl"
+    path.write_text(json.dumps(good) + "\n"
+                    + json.dumps({**good, "whole_embedding": [math.nan, 0.0]}) + "\n")
+    with pytest.raises(ParseError) as err:
+        ImageStore.from_jsonl(path)
+    assert err.value.line == 2
+
+
+def test_kg_search_rejects_non_finite_query():
+    index = ImageKgIndex().build([kg(0, unit_embedding_for("x", dim=4))])
+    with pytest.raises(ValueError):
+        index.search(np.array([math.nan, 0.0, 0.0, 0.0]), 1)
 
 
 def test_kg_attribute_keys_lowercased():
@@ -257,3 +306,82 @@ def test_search_is_deterministic():
     a = [(h.url, h.score) for h in index_a.search("common words", 30)]
     b = [(h.url, h.score) for h in index_b.search("common words", 30)]
     assert a == b
+
+
+# --- partial top-k against the full-sort oracle, compared with == ------------------
+
+
+def full_sort(scores, urls, k):
+    """Reference: sort every position by (-score, url), keep the first k."""
+    order = sorted(range(len(urls)), key=lambda i: (-scores[i], urls[i]))
+    return [(i, float(scores[i])) for i in order[:k]]
+
+
+def tied_web_docs(rng, n, hard=False, prefix="d"):
+    """Docs drawn from a small pool of (title, snippet) pairs, so many tie."""
+    pool = [("Same", " ".join(rng.choice([f"t{j}" for j in range(12)], size=4)))
+            for _ in range(max(2, n // 4))]
+    return [
+        WebDoc(url=f"https://{prefix}/{int(u):04d}", title=pool[i % len(pool)][0],
+               snippet=pool[i % len(pool)][1], is_hard_negative=hard)
+        for i, u in enumerate(rng.permutation(n))
+    ]
+
+
+def web_oracle(docs, encoder, query, rate, k):
+    qvec = encoder.encode(query)
+
+    def ranked(part):
+        if not part:
+            return []
+        matrix = np.vstack([encoder.encode(f"{d.title} {d.snippet}") for d in part])
+        return [(part[i], s) for i, s in
+                full_sort(matrix @ qvec, [d.url for d in part], len(part))]
+
+    positives = ranked([d for d in docs if not d.is_hard_negative])
+    negatives = ranked([d for d in docs if d.is_hard_negative]) if rate > 0 else []
+    merged = _interleave(positives, negatives, rate)
+    return [(d.url, s) for d, s in merged[:min(k, 50)]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_top_k_matches_full_sort_with_straddling_ties(seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    # Few distinct values, so ties straddle every k-th score.
+    scores = rng.integers(0, 5, size=n).astype(np.float64) / 4
+    urls = [f"u{int(u):03d}" for u in rng.permutation(n)]
+    for k in (1, 2, n - 1, n, n + 5, 50):
+        assert _top_k(scores, urls, k) == full_sort(scores, urls, k)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n_neg", [0, 3, 40])
+def test_web_search_matches_full_sort(rate, n_neg):
+    rng = np.random.default_rng(17)
+    docs = tied_web_docs(rng, 80) + tied_web_docs(rng, n_neg, hard=True, prefix="n")
+    encoder = HashedTextEncoder()
+    index = WebSearchIndex(encoder, hard_negative_rate=rate).build(docs)
+    n = len(docs)
+    for query in ("t1 t2 t3", "Same", "t7", "nothing matches"):
+        for k in (1, n - 1, n, n + 5, 50):
+            got = [(h.url, h.score) for h in index.search(query, k)]
+            assert got == web_oracle(docs, encoder, query, rate, k), (query, k)
+
+
+def test_kg_search_matches_full_sort_with_one_hot_ties():
+    rng = np.random.default_rng(29)
+    dim, n = 6, 40
+    vecs = np.eye(dim)[rng.integers(0, dim, size=n)]
+    order = rng.permutation(n)
+    entries = [kg(int(order[i]), vecs[i]) for i in range(n)]
+    index = ImageKgIndex().build(entries)
+    matrix = np.vstack([e.image_embedding for e in entries])
+    urls = [e.url for e in entries]
+    queries = [np.eye(dim)[2], np.full(dim, 1 / math.sqrt(dim))]
+    queries.append(rng.normal(size=dim))
+    for query in queries:
+        for k in (1, n - 1, n, n + 5, 50):
+            got = [(h.url, h.score) for h in index.search(query, k)]
+            want = [(urls[i], s) for i, s in full_sort(matrix @ query, urls, k)]
+            assert got == want, k
