@@ -11,7 +11,7 @@ from dynarag.routing import Branch, route_search, route_tools
 
 runtime = build_world_runtime()
 cfg = runtime.config
-pre = PreAnswerModule(runtime.gateway, cfg.domains, cfg.routing)
+pre = PreAnswerModule(runtime.gateway, runtime.classifier, cfg.routing)
 
 EXEMPLARS = [
     ("umbrella-q1:0", "What is written on these umbrellas?", "img-umbrella"),
@@ -21,7 +21,7 @@ EXEMPLARS = [
 
 for key, question, image in EXEMPLARS:
     print(f"\nQ: {question}")
-    domain = pre.classify_domain(question, image)
+    domain = pre.classify_domain(question)
     print(f"  domain: {domain.name} ({domain.confidence:.2f})")
 
     trace = pre.dcot_preanswer(question, image, domain, fixture_key=key)

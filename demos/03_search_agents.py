@@ -33,15 +33,15 @@ target = image_agent.select_object(candidates, QUESTION, IMAGE, KEY)
 print("selected:  ", target.full_name)
 regions = image_agent.detect_regions(IMAGE, target.name)
 print("regions:   ", [(r.label, r.bbox) for r in regions])
-hits = image_agent.multi_image_search(regions, QUESTION, k=3)
+hits = image_agent.multi_image_search(regions, k=3)
 for hit in hits:
     print(f"  kg hit {hit.score:+.3f}  {hit.payload.entity_name}")
-entity = image_agent.select_entity(hits, IMAGE, QUESTION, KEY)
+entity = image_agent.select_entity(hits)
 print("verified:  ", entity.entity_name, f"(match={entity.match_score:.2f})")
 
 print("\n== text retrieval ==")
-pre = PreAnswerModule(runtime.gateway, cfg.domains, cfg.routing)
-trace = pre.dcot_preanswer(QUESTION, IMAGE, pre.classify_domain(QUESTION, IMAGE), KEY)
+pre = PreAnswerModule(runtime.gateway, runtime.classifier, cfg.routing)
+trace = pre.dcot_preanswer(QUESTION, IMAGE, pre.classify_domain(QUESTION), KEY)
 
 text_agent = TextSearchAgent(runtime.gateway, runtime.web_index)
 subqueries = text_agent.rephrase_and_split(

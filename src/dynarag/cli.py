@@ -2,8 +2,12 @@
 
     dynarag ingest --config config.yaml [--out stats.json]
     dynarag eval   --config config.yaml --dataset data.jsonl \
-                   --report-out report.json [--parallelism 4] [--real-time]
+                   --report-out report.json [--real-time]
     dynarag trace  --config config.yaml --dataset data.jsonl [--index 0]
+
+``eval`` and ``trace`` run sessions through the same runner,
+``Orchestrator.run_session``, so a traced turn sees the session state that
+eval gave it.
 """
 
 from __future__ import annotations
@@ -11,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .config import PipelineConfig
 from .evalharness import load_dataset, run_eval
-from .orchestrator import SessionState, trace_to_dict
+from .orchestrator import trace_to_dict
 from .pipeline import build_runtime
 from .timing import SimulatedClock
 
@@ -37,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--report-out", required=True,
                         help="report JSON path; a markdown table lands next to it")
-    p_eval.add_argument("--parallelism", type=int, default=1)
     p_eval.add_argument("--real-time", action="store_true",
                         help="enforce deadlines on the wall clock instead of "
                              "simulated time")
@@ -70,8 +74,7 @@ def cmd_ingest(args) -> int:
 def cmd_eval(args) -> int:
     config = PipelineConfig.from_file(args.config)
     runtime = build_runtime(config)
-    report = run_eval(args.dataset, runtime, parallelism=args.parallelism,
-                      simulated_time=not args.real_time)
+    report = run_eval(args.dataset, runtime, simulated_time=not args.real_time)
     out = Path(args.report_out)
     out.write_text(report.to_json() + "\n", encoding="utf-8")
     out.with_suffix(out.suffix + ".md").write_text(report.to_markdown(), encoding="utf-8")
@@ -90,23 +93,13 @@ def cmd_trace(args) -> int:
         return 2
     record = records[args.index]
 
-    # Replay earlier turns of the same session so the state is faithful.
-    orchestrator = runtime.orchestrator(clock=SimulatedClock())
-    session = SessionState(
-        session_id=record.turn.session_id,
-        total_budget_s=config.limits.session_budget_s,
+    # Run the record's session up to and including its turn, as eval does.
+    turns = sorted(
+        (r.turn for r in records if r.turn.session_id == record.turn.session_id),
+        key=lambda t: t.turn_index,
     )
-    prior = [
-        r for r in records
-        if r.turn.session_id == record.turn.session_id
-        and r.turn.turn_index < record.turn.turn_index
-    ]
-    for earlier in sorted(prior, key=lambda r: r.turn.turn_index):
-        answer, trace = orchestrator.answer_turn(earlier.turn, session)
-        session.record(earlier.turn.question, answer, trace.elapsed_s,
-                       trace.entity_name)
-
-    final_answer, trace = orchestrator.answer_turn(record.turn, session)
+    results = runtime.orchestrator(clock=SimulatedClock()).run_session(turns)
+    *_, (final_answer, trace) = islice(results, record.turn.turn_index + 1)
     print(json.dumps(
         {"question": record.turn.question, "final_answer": final_answer,
          "trace": trace_to_dict(trace)},

@@ -33,6 +33,10 @@ class BackendTimeout(GatewayError):
     """Backend could not answer within the remaining time budget."""
 
 
+class BackendError(GatewayError):
+    """Backend transport failed or its response could not be decoded."""
+
+
 # --- search index ----------------------------------------------------------
 
 class ParseError(DynaragError):
@@ -67,9 +71,3 @@ class EncoderUnavailable(DynaragError):
 
 class ScorerUnavailable(DynaragError):
     pass
-
-
-# --- orchestration ---------------------------------------------------------
-
-class DeadlineExceeded(DynaragError):
-    """Internal signal; the orchestrator converts it into a fallback answer."""

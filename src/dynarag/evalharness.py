@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError
-from .orchestrator import PipelineTrace, QueryTurn, SessionState
+from .orchestrator import PipelineTrace, QueryTurn
 from .pipeline import PipelineRuntime
 from .postanswer import FALLBACK_ANSWER
 from .timing import SimulatedClock
@@ -190,32 +189,23 @@ class EvalHarness:
         self.simulated_time = simulated_time
 
     def _run_one_session(self, records: list[EvalRecord]) -> list[dict]:
+        records = sorted(records, key=lambda r: r.turn.turn_index)
         clock = SimulatedClock() if self.simulated_time else None
-        orchestrator = self.runtime.orchestrator(clock=clock)
-        session = SessionState(
-            session_id=records[0].turn.session_id,
-            total_budget_s=self.runtime.config.limits.session_budget_s,
+        results = self.runtime.orchestrator(clock=clock).run_session(
+            [record.turn for record in records]
         )
         rows = []
-        for record in sorted(records, key=lambda r: r.turn.turn_index):
-            turn = record.turn
-            wall_start = time.perf_counter()
-            try:
-                final_answer, trace = orchestrator.answer_turn(turn, session)
-            except Exception:  # partial failure scores as fallback
-                final_answer = FALLBACK_ANSWER
-                trace = None
+        wall_start = time.perf_counter()
+        for record, (final_answer, trace) in zip(records, results):
             wall = time.perf_counter() - wall_start
-            if trace is not None:
-                session.record(turn.question, final_answer, trace.elapsed_s,
-                               trace.entity_name)
-            elapse = min(wall, turn.deadline_s)
+            elapse = min(wall, record.turn.deadline_s)
             rows.append(self._row(record, final_answer, trace, elapse))
+            wall_start = time.perf_counter()
         return rows
 
     @staticmethod
     def _row(record: EvalRecord, final_answer: str,
-             trace: PipelineTrace | None, elapse: float) -> dict:
+             trace: PipelineTrace, elapse: float) -> dict:
         return {
             "session_id": record.turn.session_id,
             "turn_index": record.turn.turn_index,
@@ -225,43 +215,27 @@ class EvalHarness:
             "accuracy": score_accuracy(final_answer, record.ground_truth),
             "overlap": score_overlap(final_answer, record.ground_truth),
             "elapse": elapse,
-            "branch": trace.route.branch.value if trace else "failed",
-            "fallback": trace.answer.fallback if trace else True,
-            "stages": trace.stages if trace else [],
+            "branch": trace.route.branch.value,
+            "fallback": trace.answer.fallback,
+            "stages": trace.stages,
             "dynamism": record.taxonomy["dynamism"],
             "category": record.taxonomy["category"],
             "domain": record.taxonomy["domain"],
         }
 
-    def run(self, records: list[EvalRecord], parallelism: int = 1) -> EvalReport:
+    def run(self, records: list[EvalRecord]) -> EvalReport:
+        """Score every session, in session_id order; a session whose turn
+        indices are not 0..n-1 raises ValueError."""
         sessions: dict[str, list[EvalRecord]] = {}
         for record in records:
             sessions.setdefault(record.turn.session_id, []).append(record)
-
-        ordered = [sessions[sid] for sid in sorted(sessions)]
-        if parallelism <= 1:
-            batches = [self._run_one_session(group) for group in ordered]
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                batches = list(pool.map(self._run_one_session, ordered))
-
-        rows = [row for batch in batches for row in batch]
-        rows.sort(key=lambda r: (r["session_id"], r["turn_index"]))
+        rows = [row for sid in sorted(sessions)
+                for row in self._run_one_session(sessions[sid])]
         return build_report(rows)
 
 
-def run_eval(dataset_path: str | Path, runtime_or_config: PipelineRuntime | str | Path,
-             parallelism: int = 1, simulated_time: bool = True) -> EvalReport:
-    """Evaluate a dataset; the second argument may be a config file path."""
-    if isinstance(runtime_or_config, (str, Path)):
-        from .config import PipelineConfig
-        from .pipeline import build_runtime
-
-        runtime = build_runtime(PipelineConfig.from_file(runtime_or_config))
-    else:
-        runtime = runtime_or_config
-    records = load_dataset(
-        dataset_path, runtime.config.limits.turn_deadline_s
-    )
-    harness = EvalHarness(runtime, simulated_time=simulated_time)
-    return harness.run(records, parallelism=parallelism)
+def run_eval(dataset_path: str | Path, runtime: PipelineRuntime,
+             simulated_time: bool = True) -> EvalReport:
+    """Evaluate a dataset file against a built runtime."""
+    records = load_dataset(dataset_path, runtime.config.limits.turn_deadline_s)
+    return EvalHarness(runtime, simulated_time=simulated_time).run(records)

@@ -7,7 +7,9 @@ Backends:
   - Recorder: wraps any backend and appends each response to a JSONL file in
     the same fixture format, so a run recorded once replays bit-identically.
   - RemoteBackend: minimal JSON-over-HTTP client mirroring the request and
-    response shapes. Optional; nothing in the pipeline requires it.
+    response shapes. Socket timeouts raise BackendTimeout; any other transport
+    failure or undecodable body raises BackendError. Optional; nothing in the
+    pipeline requires it.
 
 Fixture file format (one JSON object per line):
   {"template_id": ..., "fixture_key": ..., "text": ..., "token_probs": [...],
@@ -16,14 +18,17 @@ Fixture file format (one JSON object per line):
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import threading
+import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
+    BackendError,
     BackendTimeout,
     DuplicateTemplate,
     MissingSlot,
@@ -61,11 +66,6 @@ class ModelRequest:
     template_id: str
     slots: dict[str, str]
     image_ref: str | None = None
-    max_tokens: int = 512
-
-    def __post_init__(self):
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,6 @@ class ScriptedBackend:
         self._entries: dict[tuple[str, str], FixtureEntry] = {}
         for entry in entries or []:
             self.add(entry)
-        self._loaded = True
 
     def add(self, entry: FixtureEntry) -> None:
         if not entry.token_probs:
@@ -179,7 +178,7 @@ class Recorder:
 class RemoteBackend:
     """JSON-over-HTTP client mirroring the request/response shapes.
 
-    POSTs {"template_id", "fixture_key", "prompt", "max_tokens"} and expects
+    POSTs {"template_id", "fixture_key", "prompt"} and expects
     {"text", "token_probs", "latency_ms"} back.
     """
 
@@ -202,14 +201,24 @@ class RemoteBackend:
                 raise BackendTimeout("no time left for remote call")
         try:
             with urllib.request.urlopen(request, timeout=timeout) as raw:
-                body = json.loads(raw.read().decode("utf-8"))
+                data = raw.read()
         except TimeoutError as exc:
             raise BackendTimeout(str(exc)) from exc
-        return ModelResponse(
-            text=body["text"],
-            token_probs=tuple(float(p) for p in body["token_probs"]),
-            latency=float(body.get("latency_ms", 0.0)) / 1000.0,
-        )
+        except urllib.error.URLError as exc:
+            if isinstance(exc.reason, TimeoutError):
+                raise BackendTimeout(str(exc)) from exc
+            raise BackendError(f"remote call failed: {exc}") from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise BackendError(f"remote call failed: {exc!r}") from exc
+        try:
+            body = json.loads(data.decode("utf-8"))
+            return ModelResponse(
+                text=body["text"],
+                token_probs=tuple(float(p) for p in body["token_probs"]),
+                latency=float(body.get("latency_ms", 0.0)) / 1000.0,
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise BackendError(f"bad response body: {exc!r}") from exc
 
 
 @dataclass

@@ -4,8 +4,7 @@ The chain is: extract candidate objects from the image/question, select the
 one the question is about, detect its region(s), run an image-KG search per
 region, fuse the hits, and verify that the best retrieved entity is actually
 the thing shown. Detection and crop embeddings come from per-image fixtures
-(no pixel models here); verification reads a fixture flag in mock mode or a
-gateway call in real mode.
+(no pixel models here); verification reads a fixture flag on the KG entry.
 """
 
 from __future__ import annotations
@@ -77,8 +76,7 @@ class FixtureEntityVerifier:
     flag return None and the caller falls back to the retrieval similarity.
     """
 
-    def verify(self, entry: KgEntry, image_ref: str | None, query: str,
-               fixture_key: str = "", budget: TimeBudget | None = None) -> float | None:
+    def verify(self, entry: KgEntry) -> float | None:
         raw = entry.attributes.get("visual_match")
         if raw is None:
             return None
@@ -93,37 +91,13 @@ class FixtureEntityVerifier:
             return 0.0
 
 
-class GatewayEntityVerifier:
-    """Model-backed visual consistency check."""
-
-    def __init__(self, gateway: ModelGateway):
-        self.gateway = gateway
-
-    def verify(self, entry: KgEntry, image_ref: str | None, query: str,
-               fixture_key: str = "", budget: TimeBudget | None = None) -> float:
-        request = ModelRequest(
-            template_id="entity_verify",
-            slots={"entity": entry.entity_name, "query": query,
-                   FIXTURE_KEY_SLOT: fixture_key},
-            image_ref=image_ref,
-        )
-        try:
-            response = self.gateway.generate(request, budget)
-            payload = json.loads(response.text.strip().splitlines()[-1])
-            if "score" in payload:
-                return max(0.0, min(1.0, float(payload["score"])))
-            return 1.0 if payload.get("match") else 0.0
-        except (GatewayError, ValueError, IndexError):
-            return 0.0
-
-
 @dataclass
 class ImageSearchAgent:
     gateway: ModelGateway
     kg_index: ImageKgIndex
     image_store: ImageStore
     text_encoder: HashedTextEncoder
-    entity_verifier: FixtureEntityVerifier | GatewayEntityVerifier
+    entity_verifier: FixtureEntityVerifier
     entity_threshold: float = 0.5
     default_width: int = 640
     default_height: int = 480
@@ -258,8 +232,7 @@ class ImageSearchAgent:
 
     # -- fused retrieval -----------------------------------------------------
 
-    def multi_image_search(self, regions: list[Region], query: str,
-                           k: int) -> list[SearchHit]:
+    def multi_image_search(self, regions: list[Region], k: int) -> list[SearchHit]:
         """Per-region KG search, fused by max-score url dedup, descending.
 
         Ordering mirrors the underlying index (score desc, url as tie-break)
@@ -282,14 +255,10 @@ class ImageSearchAgent:
 
     # -- entity verification ---------------------------------------------------
 
-    def select_entity(self, hits: list[SearchHit], image_ref: str | None,
-                      query: str, fixture_key: str = "",
-                      budget: TimeBudget | None = None) -> VerifiedEntity | None:
+    def select_entity(self, hits: list[SearchHit]) -> VerifiedEntity | None:
         for hit in hits:
             entry = hit.payload
-            score = self.entity_verifier.verify(
-                entry, image_ref, query, fixture_key, budget
-            )
+            score = self.entity_verifier.verify(entry)
             if score is None:
                 # No explicit verdict: trust the retrieval similarity.
                 score = min(1.0, max(0.0, hit.score))
@@ -318,6 +287,6 @@ class ImageSearchAgent:
         regions = [r for r in regions if r.embedding is not None]
         if not regions:
             return [], None
-        hits = self.multi_image_search(regions, query, k)
-        entity = self.select_entity(hits, image_ref, query, fixture_key, budget)
+        hits = self.multi_image_search(regions, k)
+        entity = self.select_entity(hits)
         return hits, entity

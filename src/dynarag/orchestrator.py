@@ -8,20 +8,24 @@ A turn flows pre-answer -> search router -> branch chain:
                   text toolchain -> rerank -> generation -> dual verification.
 
 Every stage draws on one shared TimeBudget; a breach anywhere converts the
-turn into an "I don't know" fallback without ever propagating the timeout.
-Stage wall-time is read from the orchestrator clock, so tests run on
-simulated time while production uses the monotonic clock.
+turn into an "I don't know" fallback without ever propagating the timeout,
+and so does any other library error (``DynaragError``). Stage wall-time is
+read from the orchestrator clock, so tests run on simulated time while
+production uses the monotonic clock.
+
+``Orchestrator.run_session`` is the one session loop: the eval harness and
+the ``trace`` command both drive turns through it.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .config import PipelineConfig
-from .errors import BackendTimeout, DeadlineExceeded
-from .gateway import ModelGateway
+from .errors import BackendTimeout, DynaragError
 from .image_agent import ImageSearchAgent
 from .postanswer import (
     FALLBACK_ANSWER,
@@ -46,6 +50,7 @@ logger = logging.getLogger(__name__)
 # Markers a trace carries when a turn never ran its full chain.
 STAGE_DEADLINE_FALLBACK = "deadline_fallback"
 STAGE_BUDGET_FALLBACK = "budget_fallback"
+STAGE_ERROR_FALLBACK = "error_fallback"
 
 _PRIOR_TURN_MARKERS = ("previous turn", "earlier turn", "previous answer",
                        "prior turn", "the conversation")
@@ -131,7 +136,6 @@ class Orchestrator:
 
     def __init__(
         self,
-        gateway: ModelGateway,
         pre_answer: PreAnswerModule,
         image_agent: ImageSearchAgent,
         text_agent: TextSearchAgent,
@@ -140,7 +144,6 @@ class Orchestrator:
         config: PipelineConfig,
         clock=None,
     ):
-        self.gateway = gateway
         self.pre_answer = pre_answer
         self.image_agent = image_agent
         self.text_agent = text_agent
@@ -185,7 +188,7 @@ class Orchestrator:
 
         try:
             with stage("pre_answer"):
-                domain = self.pre_answer.classify_domain(turn.question, turn.image_ref)
+                domain = self.pre_answer.classify_domain(turn.question)
                 trace = self.pre_answer.dcot_preanswer(
                     turn.question, turn.image_ref, domain, key, history, budget
                 )
@@ -200,12 +203,16 @@ class Orchestrator:
                 answer, evidence, tools, entity_name = self._run_rag(
                     turn, session, trace, stage, budget
                 )
-        except (BackendTimeout, DeadlineExceeded) as exc:
+        except DynaragError as exc:
             logger.info("turn %s fell back: %s", key, exc)
-            answer = _fallback_answer(f"deadline exceeded: {exc}")
-            timings[STAGE_DEADLINE_FALLBACK] = 0.0
+            if isinstance(exc, BackendTimeout):
+                marker, what = STAGE_DEADLINE_FALLBACK, "deadline exceeded"
+            else:
+                marker, what = STAGE_ERROR_FALLBACK, type(exc).__name__
+            answer = _fallback_answer(f"{what}: {exc}")
+            timings[marker] = 0.0
             if route is None:
-                route = _fallback_route("deadline exceeded before routing")
+                route = _fallback_route(f"{what} before routing")
 
         trace_out = PipelineTrace(
             route=route,
@@ -341,27 +348,29 @@ class Orchestrator:
 
     # -- sessions ----------------------------------------------------------------
 
-    def run_session(self, turns: list[QueryTurn]) -> list[tuple[str, PipelineTrace]]:
-        if not turns:
-            return []
-        session_ids = {t.session_id for t in turns}
-        if len(session_ids) != 1:
+    def run_session(self, turns: list[QueryTurn]) -> Iterator[tuple[str, PipelineTrace]]:
+        """Answer one session's turns in order under one SessionState.
+
+        The turn list is checked here, at the call: one session_id and turn
+        indices 0..n-1. Each (final_answer, trace) is yielded as soon as its
+        turn finishes, so callers can time turns or stop early.
+        """
+        turns = list(turns)
+        if len({t.session_id for t in turns}) > 1:
             raise ValueError("all turns must share one session_id")
-        indices = [t.turn_index for t in turns]
-        if indices != list(range(len(turns))):
+        if [t.turn_index for t in turns] != list(range(len(turns))):
             raise ValueError("turn indices must be contiguous from 0")
 
-        session = SessionState(
-            session_id=turns[0].session_id,
-            total_budget_s=self.config.limits.session_budget_s,
-        )
-        results = []
-        for turn in turns:
-            final_answer, trace = self.answer_turn(turn, session)
-            session.record(turn.question, final_answer, trace.elapsed_s,
-                           trace.entity_name)
-            results.append((final_answer, trace))
-        return results
+        def answers():
+            session = SessionState(turns[0].session_id,
+                                   self.config.limits.session_budget_s)
+            for turn in turns:
+                final_answer, trace = self.answer_turn(turn, session)
+                session.record(turn.question, final_answer, trace.elapsed_s,
+                               trace.entity_name)
+                yield final_answer, trace
+
+        return answers() if turns else iter(())
 
 
 def trace_to_dict(trace: PipelineTrace) -> dict:
@@ -413,8 +422,8 @@ def trace_to_dict(trace: PipelineTrace) -> dict:
 def expected_stages(trace: PipelineTrace) -> list[str] | None:
     """The stage chain the trace's branch should have executed, or None for
     fallback traces (they legitimately stop early)."""
-    if STAGE_BUDGET_FALLBACK in trace.stage_timings or \
-            STAGE_DEADLINE_FALLBACK in trace.stage_timings:
+    if any(marker in trace.stage_timings for marker in
+           (STAGE_BUDGET_FALLBACK, STAGE_DEADLINE_FALLBACK, STAGE_ERROR_FALLBACK)):
         return None
     branch = trace.route.branch
     if branch is Branch.DIRECT_OUTPUT:

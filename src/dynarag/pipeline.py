@@ -1,13 +1,13 @@
 """Assemble the full pipeline from a configuration document.
 
-The runtime holds everything immutable (indexes, fixtures, gateway, config);
-``orchestrator()`` hands out a cheap per-session executor so parallel harness
-workers never share mutable state or a simulated clock.
+The runtime holds everything immutable (indexes, fixtures, gateway, config,
+the domain classifier); ``orchestrator()`` hands out a cheap per-session
+executor so sessions never share a simulated clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import PipelineConfig
 from .encoders import HashedTextEncoder, MultiVectorQueryEncoder
@@ -15,7 +15,7 @@ from .gateway import ModelGateway, ScriptedBackend
 from .image_agent import FixtureEntityVerifier, ImageSearchAgent
 from .orchestrator import Orchestrator
 from .postanswer import PostAnswerModule
-from .preanswer import PreAnswerModule
+from .preanswer import KeywordCentroidClassifier, PreAnswerModule
 from .prompts import register_all
 from .search import ImageKgIndex, ImageStore, WebSearchIndex
 from .text_agent import TextSearchAgent
@@ -30,10 +30,14 @@ class PipelineRuntime:
     image_store: ImageStore
     text_encoder: HashedTextEncoder
     query_encoder: MultiVectorQueryEncoder
+    classifier: KeywordCentroidClassifier = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.classifier = KeywordCentroidClassifier(self.config.domains)
 
     def orchestrator(self, clock=None) -> Orchestrator:
         cfg = self.config
-        pre = PreAnswerModule(self.gateway, cfg.domains, cfg.routing)
+        pre = PreAnswerModule(self.gateway, self.classifier, cfg.routing)
         image_agent = ImageSearchAgent(
             gateway=self.gateway,
             kg_index=self.kg_index,
@@ -52,7 +56,6 @@ class PipelineRuntime:
         )
         post = PostAnswerModule(self.gateway, cfg.verifier)
         return Orchestrator(
-            gateway=self.gateway,
             pre_answer=pre,
             image_agent=image_agent,
             text_agent=text_agent,

@@ -12,21 +12,19 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DomainConfig, RoutingConfig
 from .encoders import HashedTextEncoder, tokenize
-from .errors import GatewayError
 from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest
-from .prompts import examples_for_domain
+from .prompts import CANNOT_DETERMINE, examples_for_domain
 from .timing import TimeBudget
 
 logger = logging.getLogger(__name__)
 
 MAX_STEPS = 5
-CANNOT_DETERMINE = "I cannot determine the"
 
 _STEP_RE = re.compile(r"^\s*(\d+)[.)]\s+(.*\S)\s*$")
 _JSON_LINE_RE = re.compile(r"^\s*\{.*\}\s*$")
@@ -90,7 +88,7 @@ class KeywordCentroidClassifier:
             if name in domains.taxonomy
         }
 
-    def classify(self, query: str, image_ref: str | None = None) -> DomainLabel:
+    def classify(self, query: str) -> DomainLabel:
         tokens = set(tokenize(query))
         if not tokens:
             return DomainLabel("other", 0.0)
@@ -114,35 +112,6 @@ class KeywordCentroidClassifier:
         if best is None or scored[best] <= 0.0:
             return DomainLabel("other", 0.0)
         return DomainLabel(best, max(0.0, min(1.0, scored[best])))
-
-
-class GatewayDomainClassifier:
-    """Model-backed alternative; falls back to "other" on any failure."""
-
-    def __init__(self, gateway: ModelGateway, domains: DomainConfig):
-        self.gateway = gateway
-        self.domains = domains
-
-    def classify(self, query: str, image_ref: str | None = None,
-                 fixture_key: str = "", budget: TimeBudget | None = None) -> DomainLabel:
-        request = ModelRequest(
-            template_id="domain_classify",
-            slots={
-                "query": query,
-                "taxonomy": ", ".join(self.domains.taxonomy),
-                FIXTURE_KEY_SLOT: fixture_key,
-            },
-            image_ref=image_ref,
-        )
-        try:
-            response = self.gateway.generate(request, budget)
-            payload = json.loads(response.text.strip().splitlines()[-1])
-            name = payload["domain"]
-            if name not in self.domains.taxonomy:
-                return DomainLabel("other", 0.0)
-            return DomainLabel(name, float(payload.get("confidence", 1.0)))
-        except (GatewayError, ValueError, KeyError, IndexError):
-            return DomainLabel("other", 0.0)
 
 
 def _strip_quoted(text: str) -> str:
@@ -294,21 +263,11 @@ class PreAnswerModule:
     """Domain routing plus the chain-of-thought draft answer."""
 
     gateway: ModelGateway
-    domains: DomainConfig
+    classifier: KeywordCentroidClassifier
     routing: RoutingConfig
-    classifier: KeywordCentroidClassifier | GatewayDomainClassifier | None = None
-    history: str = ""
-    _default: KeywordCentroidClassifier = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._default = KeywordCentroidClassifier(self.domains)
-
-    def classify_domain(self, query: str, image_ref: str | None = None) -> DomainLabel:
-        classifier = self.classifier or self._default
-        label = classifier.classify(query, image_ref)
-        if label.name not in self.domains.taxonomy:
-            return DomainLabel("other", 0.0)
-        return label
+    def classify_domain(self, query: str) -> DomainLabel:
+        return self.classifier.classify(query)
 
     def dcot_preanswer(
         self,

@@ -2,8 +2,9 @@
 
 Template bodies use ``{slot}`` placeholders. The sentinel strings matter:
 downstream parsers key on the numbered-step prefix, the "I cannot determine"
-marker, the reason/answer labels, the "**Response:**" verdict line and the
-tool-decision JSON, so they must stay in sync with the extractors.
+marker (``CANNOT_DETERMINE``), the trailing JSON answer line, the
+reason/answer labels and the "**Response:**" verdict line, so they must stay
+in sync with the extractors.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from .gateway import ModelGateway
 
 CANNOT_DETERMINE = "I cannot determine the"
-IDK = "I don't know"
 
 EVALUATOR = """You are a visual assistant. Answer the user's question about the image from what you can see plus your own knowledge.
 
@@ -42,25 +42,6 @@ Reply with exactly one JSON line: {"object_list": ["<name>", ...]}"""
 OBJECT_SELECT = """From the detected objects {object_list}, pick the single object the question "{query}" is about. If the question carries position words, prefer objects at or near that position. If several instances of the same object exist, add a short distinguishing attribute to the name.
 
 Reply with exactly one JSON line: {"object": "<name>"}"""
-
-TOOL_ROUTER = """You are an action selector. Given the question "{query}", the prior reasoning, and the image, decide which retrieval tools must run first.
-
-Available tools:
-- image_search: retrieve visually similar items to identify an object whose specific name is still unknown.
-- text_search: fetch web facts about an object whose identity is already known.
-
-Decide as follows:
-1. Is the object's specific identity (proper noun, model, species) already known from the reasoning? Yes: need_image_search=false. No: need_image_search=true.
-2. Does the question need information not visible in the image (specifications, history, statistics, price)? Yes: need_text_search=true. No: need_text_search=false.
-3. For self-contained analytical tasks such as math, physics calculations or language translation, set both flags to false.
-4. If the object is a "book", a "logo-bearing packaged goods", or a "plant", set need_image_search to false.
-
-Prior reasoning:
-{reasoning}
-
-Output exactly one sentence of rationale, then one JSON line:
-Decision logic: <one sentence>
-Tool calling decision: {"need_image_search": <true/false>, "need_text_search": <true/false>}"""
 
 DECOMPOSE = """Rewrite the question "{query}" as a list of clear, self-contained web search sub-queries. Break multi-hop questions into one sub-query per inference step, and replace vague referents using the reasoning and the visual context below.
 
@@ -102,15 +83,6 @@ Respond as:
 Question: {question}
 Evidence: {evidence}
 Answer: {answer}"""
-
-ENTITY_VERIFY = """Is the retrieved entity "{entity}" visually present in the image and consistent with the object the question "{query}" is about?
-
-Reply with exactly one JSON line: {"match": <true/false>, "score": <0..1>}"""
-
-DOMAIN_CLASSIFY = """Classify the question "{query}" about the image into exactly one domain from: {taxonomy}.
-
-Reply with exactly one JSON line: {"domain": "<name>", "confidence": <0..1>}"""
-
 
 # Small per-domain in-context packs for the evaluator; "other" is the default.
 DOMAIN_EXAMPLES: dict[str, str] = {
@@ -160,7 +132,6 @@ def register_all(gateway: ModelGateway) -> None:
     gateway.register_template(
         "object_select", OBJECT_SELECT, {"query", "object_list"}, requires_image=True
     )
-    gateway.register_template("tool_router", TOOL_ROUTER, {"query", "reasoning"})
     gateway.register_template(
         "decompose", DECOMPOSE, {"query", "reasoning", "visual_context", "history"}
     )
@@ -171,7 +142,3 @@ def register_all(gateway: ModelGateway) -> None:
     gateway.register_template(
         "verifier", VERIFIER, {"question", "evidence", "answer"}, requires_image=True
     )
-    gateway.register_template(
-        "entity_verify", ENTITY_VERIFY, {"entity", "query"}, requires_image=True
-    )
-    gateway.register_template("domain_classify", DOMAIN_CLASSIFY, {"query", "taxonomy"})

@@ -3,24 +3,19 @@
 The search router assigns each pre-answered query to one of three execution
 paths (direct output / verify against evidence / full retrieval-augmented
 generation) through an ordered rule cascade over the trace flags. The tool
-router replicates the published four-step decision logic locally; a
-gateway-backed variant exists for A/B runs against a scripted model.
+router replicates the published four-step decision logic locally.
 
 Both routers are total, deterministic pure functions of their inputs.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .config import RoutingConfig
-from .errors import GatewayError
-from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest
 from .preanswer import FeatureFlags, ReasoningTrace
-from .timing import TimeBudget
 
 
 class Branch(str, Enum):
@@ -132,45 +127,3 @@ def route_tools(query: str, trace: ReasoningTrace, image_ref: str | None,
 
     return ToolDecision(need_image, need_text, rationale)
 
-
-class GatewayToolRouter:
-    """Model-backed tool router parsing the scripted decision output."""
-
-    _FLAGS_RE = re.compile(r"\{[^{}]*\}")
-
-    def __init__(self, gateway: ModelGateway, routing: RoutingConfig):
-        self.gateway = gateway
-        self.routing = routing
-
-    def route(self, query: str, trace: ReasoningTrace, image_ref: str | None,
-              fixture_key: str = "", budget: TimeBudget | None = None) -> ToolDecision:
-        request = ModelRequest(
-            template_id="tool_router",
-            slots={
-                "query": query,
-                "reasoning": trace.raw_text,
-                FIXTURE_KEY_SLOT: fixture_key,
-            },
-            image_ref=image_ref,
-        )
-        try:
-            response = self.gateway.generate(request, budget)
-            return self._parse(response.text)
-        except (GatewayError, ValueError):
-            # Fall back to the local rules; the pipeline must stay total.
-            return route_tools(query, trace, image_ref, self.routing)
-
-    def _parse(self, text: str) -> ToolDecision:
-        rationale = ""
-        for line in text.splitlines():
-            if line.lower().startswith("decision logic:"):
-                rationale = line.split(":", 1)[1].strip()
-        match = self._FLAGS_RE.search(text.replace("\n", " "))
-        if not match:
-            raise ValueError("no tool decision JSON found")
-        payload = json.loads(match.group(0))
-        return ToolDecision(
-            need_image_search=bool(payload["need_image_search"]),
-            need_text_search=bool(payload["need_text_search"]),
-            rationale=rationale or "scripted decision",
-        )

@@ -11,6 +11,7 @@ noise.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -126,16 +127,34 @@ def _finite(values) -> np.ndarray:
     return array
 
 
+def _check_unique_urls(items) -> None:
+    """Results are fused by url, so two corpus items sharing one would hide
+    one of them."""
+    seen: set[str] = set()
+    for item in items:
+        if item.url in seen:
+            raise ValueError(f"duplicate url in corpus: {item.url}")
+        seen.add(item.url)
+
+
 def _top_k(scores: np.ndarray, urls: list[str], k: int) -> list[tuple[int, float]]:
     """The k >= 1 best positions by (-score, url), each with its score.
 
-    Exact: every position scoring at least the k-th largest (finite) score is
-    a candidate, so ties straddling the boundary are all sorted by url.
+    Exact: the candidates are every position scoring above the k-th largest
+    (finite) score plus, among the positions tied with it, the ones with the
+    smallest urls, as many as the top k has room for. Only those are sorted,
+    so a query that ties most of the corpus (an all-zero query vector scores
+    0.0 everywhere) costs a bounded selection, not a full sort.
     """
     n = len(urls)
     if k < n:
         kth = np.partition(scores, n - k)[n - k]
         candidates = np.flatnonzero(scores >= kth).tolist()
+        if len(candidates) > k:
+            above = np.flatnonzero(scores > kth).tolist()
+            ties = np.flatnonzero(scores == kth).tolist()
+            candidates = above + heapq.nsmallest(
+                k - len(above), ties, key=urls.__getitem__)
     else:
         candidates = range(n)
     order = sorted(candidates, key=lambda i: (-scores[i], urls[i]))[:k]
@@ -166,11 +185,7 @@ class WebSearchIndex:
         return index
 
     def build(self, docs: list[WebDoc]) -> "WebSearchIndex":
-        seen: set[str] = set()
-        for doc in docs:
-            if doc.url in seen:
-                raise ValueError(f"duplicate url in corpus: {doc.url}")
-            seen.add(doc.url)
+        _check_unique_urls(docs)
         self._pos_docs = [d for d in docs if not d.is_hard_negative]
         self._neg_docs = [d for d in docs if d.is_hard_negative]
         self._pos_urls = [d.url for d in self._pos_docs]
@@ -242,6 +257,7 @@ class ImageKgIndex:
         return index
 
     def build(self, entries: list[KgEntry]) -> "ImageKgIndex":
+        _check_unique_urls(entries)
         self._entries = list(entries)
         self._urls = [e.url for e in entries]
         vectors = [e.image_embedding for e in entries]

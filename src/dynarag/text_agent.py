@@ -1,9 +1,10 @@
 """Web-query construction and fused textual retrieval.
 
 Multi-hop questions are decomposed into self-contained sub-queries through
-the gateway (a clause-splitting fallback keeps the pipeline total), deictic
-referents are rewritten using the visual context, and a verified entity name
-can be fused into the original question to produce an object-aware query.
+the gateway (falling back to the original question keeps the pipeline
+total), deictic referents are rewritten using the visual context, and a
+verified entity name can be fused into the original question to produce an
+object-aware query.
 Per-sub-query searches are merged by max-score url dedup, exactly like the
 image-side fusion.
 """
@@ -34,7 +35,6 @@ _DEICTIC_NOUN_RE = re.compile(
     re.IGNORECASE,
 )
 _IT_RE = re.compile(r"\bit\b", re.IGNORECASE)
-_CLAUSE_SPLIT_RE = re.compile(r"\s+(?:and|, and|; )\s+|(?<=\?)\s+")
 _WH_PREFIX_RE = re.compile(
     r"^(what's|what is|what are|who's|who is|who are|where is|where are|"
     r"when did|when was|when is|how much is|how much does|how many|"
@@ -166,14 +166,3 @@ class TextSearchAgent:
         fused = sorted(best.values(), key=lambda h: (-h.score, h.url))
         return fused[:k_total]
 
-    @staticmethod
-    def clause_split(query: str, trace: ReasoningTrace) -> list[SubQuery]:
-        """Rule-based decomposition guard: split on conjunction boundaries."""
-        parts = [p.strip() for p in _CLAUSE_SPLIT_RE.split(query) if p and p.strip()]
-        if len(parts) <= 1 or not trace.steps:
-            return [SubQuery(query, SubQueryOrigin.DECOMPOSITION, None)]
-        last = len(trace.steps) - 1
-        return [
-            SubQuery(part, SubQueryOrigin.DECOMPOSITION, min(i, last))
-            for i, part in enumerate(parts)
-        ]

@@ -221,7 +221,7 @@ def test_criterion_6_deadline_safety():
     for rep in range(100):
         orchestrator = runtime.orchestrator(clock=SimulatedClock())
         wall_start = time.perf_counter()
-        results = orchestrator.run_session([turn])
+        results = list(orchestrator.run_session([turn]))
         wall = time.perf_counter() - wall_start
         answer, trace = results[0]
         assert answer == FALLBACK_ANSWER, f"rep {rep}"
@@ -247,8 +247,8 @@ def test_criterion_7_golden_traces():
     for sid in sorted(sessions):
         turns = [QueryTurn(sid, ti, q, img, 10.0)
                  for ti, q, img in sorted(sessions[sid])]
-        run_a = runtime.orchestrator(clock=SimulatedClock()).run_session(turns)
-        run_b = runtime.orchestrator(clock=SimulatedClock()).run_session(turns)
+        run_a = list(runtime.orchestrator(clock=SimulatedClock()).run_session(turns))
+        run_b = list(runtime.orchestrator(clock=SimulatedClock()).run_session(turns))
 
         for (ans_a, tr_a), (ans_b, tr_b), frozen in zip(run_a, run_b, golden[sid]):
             assert ans_a == ans_b  # byte-identical across runs

@@ -29,7 +29,6 @@ def test_eval_writes_json_and_markdown(world, tmp_path, capsys):
         "eval", "--config", str(world["config"]),
         "--dataset", str(world["dataset"]),
         "--report-out", str(report_path),
-        "--parallelism", "2",
     ])
     assert code == 0
     payload = json.loads(report_path.read_text())
@@ -74,3 +73,40 @@ def test_trace_index_out_of_range(world, capsys):
         "--dataset", str(world["dataset"]), "--index", "999",
     ])
     assert code == 2
+
+
+def test_trace_matches_eval_row_for_every_record(world, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main([
+        "eval", "--config", str(world["config"]),
+        "--dataset", str(world["dataset"]), "--report-out", str(report_path),
+    ]) == 0
+    rows = {(r["session_id"], r["turn_index"]): r
+            for r in json.loads(report_path.read_text())["records"]}
+    records = [json.loads(line) for line in world["dataset"].read_text().splitlines()
+               if line.strip()]
+    assert len(records) == len(rows) == 23
+    capsys.readouterr()
+    for index, record in enumerate(records):
+        assert main([
+            "trace", "--config", str(world["config"]),
+            "--dataset", str(world["dataset"]), "--index", str(index),
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        row = rows[(record["session_id"], record["turn_index"])]
+        assert payload["final_answer"] == row["final_answer"], index
+        assert payload["trace"]["route"]["branch"] == row["branch"], index
+        assert payload["trace"]["stages"] == row["stages"], index
+
+
+def test_trace_rejects_a_session_with_a_gap(world, tmp_path):
+    records = [json.loads(line) for line in world["dataset"].read_text().splitlines()
+               if line.strip()]
+    gapped = [r for r in records
+              if not (r["session_id"] == "dialog-1" and r["turn_index"] == 1)]
+    dataset = tmp_path / "gapped.jsonl"
+    dataset.write_text("\n".join(json.dumps(r) for r in gapped) + "\n")
+    first = next(i for i, r in enumerate(gapped) if r["session_id"] == "dialog-1")
+    with pytest.raises(ValueError, match="contiguous"):
+        main(["trace", "--config", str(world["config"]),
+              "--dataset", str(dataset), "--index", str(first)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,10 @@ from dynarag.evalharness import (
     score_accuracy,
     score_overlap,
 )
-from dynarag.fixtures import eval_rows
+from dynarag.fixtures import eval_rows, model_entries
+from dynarag.gateway import ModelGateway, ScriptedBackend
+from dynarag.orchestrator import STAGE_ERROR_FALLBACK
+from dynarag.prompts import register_all
 
 
 # --- accuracy oracle ---------------------------------------------------------------
@@ -174,13 +178,13 @@ def test_deadline_record_counts_with_zero_accuracy(world_runtime, tmp_path):
 def test_full_world_eval_and_parallelism_agree(world_runtime, tmp_path):
     path = tmp_path / "all.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in eval_rows()) + "\n")
-    serial = run_eval(path, world_runtime, parallelism=1)
-    parallel = run_eval(path, world_runtime, parallelism=4)
-    assert serial.n == parallel.n == len(eval_rows())
-    assert serial.accuracy == parallel.accuracy
-    assert serial.overlap == parallel.overlap
-    serial_answers = [r["final_answer"] for r in serial.records]
-    assert serial_answers == [r["final_answer"] for r in parallel.records]
+    first = run_eval(path, world_runtime)
+    second = run_eval(path, world_runtime)
+    assert first.n == second.n == len(eval_rows())
+    assert first.accuracy == second.accuracy
+    assert first.overlap == second.overlap
+    first_answers = [r["final_answer"] for r in first.records]
+    assert first_answers == [r["final_answer"] for r in second.records]
 
 
 def test_partial_failure_scored_as_fallback(world_runtime, tmp_path):
@@ -195,3 +199,45 @@ def test_partial_failure_scored_as_fallback(world_runtime, tmp_path):
     report = run_eval(path, world_runtime)
     assert report.n == 1
     assert report.records[0]["accuracy"] == 0
+
+
+# --- the shared session runner ----------------------------------------------------------
+
+
+def write_rows(tmp_path, rows):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    return path
+
+
+def test_library_error_scores_as_fallback_and_session_continues(world_runtime, tmp_path):
+    entries = [e for e in model_entries()
+               if (e.template_id, e.fixture_key) != ("evaluator", "dialog-1:0")]
+    gateway = ModelGateway(ScriptedBackend(entries))
+    register_all(gateway)
+    runtime = dataclasses.replace(world_runtime, gateway=gateway)
+    rows = [r for r in eval_rows()
+            if r["session_id"] == "dialog-1" and r["turn_index"] < 2]
+    first, second = run_eval(write_rows(tmp_path, rows), runtime).records
+    assert first["fallback"] is True
+    assert first["accuracy"] == 0
+    assert first["stages"] == ["pre_answer", STAGE_ERROR_FALLBACK]
+    assert second["turn_index"] == 1
+    assert second["fallback"] is False
+    assert STAGE_ERROR_FALLBACK not in second["stages"]
+
+
+def test_non_library_error_propagates_out_of_eval(world_runtime, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in backend")
+
+    monkeypatch.setattr(world_runtime.gateway.backend, "complete", broken)
+    with pytest.raises(RuntimeError, match="bug in backend"):
+        run_eval(write_rows(tmp_path, eval_rows()[:1]), world_runtime)
+
+
+@pytest.mark.parametrize("indices", [(0, 2), (0, 0), (1,)])
+def test_session_turn_indices_must_be_contiguous(world_runtime, tmp_path, indices):
+    rows = [dict(eval_rows()[0], turn_index=i) for i in indices]
+    with pytest.raises(ValueError, match="contiguous"):
+        run_eval(write_rows(tmp_path, rows), world_runtime)

@@ -1,5 +1,9 @@
+import dataclasses
 import json
+import socket
+import struct
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from dynarag.errors import (
     BackendTimeout,
     DuplicateTemplate,
+    GatewayError,
     MissingSlot,
     UnknownFixture,
     UnknownTemplate,
@@ -19,6 +24,9 @@ from dynarag.gateway import (
     RemoteBackend,
     ScriptedBackend,
 )
+from dynarag.orchestrator import STAGE_ERROR_FALLBACK, QueryTurn, SessionState
+from dynarag.postanswer import FALLBACK_ANSWER
+from dynarag.prompts import register_all
 from dynarag.timing import SimulatedClock, TimeBudget
 
 
@@ -191,19 +199,99 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-def test_remote_backend_round_trip():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
+@contextmanager
+def _serving(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        backend = RemoteBackend(f"http://127.0.0.1:{server.server_port}/")
-        gateway = ModelGateway(backend)
+        yield f"http://127.0.0.1:{server.server_port}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_remote_backend_round_trip():
+    with _serving(_Handler) as endpoint:
+        gateway = ModelGateway(RemoteBackend(endpoint))
         gateway.register_template("evaluator", "{query}", {"query"})
         response = gateway.generate(
             ModelRequest("evaluator", {"query": "q", "fixture_key": "abc"})
         )
         assert response.text == "echo:abc"
         assert response.token_probs == (0.8,)
-    finally:
-        server.shutdown()
-        server.server_close()
+
+
+def _reply(body: bytes, status: bytes = b"200 OK") -> bytes:
+    return b"HTTP/1.0 " + status + b"\r\n\r\n" + body
+
+
+# Raw replies served per fixture key by _BrokenHandler.
+_BROKEN_REPLIES = {
+    "not-json": _reply(b"<html>gateway error</html>"),
+    "missing-text": _reply(json.dumps({"token_probs": [0.8]}).encode("utf-8")),
+    "not-an-object": _reply(json.dumps(["echo", [0.8]]).encode("utf-8")),
+    "prob-out-of-range": _reply(
+        json.dumps({"text": "x", "token_probs": [1.5]}).encode("utf-8")),
+    "http-500": _reply(b"{}", b"500 Internal Server Error"),
+    "no-reply": b"",
+    "not-http": b"garbage\r\n\r\n",
+    "reset": None,  # abortive close: the client reads ECONNRESET
+}
+
+
+class _BrokenHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        reply = _BROKEN_REPLIES[payload["fixture_key"]]
+        if reply is None:
+            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                       struct.pack("ii", 1, 0))
+            self.connection.close()
+        else:
+            self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+def _closed_port_url() -> str:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/"
+
+
+def _remote_gateway(endpoint: str) -> ModelGateway:
+    gateway = ModelGateway(RemoteBackend(endpoint))
+    gateway.register_template("evaluator", "{query}", {"query"})
+    return gateway
+
+
+def test_remote_backend_closed_port_raises_gateway_error():
+    with pytest.raises(GatewayError):
+        _remote_gateway(_closed_port_url()).generate(
+            ModelRequest("evaluator", {"query": "q", "fixture_key": "k"})
+        )
+
+
+@pytest.mark.parametrize("key", sorted(_BROKEN_REPLIES))
+def test_remote_backend_broken_reply_raises_gateway_error(key):
+    with _serving(_BrokenHandler) as endpoint:
+        with pytest.raises(GatewayError):
+            _remote_gateway(endpoint).generate(
+                ModelRequest("evaluator", {"query": "q", "fixture_key": key})
+            )
+
+
+def test_answer_turn_over_closed_port_falls_back(world_runtime):
+    gateway = ModelGateway(RemoteBackend(_closed_port_url()))
+    register_all(gateway)
+    runtime = dataclasses.replace(world_runtime, gateway=gateway)
+    turn = QueryTurn("cafe-q1", 0, "Who founded this cafe?", "img-cafe", 10.0)
+    answer, trace = runtime.orchestrator(clock=SimulatedClock()).answer_turn(
+        turn, SessionState("cafe-q1", 30.0)
+    )
+    assert answer == FALLBACK_ANSWER
+    assert trace.answer.fallback
+    assert STAGE_ERROR_FALLBACK in trace.stages

@@ -198,7 +198,7 @@ def region(seed, label="r") -> Region:
 def test_single_region_equals_plain_kg_search():
     agent = make_agent()
     r = region("silver 911")
-    fused = agent.multi_image_search([r], "what car", 3)
+    fused = agent.multi_image_search([r], 3)
     plain = agent.kg_index.search(r.embedding, 3)
     assert [(h.url, h.score) for h in fused] == [(h.url, h.score) for h in plain]
 
@@ -207,7 +207,7 @@ def test_fusion_dedups_by_max_score():
     agent = make_agent()
     strong = region("silver 911")           # cosine 1.0 with kg://car/911
     weak = region("silver 911 plus noise")  # lower cosine, same top hit
-    fused = agent.multi_image_search([strong, weak], "q", 5)
+    fused = agent.multi_image_search([strong, weak], 5)
     urls = [h.url for h in fused]
     assert urls.count("kg://car/911") == 1
     top = next(h for h in fused if h.url == "kg://car/911")
@@ -217,7 +217,7 @@ def test_fusion_dedups_by_max_score():
 def test_fusion_of_disjoint_lists_is_merged_descending():
     agent = make_agent()
     fused = agent.multi_image_search(
-        [region("silver 911"), region("small italian car")], "q", 5
+        [region("silver 911"), region("small italian car")], 5
     )
     # brute-force expectation: per-region searches merged by url, max score,
     # sorted descending
@@ -234,17 +234,17 @@ def test_fusion_of_disjoint_lists_is_merged_descending():
 def test_fusion_idempotent_and_commutative():
     agent = make_agent()
     a, b = region("silver 911"), region("oak tree")
-    once = agent.multi_image_search([a], "q", 4)
-    twice = agent.multi_image_search([a, a], "q", 4)
+    once = agent.multi_image_search([a], 4)
+    twice = agent.multi_image_search([a, a], 4)
     assert [(h.url, h.score) for h in once] == [(h.url, h.score) for h in twice]
-    ab = agent.multi_image_search([a, b], "q", 4)
-    ba = agent.multi_image_search([b, a], "q", 4)
+    ab = agent.multi_image_search([a, b], 4)
+    ba = agent.multi_image_search([b, a], 4)
     assert [(h.url, h.score) for h in ab] == [(h.url, h.score) for h in ba]
 
 
 def test_fusion_requires_regions():
     with pytest.raises(ValueError):
-        make_agent().multi_image_search([], "q", 3)
+        make_agent().multi_image_search([], 3)
 
 
 # --- entity selection -----------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_fusion_requires_regions():
 def test_select_entity_top_visual_match():
     agent = make_agent()
     hits = agent.kg_index.search(unit_embedding_for("silver 911"), 3)
-    entity = agent.select_entity(hits, "img-street", "what car is this")
+    entity = agent.select_entity(hits)
     assert entity is not None
     assert entity.entity_name == "Porsche 911"
     assert entity.match_score >= agent.entity_threshold
@@ -265,18 +265,18 @@ def test_select_entity_all_mismatches_gives_none():
     decoy = agent.kg_index.search(unit_embedding_for("roadside sculpture"), 1)
     assert decoy[0].payload.entity_name == "Decoy Sculpture"
     # explicit visual_match=false on the only strong hit, weak scores elsewhere
-    assert agent.select_entity(decoy, "img-street", "q") is None
+    assert agent.select_entity(decoy) is None
 
 
 def test_select_entity_empty_hits():
-    assert make_agent().select_entity([], "img-street", "q") is None
+    assert make_agent().select_entity([]) is None
 
 
 def test_low_similarity_without_flag_does_not_verify():
     agent = make_agent()
     hits = agent.kg_index.search(unit_embedding_for("completely unrelated pastry"), 2)
     assert all(abs(h.score) < 0.5 for h in hits)
-    assert agent.select_entity(hits, "img-street", "q") is None
+    assert agent.select_entity(hits) is None
 
 
 # --- whole toolchain -----------------------------------------------------------------

@@ -24,7 +24,7 @@ def turn(session_id, index, question, image, deadline=10.0) -> QueryTurn:
 
 def run_single(runtime, session_id, question, image, deadline=10.0):
     orchestrator = runtime.orchestrator(clock=SimulatedClock())
-    results = orchestrator.run_session([turn(session_id, 0, question, image, deadline)])
+    results = list(orchestrator.run_session([turn(session_id, 0, question, image, deadline)]))
     return results[0]
 
 
@@ -130,7 +130,7 @@ def test_session_budget_limits_later_turns():
         turn("budget-1", 0, "What is written on this mug?", "img-umbrella"),
         turn("budget-1", 1, "What is written on the other side?", "img-umbrella"),
     ]
-    results = orchestrator.run_session(turns)
+    results = list(orchestrator.run_session(turns))
     first_answer, first_trace = results[0]
     second_answer, second_trace = results[1]
     assert not first_trace.answer.fallback
@@ -174,7 +174,7 @@ def test_dialog_threads_entity_across_turns(world_runtime):
         return subs
 
     orchestrator.text_agent.rephrase_and_split = spy
-    results = orchestrator.run_session(dialog_turns())
+    results = list(orchestrator.run_session(dialog_turns()))
 
     assert results[0][0] == "The car is a Porsche 911."
     assert results[1][0] == "The Porsche 911 likely began production in 1964."
@@ -189,7 +189,7 @@ def test_dialog_threads_entity_across_turns(world_runtime):
 
 def test_dialog_later_turn_disables_image_search(world_runtime):
     orchestrator = world_runtime.orchestrator(clock=SimulatedClock())
-    results = orchestrator.run_session(dialog_turns())
+    results = list(orchestrator.run_session(dialog_turns()))
     third_trace = results[2][1]
     assert third_trace.route.branch is Branch.RAG_AUGMENT
     assert not third_trace.tools.need_image_search
@@ -198,9 +198,9 @@ def test_dialog_later_turn_disables_image_search(world_runtime):
 
 def test_single_turn_session_equals_answer_turn(world_runtime):
     orchestrator_a = world_runtime.orchestrator(clock=SimulatedClock())
-    session_results = orchestrator_a.run_session(
+    session_results = list(orchestrator_a.run_session(
         [turn("whale-q1", 0, "What animal is shown in this picture?", "img-whale")]
-    )
+    ))
     orchestrator_b = world_runtime.orchestrator(clock=SimulatedClock())
     session = SessionState("whale-q1",
                            total_budget_s=world_runtime.config.limits.session_budget_s)
@@ -222,7 +222,7 @@ def test_run_session_validates_turn_list(world_runtime):
         orchestrator.run_session([
             turn("a", 0, "q", None), turn("a", 2, "q", None),
         ])
-    assert orchestrator.run_session([]) == []
+    assert list(orchestrator.run_session([])) == []
 
 
 def test_history_is_append_only_and_budgeted(world_runtime):
@@ -251,8 +251,8 @@ def all_world_sessions():
 
 def test_pipeline_is_deterministic(world_runtime):
     for sid, turns in all_world_sessions().items():
-        first = world_runtime.orchestrator(clock=SimulatedClock()).run_session(turns)
-        second = world_runtime.orchestrator(clock=SimulatedClock()).run_session(turns)
+        first = list(world_runtime.orchestrator(clock=SimulatedClock()).run_session(turns))
+        second = list(world_runtime.orchestrator(clock=SimulatedClock()).run_session(turns))
         for (answer_a, trace_a), (answer_b, trace_b) in zip(first, second):
             assert answer_a == answer_b
             assert json.dumps(trace_to_dict(trace_a), sort_keys=True) == \
@@ -261,7 +261,7 @@ def test_pipeline_is_deterministic(world_runtime):
 
 def test_executed_stages_match_branch_chain(world_runtime):
     for sid, turns in all_world_sessions().items():
-        results = world_runtime.orchestrator(clock=SimulatedClock()).run_session(turns)
+        results = list(world_runtime.orchestrator(clock=SimulatedClock()).run_session(turns))
         for answer, trace in results:
             expected = expected_stages(trace)
             if expected is None:
@@ -291,13 +291,13 @@ def test_recorded_pipeline_run_replays_bit_identically(tmp_path, world_runtime):
         )
 
     turns = [turn("cafe-q1", 0, "Who founded this cafe?", "img-cafe")]
-    recorded = runtime_with(recording_gateway).orchestrator(
-        clock=SimulatedClock()).run_session(turns)
+    recorded = list(runtime_with(recording_gateway).orchestrator(
+        clock=SimulatedClock()).run_session(turns))
 
     replay_gateway = ModelGateway(ScriptedBackend.from_jsonl(log))
     register_all(replay_gateway)
-    replayed = runtime_with(replay_gateway).orchestrator(
-        clock=SimulatedClock()).run_session(turns)
+    replayed = list(runtime_with(replay_gateway).orchestrator(
+        clock=SimulatedClock()).run_session(turns))
 
     assert replayed[0][0] == recorded[0][0]
     assert json.dumps(trace_to_dict(replayed[0][1]), sort_keys=True) == \

@@ -1,0 +1,50 @@
+"""The turn-latency benchmark's tracer patches names in dynarag from outside.
+
+A rename in ``src/`` that removes one of those names would break the
+benchmark's spans without failing any other test, so the tracer module is
+loaded here (read-only) and its hooks are checked against the program.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from dynarag.orchestrator import QueryTurn
+from dynarag.timing import SimulatedClock
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_is_in_its_owner_dict(tracer_module):
+    missing = [
+        f"{name}: {getattr(owner, '__name__', owner)}.{attr}"
+        for name, (owner, attr) in tracer_module.TRACED.items()
+        if attr not in vars(owner)
+    ]
+    assert not missing, missing
+
+
+def test_tracer_installs_spans_a_turn_and_uninstalls(tracer_module, world_runtime):
+    originals = {name: vars(owner)[attr]
+                 for name, (owner, attr) in tracer_module.TRACED.items()}
+    tracer = tracer_module.Tracer().install()
+    try:
+        orchestrator = world_runtime.orchestrator(clock=SimulatedClock())
+        turn = QueryTurn("cafe-q1", 0, "Who founded this cafe?", "img-cafe", 10.0)
+        [(answer, trace)] = orchestrator.run_session([turn])
+    finally:
+        tracer.uninstall()
+    names = {span.name for span in tracer.spans}
+    assert {"pipeline.orchestrator", "orchestrator.answer_turn", "routing.search",
+            "routing.tools", "reranker.rerank", "search.web"} <= names
+    for name, (owner, attr) in tracer_module.TRACED.items():
+        assert vars(owner)[attr] is originals[name], name

@@ -5,7 +5,6 @@ import pytest
 from dynarag.config import DomainConfig, RoutingConfig
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from dynarag.preanswer import (
-    GatewayDomainClassifier,
     KeywordCentroidClassifier,
     PreAnswerModule,
     extract_flags,
@@ -22,7 +21,7 @@ DOMAINS = DomainConfig()
 def make_module(entries) -> PreAnswerModule:
     gateway = ModelGateway(ScriptedBackend(entries))
     register_all(gateway)
-    return PreAnswerModule(gateway, DOMAINS, ROUTING)
+    return PreAnswerModule(gateway, KeywordCentroidClassifier(DOMAINS), ROUTING)
 
 
 def evaluator_entry(key, text, probs=(0.9, 0.9)):
@@ -62,32 +61,6 @@ def test_taxonomy_requires_other():
         DomainConfig(taxonomy=("food", "math"))
 
 
-def test_gateway_backed_classifier_parses_scripted_label():
-    gateway = ModelGateway(ScriptedBackend([
-        FixtureEntry("domain_classify", "k",
-                     json.dumps({"domain": "vehicles", "confidence": 0.8}),
-                     (0.9,), 0.0),
-    ]))
-    register_all(gateway)
-    clf = GatewayDomainClassifier(gateway, DOMAINS)
-    label = clf.classify("what car is this", fixture_key="k")
-    assert label.name == "vehicles"
-    assert label.confidence == pytest.approx(0.8)
-
-
-def test_gateway_backed_classifier_falls_back_to_other():
-    gateway = ModelGateway(ScriptedBackend([
-        FixtureEntry("domain_classify", "bad", "not json", (0.9,), 0.0),
-        FixtureEntry("domain_classify", "alien",
-                     json.dumps({"domain": "not-in-taxonomy"}), (0.9,), 0.0),
-    ]))
-    register_all(gateway)
-    clf = GatewayDomainClassifier(gateway, DOMAINS)
-    assert clf.classify("q", fixture_key="bad").name == "other"
-    assert clf.classify("q", fixture_key="alien").name == "other"
-    assert clf.classify("q", fixture_key="missing").name == "other"
-
-
 # --- trace parsing ----------------------------------------------------------------
 
 
@@ -103,7 +76,7 @@ def ocr_trace():
 
 def test_scripted_ocr_fixture_parses_to_draft_and_flags():
     module = make_module([evaluator_entry("umbrella-q1", ocr_trace())])
-    domain = module.classify_domain("What is written on these umbrellas?", "img-1")
+    domain = module.classify_domain("What is written on these umbrellas?")
     trace = module.dcot_preanswer(
         "What is written on these umbrellas?", "img-1", domain, "umbrella-q1"
     )
@@ -143,7 +116,7 @@ def test_unparseable_output_yields_conservative_trace():
 
 def test_parse_failure_inside_module_is_conservative():
     module = make_module([evaluator_entry("bad", "garbage blob")])
-    domain = module.classify_domain("q", "img")
+    domain = module.classify_domain("q")
     trace = module.dcot_preanswer("q", "img", domain, "bad")
     assert trace.unanswerable and trace.flags.has_idk
 

@@ -1,10 +1,8 @@
 import itertools
 
 from dynarag.config import RoutingConfig
-from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from dynarag.preanswer import FeatureFlags, ReasoningTrace, parse_trace
-from dynarag.prompts import register_all
-from dynarag.routing import Branch, GatewayToolRouter, route_search, route_tools
+from dynarag.routing import Branch, route_search, route_tools
 
 from cases import ROUTING_CASES, TOOL_CASES, dcot, dcot_idk
 
@@ -147,34 +145,3 @@ def test_tool_router_is_deterministic():
     trace = trace_from(text)
     assert route_tools(query, trace, "i", ROUTING) == route_tools(query, trace, "i", ROUTING)
 
-
-# --- gateway-backed variant ------------------------------------------------------
-
-
-def gateway_router(entries) -> GatewayToolRouter:
-    gateway = ModelGateway(ScriptedBackend(entries))
-    register_all(gateway)
-    return GatewayToolRouter(gateway, ROUTING)
-
-
-def test_gateway_tool_router_parses_scripted_decision():
-    scripted = (
-        "Decision logic: the object is unidentified and the question needs "
-        "facts beyond the image\n"
-        'Tool calling decision: {"need_image_search": true, "need_text_search": true}'
-    )
-    router = gateway_router([FixtureEntry("tool_router", "k", scripted, (0.9,), 0.0)])
-    trace = trace_from(dcot_idk("Who made this?", "object"))
-    decision = router.route("Who made this?", trace, "img", fixture_key="k")
-    assert decision.need_image_search and decision.need_text_search
-    assert decision.rationale.startswith("the object is unidentified")
-
-
-def test_gateway_tool_router_falls_back_to_rules_on_garbage():
-    router = gateway_router([FixtureEntry("tool_router", "k", "no json here", (0.9,), 0.0)])
-    text = dcot("Translate this sign.", "the sign",
-                ['The sign\'s text reads "Sortie".'], "Exit.")
-    decision = router.route("Translate this sign.", trace_from(text), "img",
-                            fixture_key="k")
-    # local rule 3 takes over: analytical task retrieves nothing
-    assert (decision.need_image_search, decision.need_text_search) == (False, False)

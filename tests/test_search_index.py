@@ -77,6 +77,12 @@ def test_duplicate_url_rejected():
         WebSearchIndex().build([doc(1, "a"), WebDoc("https://d/001", "t", "b")])
 
 
+def test_kg_duplicate_url_rejected():
+    twin = KgEntry("entity-9", "kg://e/001", np.eye(4)[1], {})
+    with pytest.raises(ValueError, match="duplicate url"):
+        ImageKgIndex().build([kg(1, np.eye(4)[0]), twin])
+
+
 def test_search_before_build_raises():
     with pytest.raises(IndexNotBuilt):
         WebSearchIndex().search("q", 3)
@@ -351,8 +357,10 @@ def test_top_k_matches_full_sort_with_straddling_ties(seed):
     # Few distinct values, so ties straddle every k-th score.
     scores = rng.integers(0, 5, size=n).astype(np.float64) / 4
     urls = [f"u{int(u):03d}" for u in rng.permutation(n)]
-    for k in (1, 2, n - 1, n, n + 5, 50):
-        assert _top_k(scores, urls, k) == full_sort(scores, urls, k)
+    # An all-zero query vector ties every position at 0.0.
+    for values in (scores, np.zeros(n)):
+        for k in (1, 2, n - 1, n, n + 5, 50):
+            assert _top_k(values, urls, k) == full_sort(values, urls, k)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
@@ -363,7 +371,8 @@ def test_web_search_matches_full_sort(rate, n_neg):
     encoder = HashedTextEncoder()
     index = WebSearchIndex(encoder, hard_negative_rate=rate).build(docs)
     n = len(docs)
-    for query in ("t1 t2 t3", "Same", "t7", "nothing matches"):
+    # The last three have no [a-z0-9] token, so they encode to the zero vector.
+    for query in ("t1 t2 t3", "Same", "t7", "nothing matches", "", "???", "東京タワー"):
         for k in (1, n - 1, n, n + 5, 50):
             got = [(h.url, h.score) for h in index.search(query, k)]
             assert got == web_oracle(docs, encoder, query, rate, k), (query, k)
@@ -380,6 +389,7 @@ def test_kg_search_matches_full_sort_with_one_hot_ties():
     urls = [e.url for e in entries]
     queries = [np.eye(dim)[2], np.full(dim, 1 / math.sqrt(dim))]
     queries.append(rng.normal(size=dim))
+    queries.append(np.zeros(dim))
     for query in queries:
         for k in (1, n - 1, n, n + 5, 50):
             got = [(h.url, h.score) for h in index.search(query, k)]
