@@ -6,12 +6,11 @@ chooses which search modalities to run.
 """
 
 from dynarag.fixtures import build_world_runtime
-from dynarag.preanswer import PreAnswerModule
 from dynarag.routing import Branch, route_search, route_tools
 
 runtime = build_world_runtime()
 cfg = runtime.config
-pre = PreAnswerModule(runtime.gateway, runtime.classifier, cfg.routing)
+pre = runtime.pre_answer
 
 EXEMPLARS = [
     ("umbrella-q1:0", "What is written on these umbrellas?", "img-umbrella"),

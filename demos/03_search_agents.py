@@ -7,9 +7,6 @@ fuses per-sub-query web results.
 """
 
 from dynarag.fixtures import build_world_runtime
-from dynarag.image_agent import FixtureEntityVerifier, ImageSearchAgent
-from dynarag.preanswer import PreAnswerModule
-from dynarag.text_agent import TextSearchAgent
 
 runtime = build_world_runtime()
 cfg = runtime.config
@@ -18,13 +15,7 @@ QUESTION = "Who founded this cafe?"
 IMAGE = "img-cafe"
 KEY = "cafe-q1:0"
 
-image_agent = ImageSearchAgent(
-    gateway=runtime.gateway,
-    kg_index=runtime.kg_index,
-    image_store=runtime.image_store,
-    text_encoder=runtime.text_encoder,
-    entity_verifier=FixtureEntityVerifier(),
-)
+image_agent = runtime.image_agent
 
 print("== visual grounding ==")
 candidates = image_agent.extract_objects(IMAGE, QUESTION, cfg.agents.object_num, KEY)
@@ -40,10 +31,10 @@ entity = image_agent.select_entity(hits)
 print("verified:  ", entity.entity_name, f"(match={entity.match_score:.2f})")
 
 print("\n== text retrieval ==")
-pre = PreAnswerModule(runtime.gateway, runtime.classifier, cfg.routing)
+pre = runtime.pre_answer
 trace = pre.dcot_preanswer(QUESTION, IMAGE, pre.classify_domain(QUESTION), KEY)
 
-text_agent = TextSearchAgent(runtime.gateway, runtime.web_index)
+text_agent = runtime.text_agent
 subqueries = text_agent.rephrase_and_split(
     QUESTION, trace, visual_context=entity.entity_name, fixture_key=KEY
 )
@@ -51,5 +42,5 @@ subqueries.append(text_agent.fuse_object(QUESTION, entity))
 for sub in subqueries:
     print(f"  [{sub.origin.value}] {sub.text}")
 
-for hit in text_agent.text_search(subqueries, k_total=3):
+for hit in text_agent.text_search(subqueries)[:3]:
     print(f"  web hit {hit.score:+.3f}  {hit.payload.title}")

@@ -7,7 +7,9 @@
 
 ``eval`` and ``trace`` run sessions through the same runner,
 ``Orchestrator.run_session``, so a traced turn sees the session state that
-eval gave it.
+eval gave it. Both check the whole dataset before any turn runs: a malformed
+line or a session whose turn indices are not 0..n-1 prints one ``error:``
+line to stderr and exits 2, as a bad ``--index`` does.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from itertools import islice
 from pathlib import Path
 
 from .config import PipelineConfig
-from .evalharness import load_dataset, run_eval
+from .errors import ParseError
+from .evalharness import EvalRecord, evaluate, group_sessions, load_dataset
 from .orchestrator import trace_to_dict
 from .pipeline import build_runtime
 from .timing import SimulatedClock
@@ -71,10 +74,24 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """A bad dataset or argument: one ``error:`` line on stderr, exit 2."""
+
+
+def _load_sessions(args, config: PipelineConfig
+                   ) -> tuple[list[EvalRecord], dict[str, list[EvalRecord]]]:
+    """The dataset's records and its checked sessions, before any turn runs."""
+    try:
+        records = load_dataset(args.dataset, config.limits.turn_deadline_s)
+        return records, group_sessions(records)
+    except (ParseError, ValueError) as exc:
+        raise UsageError(f"{args.dataset}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     config = PipelineConfig.from_file(args.config)
-    runtime = build_runtime(config)
-    report = run_eval(args.dataset, runtime, simulated_time=not args.real_time)
+    _, sessions = _load_sessions(args, config)
+    report = evaluate(sessions, build_runtime(config), simulated_time=not args.real_time)
     out = Path(args.report_out)
     out.write_text(report.to_json() + "\n", encoding="utf-8")
     out.with_suffix(out.suffix + ".md").write_text(report.to_markdown(), encoding="utf-8")
@@ -85,20 +102,16 @@ def cmd_eval(args) -> int:
 
 def cmd_trace(args) -> int:
     config = PipelineConfig.from_file(args.config)
-    runtime = build_runtime(config)
-    records = load_dataset(args.dataset, config.limits.turn_deadline_s)
+    records, sessions = _load_sessions(args, config)
     if not (0 <= args.index < len(records)):
-        print(f"index {args.index} out of range (dataset has {len(records)} records)",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"index {args.index} out of range "
+                         f"(dataset has {len(records)} records)")
     record = records[args.index]
 
     # Run the record's session up to and including its turn, as eval does.
-    turns = sorted(
-        (r.turn for r in records if r.turn.session_id == record.turn.session_id),
-        key=lambda t: t.turn_index,
-    )
-    results = runtime.orchestrator(clock=SimulatedClock()).run_session(turns)
+    turns = [r.turn for r in sessions[record.turn.session_id]]
+    orchestrator = build_runtime(config).orchestrator(clock=SimulatedClock())
+    results = orchestrator.run_session(turns)
     *_, (final_answer, trace) = islice(results, record.turn.turn_index + 1)
     print(json.dumps(
         {"question": record.turn.question, "final_answer": final_answer,
@@ -111,7 +124,11 @@ def cmd_trace(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"ingest": cmd_ingest, "eval": cmd_eval, "trace": cmd_trace}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ the mock stack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -103,8 +103,6 @@ class AgentConfig:
     k_total: int = 10
     object_num: int = 5
     entity_threshold: float = 0.5
-    image_width: int = 640
-    image_height: int = 480
 
 
 @dataclass
@@ -192,13 +190,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        kwargs = {}
-        for field_def in fields(cls):
-            if field_def.name in raw:
-                section = raw[field_def.name]
-                section_cls = field_def.default_factory  # type: ignore[union-attr]
-                kwargs[field_def.name] = _load_section(section_cls(), section)
-        return cls(**kwargs)
+        """Defaults overridden by ``raw``; an unknown section or key raises
+        ValueError, so a misspelt setting cannot run silently on defaults."""
+        return _load_section(cls(), raw, "config")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -208,19 +202,24 @@ class PipelineConfig:
         return cls.from_dict(raw or {})
 
 
-def _load_section(defaults, overrides: dict):
+def _load_section(defaults, overrides: dict, where: str):
+    names = [f.name for f in fields(defaults)]
+    unknown = sorted(set(overrides) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(map(str, unknown))}")
     kwargs = {}
-    for field_def in fields(defaults):
-        if field_def.name in overrides:
-            value = overrides[field_def.name]
-            current = getattr(defaults, field_def.name)
-            if isinstance(current, tuple) and isinstance(value, list):
-                value = tuple(value)
-            elif isinstance(current, dict) and isinstance(value, dict):
-                value = {
-                    k: tuple(v) if isinstance(v, list) else v for k, v in value.items()
+    for name in names:
+        value = getattr(defaults, name)
+        if name in overrides:
+            override = overrides[name]
+            if is_dataclass(value):
+                override = _load_section(value, override, name)
+            elif isinstance(value, tuple) and isinstance(override, list):
+                override = tuple(override)
+            elif isinstance(value, dict) and isinstance(override, dict):
+                override = {
+                    k: tuple(v) if isinstance(v, list) else v for k, v in override.items()
                 }
-            kwargs[field_def.name] = value
-        else:
-            kwargs[field_def.name] = getattr(defaults, field_def.name)
+            value = override
+        kwargs[name] = value
     return type(defaults)(**kwargs)

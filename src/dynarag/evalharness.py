@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError
-from .orchestrator import PipelineTrace, QueryTurn
+from .orchestrator import PipelineTrace, QueryTurn, check_session
 from .pipeline import PipelineRuntime
 from .postanswer import FALLBACK_ANSWER
 from .timing import SimulatedClock
@@ -109,6 +109,21 @@ def load_dataset(path: str | Path, default_deadline_s: float) -> list[EvalRecord
     return records
 
 
+def group_sessions(records: list[EvalRecord]) -> dict[str, list[EvalRecord]]:
+    """Records by session_id, sessions in id order and each in turn order.
+
+    Every session is checked here, so a session whose turn indices are not
+    0..n-1 raises ValueError before any turn runs.
+    """
+    sessions: dict[str, list[EvalRecord]] = {}
+    for record in records:
+        sessions.setdefault(record.turn.session_id, []).append(record)
+    for group in sessions.values():
+        group.sort(key=lambda r: r.turn.turn_index)
+        check_session([r.turn for r in group])
+    return dict(sorted(sessions.items()))
+
+
 @dataclass
 class EvalReport:
     accuracy: float  # percentage
@@ -181,61 +196,46 @@ def build_report(rows: list[dict]) -> EvalReport:
     )
 
 
-class EvalHarness:
-    """Run sessions from a dataset through the pipeline and score them."""
+def _row(record: EvalRecord, final_answer: str,
+         trace: PipelineTrace, elapse: float) -> dict:
+    return {
+        "session_id": record.turn.session_id,
+        "turn_index": record.turn.turn_index,
+        "question": record.turn.question,
+        "final_answer": final_answer,
+        "ground_truth": record.ground_truth,
+        "accuracy": score_accuracy(final_answer, record.ground_truth),
+        "overlap": score_overlap(final_answer, record.ground_truth),
+        "elapse": elapse,
+        "branch": trace.route.branch.value,
+        "fallback": trace.answer.fallback,
+        "stages": trace.stages,
+        "dynamism": record.taxonomy["dynamism"],
+        "category": record.taxonomy["category"],
+        "domain": record.taxonomy["domain"],
+    }
 
-    def __init__(self, runtime: PipelineRuntime, simulated_time: bool = True):
-        self.runtime = runtime
-        self.simulated_time = simulated_time
 
-    def _run_one_session(self, records: list[EvalRecord]) -> list[dict]:
-        records = sorted(records, key=lambda r: r.turn.turn_index)
-        clock = SimulatedClock() if self.simulated_time else None
-        results = self.runtime.orchestrator(clock=clock).run_session(
+def evaluate(sessions: dict[str, list[EvalRecord]], runtime: PipelineRuntime,
+             simulated_time: bool = True) -> EvalReport:
+    """Run and score ``group_sessions`` output, one orchestrator per session."""
+    rows = []
+    for records in sessions.values():
+        clock = SimulatedClock() if simulated_time else None
+        results = runtime.orchestrator(clock=clock).run_session(
             [record.turn for record in records]
         )
-        rows = []
         wall_start = time.perf_counter()
         for record, (final_answer, trace) in zip(records, results):
-            wall = time.perf_counter() - wall_start
-            elapse = min(wall, record.turn.deadline_s)
-            rows.append(self._row(record, final_answer, trace, elapse))
+            elapse = min(time.perf_counter() - wall_start, record.turn.deadline_s)
+            rows.append(_row(record, final_answer, trace, elapse))
             wall_start = time.perf_counter()
-        return rows
-
-    @staticmethod
-    def _row(record: EvalRecord, final_answer: str,
-             trace: PipelineTrace, elapse: float) -> dict:
-        return {
-            "session_id": record.turn.session_id,
-            "turn_index": record.turn.turn_index,
-            "question": record.turn.question,
-            "final_answer": final_answer,
-            "ground_truth": record.ground_truth,
-            "accuracy": score_accuracy(final_answer, record.ground_truth),
-            "overlap": score_overlap(final_answer, record.ground_truth),
-            "elapse": elapse,
-            "branch": trace.route.branch.value,
-            "fallback": trace.answer.fallback,
-            "stages": trace.stages,
-            "dynamism": record.taxonomy["dynamism"],
-            "category": record.taxonomy["category"],
-            "domain": record.taxonomy["domain"],
-        }
-
-    def run(self, records: list[EvalRecord]) -> EvalReport:
-        """Score every session, in session_id order; a session whose turn
-        indices are not 0..n-1 raises ValueError."""
-        sessions: dict[str, list[EvalRecord]] = {}
-        for record in records:
-            sessions.setdefault(record.turn.session_id, []).append(record)
-        rows = [row for sid in sorted(sessions)
-                for row in self._run_one_session(sessions[sid])]
-        return build_report(rows)
+    return build_report(rows)
 
 
 def run_eval(dataset_path: str | Path, runtime: PipelineRuntime,
              simulated_time: bool = True) -> EvalReport:
-    """Evaluate a dataset file against a built runtime."""
+    """Evaluate a dataset file against a built runtime; a session whose turn
+    indices are not 0..n-1 raises ValueError before any turn runs."""
     records = load_dataset(dataset_path, runtime.config.limits.turn_deadline_s)
-    return EvalHarness(runtime, simulated_time=simulated_time).run(records)
+    return evaluate(group_sessions(records), runtime, simulated_time)

@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-
 from .config import PipelineConfig
-from .encoders import HashedTextEncoder, MultiVectorQueryEncoder
+from .encoders import HashedTextEncoder
 from .gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from .pipeline import PipelineRuntime
 from .prompts import register_all
@@ -192,19 +191,8 @@ def build_web_docs() -> list[WebDoc]:
 
 
 def build_kg_entries() -> list[KgEntry]:
-    entries = []
-    for entity, url, seed, attributes in KG_ROWS:
-        entries.append(
-            KgEntry.from_dict(
-                {
-                    "entity_name": entity,
-                    "url": url,
-                    "image_embedding": list(unit_embedding_for(seed, DIM)),
-                    "attributes": attributes,
-                }
-            )
-        )
-    return entries
+    return [KgEntry(entity, url, unit_embedding_for(seed, DIM), attributes)
+            for entity, url, seed, attributes in KG_ROWS]
 
 
 def build_image_records() -> list[ImageRecord]:
@@ -655,8 +643,6 @@ def build_world_runtime(config: PipelineConfig | None = None) -> PipelineRuntime
         web_index=WebSearchIndex(encoder, config.hard_negative.rate).build(build_web_docs()),
         kg_index=ImageKgIndex().build(build_kg_entries()),
         image_store=ImageStore(build_image_records()),
-        text_encoder=encoder,
-        query_encoder=MultiVectorQueryEncoder(encoder),
     )
 
 

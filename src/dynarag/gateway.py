@@ -31,6 +31,7 @@ from .errors import (
     BackendError,
     BackendTimeout,
     DuplicateTemplate,
+    GatewayError,
     MissingSlot,
     UnknownFixture,
     UnknownTemplate,
@@ -258,3 +259,20 @@ class ModelGateway:
         prompt = template.render(request.slots)
         fixture_key = request.slots.get(FIXTURE_KEY_SLOT, "")
         return self.backend.complete(request.template_id, fixture_key, prompt, budget)
+
+    def try_generate(self, request: ModelRequest, decode,
+                     budget: TimeBudget | None = None):
+        """``decode(generate(request))``, or None when the call fails or its
+        reply does not decode. ``BackendTimeout`` propagates: past the deadline
+        the turn ends instead of falling back and working on."""
+        try:
+            return decode(self.generate(request, budget))
+        except BackendTimeout:
+            raise
+        except (GatewayError, ValueError, KeyError, IndexError):
+            return None
+
+
+def last_line_json(response: ModelResponse):
+    """The JSON object on the last line of a reply (models reason first)."""
+    return json.loads(response.text.strip().splitlines()[-1])

@@ -5,6 +5,8 @@ one the question is about, detect its region(s), run an image-KG search per
 region, fuse the hits, and verify that the best retrieved entity is actually
 the thing shown. Detection and crop embeddings come from per-image fixtures
 (no pixel models here); verification reads a fixture flag on the KG entry.
+A failed or undecodable model call falls back (no candidates, the first
+candidate); a model call past the turn's deadline ends the turn.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import HashedTextEncoder
-from .errors import DetectorUnavailable, EmptyCandidates, GatewayError
-from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest
-from .search import ImageKgIndex, ImageStore, KgEntry, SearchHit
+from .errors import DetectorUnavailable, EmptyCandidates
+from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest, last_line_json
+from .search import ImageKgIndex, ImageRecord, ImageStore, KgEntry, SearchHit, fuse_hits
 from .timing import TimeBudget
 
 logger = logging.getLogger(__name__)
@@ -54,7 +55,7 @@ class Region:
     bbox: tuple[int, int, int, int]  # x, y, w, h in pixels
     label: str
     detector_confidence: float
-    embedding: np.ndarray | None = None
+    embedding: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,26 +70,30 @@ def _normalize_name(name: str) -> str:
     return " ".join(words[:MAX_OBJECT_WORDS])
 
 
-class FixtureEntityVerifier:
-    """Reads the `visual_match` attribute of a KG entry.
+def visual_match(entry: KgEntry) -> float | None:
+    """The entry's scripted `visual_match` attribute as a score in [0, 1].
 
-    Values accepted: "true"/"false" or a float in [0, 1]. Entries without the
-    flag return None and the caller falls back to the retrieval similarity.
+    Values accepted: "true"/"false" (or "yes"/"no") or a float, clamped;
+    anything else scores 0. Entries without the flag return None and the
+    caller falls back to the retrieval similarity.
     """
+    raw = entry.attributes.get("visual_match")
+    if raw is None:
+        return None
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes"):
+        return 1.0
+    if lowered in ("false", "no"):
+        return 0.0
+    try:
+        return max(0.0, min(1.0, float(lowered)))
+    except ValueError:
+        return 0.0
 
-    def verify(self, entry: KgEntry) -> float | None:
-        raw = entry.attributes.get("visual_match")
-        if raw is None:
-            return None
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes"):
-            return 1.0
-        if lowered in ("false", "no"):
-            return 0.0
-        try:
-            return max(0.0, min(1.0, float(lowered)))
-        except ValueError:
-            return 0.0
+
+def _whole_image(record: ImageRecord) -> Region:
+    return Region((0, 0, record.width, record.height), "image", 1.0,
+                  record.whole_embedding)
 
 
 @dataclass
@@ -96,11 +101,7 @@ class ImageSearchAgent:
     gateway: ModelGateway
     kg_index: ImageKgIndex
     image_store: ImageStore
-    text_encoder: HashedTextEncoder
-    entity_verifier: FixtureEntityVerifier
     entity_threshold: float = 0.5
-    default_width: int = 640
-    default_height: int = 480
 
     # -- object extraction ---------------------------------------------------
 
@@ -115,11 +116,9 @@ class ImageSearchAgent:
                    FIXTURE_KEY_SLOT: fixture_key},
             image_ref=image_ref,
         )
-        try:
-            response = self.gateway.generate(request, budget)
-            payload = json.loads(response.text.strip().splitlines()[-1])
-            names = payload["object_list"]
-        except (GatewayError, ValueError, KeyError, IndexError):
+        names = self.gateway.try_generate(
+            request, lambda r: list(last_line_json(r)["object_list"]), budget)
+        if names is None:
             logger.warning("object extraction failed; falling back to whole image")
             return []
 
@@ -150,11 +149,9 @@ class ImageSearchAgent:
             },
             image_ref=image_ref,
         )
-        try:
-            response = self.gateway.generate(request, budget)
-            payload = json.loads(response.text.strip().splitlines()[-1])
-            chosen = _normalize_name(str(payload["object"]))
-        except (GatewayError, ValueError, KeyError, IndexError):
+        chosen = self.gateway.try_generate(
+            request, lambda r: _normalize_name(str(last_line_json(r)["object"])), budget)
+        if chosen is None:
             chosen = candidates[0].name
 
         names = [c.name for c in candidates]
@@ -204,19 +201,7 @@ class ImageSearchAgent:
                 region = self._clamp_region(raw, record.width, record.height)
                 if region is not None:
                     matches.append(region)
-        if matches:
-            return matches
-        return [self.whole_image_region(image_ref)]
-
-    def whole_image_region(self, image_ref: str | None) -> Region:
-        record = self.image_store.get(image_ref) if image_ref else None
-        if record is None:
-            return Region((0, 0, self.default_width, self.default_height),
-                          "image", 1.0, None)
-        return Region(
-            (0, 0, record.width, record.height), "image", 1.0,
-            record.whole_embedding,
-        )
+        return matches or [_whole_image(record)]
 
     @staticmethod
     def _clamp_region(raw: dict, width: int, height: int) -> Region | None:
@@ -228,7 +213,7 @@ class ImageSearchAgent:
         if w <= 0 or h <= 0:
             return None
         return Region((x, y, w, h), raw["label"], raw.get("confidence", 1.0),
-                      raw.get("embedding"))
+                      raw["embedding"])
 
     # -- fused retrieval -----------------------------------------------------
 
@@ -241,24 +226,14 @@ class ImageSearchAgent:
         """
         if not regions:
             raise ValueError("regions must be non-empty")
-        best: dict[str, SearchHit] = {}
-        for region in regions:
-            if region.embedding is None:
-                continue
-            for hit in self.kg_index.search(region.embedding, k):
-                current = best.get(hit.url)
-                if current is None or hit.score > current.score:
-                    best[hit.url] = hit
-
-        fused = sorted(best.values(), key=lambda h: (-h.score, h.url))
-        return fused[:k]
+        return fuse_hits((self.kg_index.search(r.embedding, k) for r in regions), k)
 
     # -- entity verification ---------------------------------------------------
 
     def select_entity(self, hits: list[SearchHit]) -> VerifiedEntity | None:
         for hit in hits:
             entry = hit.payload
-            score = self.entity_verifier.verify(entry)
+            score = visual_match(entry)
             if score is None:
                 # No explicit verdict: trust the retrieval similarity.
                 score = min(1.0, max(0.0, hit.score))
@@ -271,7 +246,11 @@ class ImageSearchAgent:
     def ground(self, image_ref: str | None, query: str, object_num: int, k: int,
                fixture_key: str = "",
                budget: TimeBudget | None = None) -> tuple[list[SearchHit], VerifiedEntity | None]:
-        """Run the whole visual toolchain; falls back to whole-image search."""
+        """Run the whole visual toolchain; falls back to whole-image search.
+
+        Without an image fixture there is no region to search: no hits, no
+        entity.
+        """
         candidates = self.extract_objects(image_ref, query, object_num,
                                           fixture_key, budget)
         if candidates:
@@ -280,13 +259,13 @@ class ImageSearchAgent:
             try:
                 regions = self.detect_regions(image_ref, target.name)
             except DetectorUnavailable:
-                regions = [self.whole_image_region(image_ref)]
+                return [], None
         else:
-            regions = [self.whole_image_region(image_ref)]
+            record = self.image_store.get(image_ref) if image_ref else None
+            if record is None:
+                return [], None
+            regions = [_whole_image(record)]
 
-        regions = [r for r in regions if r.embedding is not None]
-        if not regions:
-            return [], None
         hits = self.multi_image_search(regions, k)
         entity = self.select_entity(hits)
         return hits, entity

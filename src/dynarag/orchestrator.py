@@ -7,11 +7,15 @@ A turn flows pre-answer -> search router -> branch chain:
   rag_augment   : tool router -> visual toolchain (if image search is on) ->
                   text toolchain -> rerank -> generation -> dual verification.
 
-Every stage draws on one shared TimeBudget; a breach anywhere converts the
-turn into an "I don't know" fallback without ever propagating the timeout,
-and so does any other library error (``DynaragError``). Stage wall-time is
-read from the orchestrator clock, so tests run on simulated time while
-production uses the monotonic clock.
+The modules a turn runs belong to the ``PipelineRuntime``; an orchestrator
+is that runtime plus the clock its turns are timed on.
+
+Every stage draws on one shared TimeBudget; a breach anywhere, a model call
+inside an agent included, converts the turn into an "I don't know" fallback
+without ever propagating the timeout out of ``answer_turn``, and so does any
+other library error (``DynaragError``). Stage wall-time is read from the
+orchestrator clock, so tests run on simulated time while production uses the
+monotonic clock.
 
 ``Orchestrator.run_session`` is the one session loop: the eval harness and
 the ``trace`` command both drive turns through it.
@@ -24,26 +28,26 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .config import PipelineConfig
+from typing import TYPE_CHECKING
+
 from .errors import BackendTimeout, DynaragError
-from .image_agent import ImageSearchAgent
 from .postanswer import (
     FALLBACK_ANSWER,
-    PostAnswerModule,
     TokenStats,
     Verdict,
     VerifiedAnswer,
     finalize,
     white_box_verify,
 )
-from .preanswer import FeatureFlags, PreAnswerModule, ReasoningTrace
+from .preanswer import FeatureFlags, ReasoningTrace
 from .prompts import RERANK_INSTRUCTION
 from .reranker import AssembledContext, rerank
 from .routing import Branch, RouteDecision, ToolDecision, route_search, route_tools
 from .search import SearchHit
-from .encoders import MultiVectorQueryEncoder
-from .text_agent import TextSearchAgent
 from .timing import MonotonicClock, TimeBudget
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineRuntime
 
 logger = logging.getLogger(__name__)
 
@@ -127,29 +131,16 @@ def _fallback_route(rationale: str) -> RouteDecision:
 
 
 class Orchestrator:
-    """Wires the modules together and runs turns/sessions.
+    """Runs turns and sessions: a runtime plus a clock.
 
-    One orchestrator serves one session at a time when running on a
-    simulated clock; distinct sessions get their own instance (the harness
-    does exactly that), while all heavy dependencies are shared read-only.
+    The runtime owns every module and shares them read-only; the orchestrator
+    adds only the clock its turns are timed on. On a simulated clock one
+    orchestrator serves one session at a time, so each session gets its own
+    (the harness and ``trace`` do exactly that).
     """
 
-    def __init__(
-        self,
-        pre_answer: PreAnswerModule,
-        image_agent: ImageSearchAgent,
-        text_agent: TextSearchAgent,
-        post_answer: PostAnswerModule,
-        query_encoder: MultiVectorQueryEncoder,
-        config: PipelineConfig,
-        clock=None,
-    ):
-        self.pre_answer = pre_answer
-        self.image_agent = image_agent
-        self.text_agent = text_agent
-        self.post_answer = post_answer
-        self.query_encoder = query_encoder
-        self.config = config
+    def __init__(self, runtime: PipelineRuntime, clock=None):
+        self.runtime = runtime
         self.clock = clock if clock is not None else MonotonicClock()
 
     # -- single turn -----------------------------------------------------------
@@ -188,8 +179,8 @@ class Orchestrator:
 
         try:
             with stage("pre_answer"):
-                domain = self.pre_answer.classify_domain(turn.question)
-                trace = self.pre_answer.dcot_preanswer(
+                domain = self.runtime.pre_answer.classify_domain(turn.question)
+                trace = self.runtime.pre_answer.dcot_preanswer(
                     turn.question, turn.image_ref, domain, key, history, budget
                 )
             with stage("route_search"):
@@ -238,20 +229,15 @@ class Orchestrator:
         )
 
     def _run_verify(self, turn, session, trace, stage, budget):
-        cfg = self.config
+        cfg = self.runtime.config
         with stage("text_search"):
-            visual_context = self._visual_context(None, trace, session)
-            subqueries = self.text_agent.rephrase_and_split(
-                turn.question, trace, visual_context,
-                turn.fixture_key, session.history_text(), budget,
-            )
-            hits = self.text_agent.text_search(subqueries)
+            hits = self._text_hits(turn, session, trace, None, budget)
         evidence = self._rerank_stage(turn, hits, stage)
         with stage("verify"):
             stats = TokenStats.from_probs(trace.token_probs or (1.0,))
             passed = white_box_verify(stats, cfg.verifier)
             draft_blob = "\n".join(trace.steps + [trace.draft_answer])
-            verdict = self.post_answer.model_verify(
+            verdict = self.runtime.post_answer.model_verify(
                 turn.question, turn.image_ref, evidence.text, draft_blob,
                 turn.fixture_key, budget,
             )
@@ -261,7 +247,7 @@ class Orchestrator:
         return answer, evidence
 
     def _run_rag(self, turn, session, trace, stage, budget):
-        cfg = self.config
+        cfg = self.runtime.config
         with stage("route_tools"):
             tools = route_tools(turn.question, trace, turn.image_ref, cfg.routing)
             tools = self._apply_session_image_rule(tools, trace, session)
@@ -270,7 +256,7 @@ class Orchestrator:
         entity = None
         if tools.need_image_search:
             with stage("image_search"):
-                image_hits, entity = self.image_agent.ground(
+                image_hits, entity = self.runtime.image_agent.ground(
                     turn.image_ref, turn.question,
                     cfg.agents.object_num, cfg.agents.k_per_query,
                     turn.fixture_key, budget,
@@ -279,41 +265,44 @@ class Orchestrator:
 
         if tools.need_text_search:
             with stage("text_search"):
-                visual_context = self._visual_context(entity, trace, session)
-                subqueries = self.text_agent.rephrase_and_split(
-                    turn.question, trace, visual_context,
-                    turn.fixture_key, session.history_text(), budget,
-                )
-                if entity is not None:
-                    subqueries.append(
-                        self.text_agent.fuse_object(turn.question, entity)
-                    )
-                hits.extend(self.text_agent.text_search(subqueries))
+                hits.extend(self._text_hits(turn, session, trace, entity, budget))
 
         evidence = self._rerank_stage(turn, hits, stage)
         with stage("generate"):
-            reason, answer_text, stats = self.post_answer.generate_answer(
+            reason, answer_text, stats = self.runtime.post_answer.generate_answer(
                 turn.question, turn.image_ref, evidence.text,
                 turn.fixture_key, session.history_text(), budget,
             )
         with stage("verify"):
-            answer = self.post_answer.verify_and_finalize(
+            answer = self.runtime.post_answer.verify_and_finalize(
                 turn.question, turn.image_ref, evidence.text,
                 reason, answer_text, stats, turn.fixture_key, budget,
             )
         return answer, evidence, tools, (entity.entity_name if entity else None)
 
+    def _text_hits(self, turn, session, trace, entity, budget) -> list[SearchHit]:
+        """Decomposed (and, with a verified entity, object-fused) web search."""
+        agent = self.runtime.text_agent
+        subqueries = agent.rephrase_and_split(
+            turn.question, trace, self._visual_context(entity, trace, session),
+            turn.fixture_key, session.history_text(), budget,
+        )
+        if entity is not None:
+            subqueries.append(agent.fuse_object(turn.question, entity))
+        return agent.text_search(subqueries)
+
     def _rerank_stage(self, turn, hits, stage) -> AssembledContext:
+        runtime = self.runtime
         with stage("rerank"):
-            image_embedding = self.image_agent.image_store.embedding(turn.image_ref) \
+            image_embedding = runtime.image_store.embedding(turn.image_ref) \
                 if turn.image_ref else None
             return rerank(
                 turn.question,
                 image_embedding,
                 hits,
-                self.config.rerank,
-                self.query_encoder,
-                self.image_agent.text_encoder,
+                runtime.config.rerank,
+                runtime.query_encoder,
+                runtime.text_encoder,
                 RERANK_INSTRUCTION,
             )
 
@@ -356,14 +345,11 @@ class Orchestrator:
         turn finishes, so callers can time turns or stop early.
         """
         turns = list(turns)
-        if len({t.session_id for t in turns}) > 1:
-            raise ValueError("all turns must share one session_id")
-        if [t.turn_index for t in turns] != list(range(len(turns))):
-            raise ValueError("turn indices must be contiguous from 0")
+        check_session(turns)
 
         def answers():
             session = SessionState(turns[0].session_id,
-                                   self.config.limits.session_budget_s)
+                                   self.runtime.config.limits.session_budget_s)
             for turn in turns:
                 final_answer, trace = self.answer_turn(turn, session)
                 session.record(turn.question, final_answer, trace.elapsed_s,
@@ -371,6 +357,16 @@ class Orchestrator:
                 yield final_answer, trace
 
         return answers() if turns else iter(())
+
+
+def check_session(turns: list[QueryTurn]) -> None:
+    """ValueError unless the turns share one session_id and their indices,
+    in list order, are 0..n-1."""
+    if len({t.session_id for t in turns}) > 1:
+        raise ValueError("all turns must share one session_id")
+    if [t.turn_index for t in turns] != list(range(len(turns))):
+        raise ValueError(
+            f"turn indices must be contiguous from 0 in session {turns[0].session_id!r}")
 
 
 def trace_to_dict(trace: PipelineTrace) -> dict:

@@ -1,8 +1,11 @@
 """Assemble the full pipeline from a configuration document.
 
-The runtime holds everything immutable (indexes, fixtures, gateway, config,
-the domain classifier); ``orchestrator()`` hands out a cheap per-session
-executor so sessions never share a simulated clock.
+The runtime is the one place that knows the object graph. It holds everything
+a turn reads and nothing a turn writes: indexes, fixtures, gateway, config,
+and the modules wired over them (domain classifier, pre-answer, both search
+agents, post-answer), each built once. The modules are stateless, so every
+session shares them; ``orchestrator(clock)`` pairs the runtime with a
+session's own clock so sessions never share a simulated clock.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 from .config import PipelineConfig
 from .encoders import HashedTextEncoder, MultiVectorQueryEncoder
 from .gateway import ModelGateway, ScriptedBackend
-from .image_agent import FixtureEntityVerifier, ImageSearchAgent
+from .image_agent import ImageSearchAgent
 from .orchestrator import Orchestrator
 from .postanswer import PostAnswerModule
 from .preanswer import KeywordCentroidClassifier, PreAnswerModule
@@ -28,42 +31,34 @@ class PipelineRuntime:
     web_index: WebSearchIndex
     kg_index: ImageKgIndex
     image_store: ImageStore
-    text_encoder: HashedTextEncoder
-    query_encoder: MultiVectorQueryEncoder
-    classifier: KeywordCentroidClassifier = field(init=False, repr=False)
+    query_encoder: MultiVectorQueryEncoder = field(init=False, repr=False)
+    pre_answer: PreAnswerModule = field(init=False, repr=False)
+    image_agent: ImageSearchAgent = field(init=False, repr=False)
+    text_agent: TextSearchAgent = field(init=False, repr=False)
+    post_answer: PostAnswerModule = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.classifier = KeywordCentroidClassifier(self.config.domains)
+        cfg = self.config
+        self.query_encoder = MultiVectorQueryEncoder(self.text_encoder)
+        self.pre_answer = PreAnswerModule(
+            self.gateway, KeywordCentroidClassifier(cfg.domains), cfg.routing
+        )
+        self.image_agent = ImageSearchAgent(
+            self.gateway, self.kg_index, self.image_store, cfg.agents.entity_threshold
+        )
+        self.text_agent = TextSearchAgent(
+            self.gateway, self.web_index, cfg.agents.k_per_query, cfg.agents.k_total
+        )
+        self.post_answer = PostAnswerModule(self.gateway, cfg.verifier)
+
+    @property
+    def text_encoder(self) -> HashedTextEncoder:
+        """The web index's encoder: queries, documents and evidence chunks
+        are embedded in one space."""
+        return self.web_index.encoder
 
     def orchestrator(self, clock=None) -> Orchestrator:
-        cfg = self.config
-        pre = PreAnswerModule(self.gateway, self.classifier, cfg.routing)
-        image_agent = ImageSearchAgent(
-            gateway=self.gateway,
-            kg_index=self.kg_index,
-            image_store=self.image_store,
-            text_encoder=self.text_encoder,
-            entity_verifier=FixtureEntityVerifier(),
-            entity_threshold=cfg.agents.entity_threshold,
-            default_width=cfg.agents.image_width,
-            default_height=cfg.agents.image_height,
-        )
-        text_agent = TextSearchAgent(
-            gateway=self.gateway,
-            web_index=self.web_index,
-            k_per_query=cfg.agents.k_per_query,
-            k_total=cfg.agents.k_total,
-        )
-        post = PostAnswerModule(self.gateway, cfg.verifier)
-        return Orchestrator(
-            pre_answer=pre,
-            image_agent=image_agent,
-            text_agent=text_agent,
-            post_answer=post,
-            query_encoder=self.query_encoder,
-            config=cfg,
-            clock=clock,
-        )
+        return Orchestrator(self, clock)
 
 
 def build_runtime(config: PipelineConfig, backend=None) -> PipelineRuntime:
@@ -98,6 +93,4 @@ def build_runtime(config: PipelineConfig, backend=None) -> PipelineRuntime:
         web_index=web_index,
         kg_index=kg_index,
         image_store=image_store,
-        text_encoder=encoder,
-        query_encoder=MultiVectorQueryEncoder(encoder),
     )

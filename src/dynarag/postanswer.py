@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import VerifierConfig
-from .errors import BackendTimeout, GatewayError
 from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest
 from .timing import TimeBudget
 
@@ -151,13 +150,9 @@ class PostAnswerModule:
             },
             image_ref=image_ref,
         )
-        try:
-            response = self.gateway.generate(request, budget)
-        except BackendTimeout:
-            raise
-        except GatewayError:
-            return Verdict.INCORRECT
-        return parse_verdict(response.text)
+        verdict = self.gateway.try_generate(
+            request, lambda r: parse_verdict(r.text), budget)
+        return Verdict.INCORRECT if verdict is None else verdict
 
     def verify_and_finalize(
         self,

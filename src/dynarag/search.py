@@ -66,22 +66,28 @@ class WebDoc:
 
 @dataclass(frozen=True)
 class KgEntry:
+    """The image embedding must be finite and of unit norm within 1e-9
+    (ValueError otherwise), however the entry is built."""
+
     entity_name: str
     url: str
     image_embedding: np.ndarray
     attributes: dict[str, str]  # insertion-ordered, lowercase keys
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "KgEntry":
-        embedding = _finite(raw["image_embedding"])
+    def __post_init__(self):
+        embedding = _finite(self.image_embedding)
         norm = float(np.linalg.norm(embedding))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"embedding norm {norm} is not 1 within 1e-9")
+        object.__setattr__(self, "image_embedding", embedding)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "KgEntry":
         attributes = {str(k).lower(): str(v) for k, v in raw.get("attributes", {}).items()}
         return cls(
             entity_name=raw["entity_name"],
             url=raw["url"],
-            image_embedding=embedding,
+            image_embedding=raw["image_embedding"],
             attributes=attributes,
         )
 
@@ -103,6 +109,18 @@ class SearchHit:
     @property
     def url(self) -> str:
         return self.payload.url
+
+
+def fuse_hits(result_lists, k: int) -> list[SearchHit]:
+    """Merge several searches into one list: each url once, with its best
+    score, ordered as the indexes order hits (score desc, url asc), cut to k."""
+    best: dict[str, SearchHit] = {}
+    for hits in result_lists:
+        for hit in hits:
+            current = best.get(hit.url)
+            if current is None or hit.score > current.score:
+                best[hit.url] = hit
+    return sorted(best.values(), key=lambda h: (-h.score, h.url))[:k]
 
 
 def _read_jsonl(path: str | Path, parse) -> list:
@@ -288,7 +306,9 @@ class ImageKgIndex:
 
 @dataclass
 class ImageRecord:
-    """Fixture entry for one image: whole embedding plus annotated regions."""
+    """Fixture entry for one image: whole embedding plus annotated regions.
+
+    Every embedding, whole and per region, must be finite (ValueError)."""
 
     image_id: str
     whole_embedding: np.ndarray
@@ -296,16 +316,20 @@ class ImageRecord:
     width: int = 640
     height: int = 480
 
+    def __post_init__(self):
+        self.whole_embedding = _finite(self.whole_embedding)
+        self.regions = [{**r, "embedding": _finite(r["embedding"])} for r in self.regions]
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ImageRecord":
         return cls(
             image_id=raw["image_id"],
-            whole_embedding=_finite(raw["whole_embedding"]),
+            whole_embedding=raw["whole_embedding"],
             regions=[
                 {
                     "label": r["label"],
                     "bbox": tuple(r["bbox"]),
-                    "embedding": _finite(r["embedding"]),
+                    "embedding": r["embedding"],
                     "confidence": float(r.get("confidence", 1.0)),
                 }
                 for r in raw.get("regions", [])

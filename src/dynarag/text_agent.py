@@ -5,23 +5,23 @@ the gateway (falling back to the original question keeps the pipeline
 total), deictic referents are rewritten using the visual context, and a
 verified entity name can be fused into the original question to produce an
 object-aware query.
-Per-sub-query searches are merged by max-score url dedup, exactly like the
-image-side fusion.
+Per-sub-query searches are merged by ``search.fuse_hits``, the same
+max-score url dedup as the image-side fusion. A failed or undecodable
+decomposition falls back to the original question; a model call past the
+turn's deadline ends the turn.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import GatewayError
-from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest
+from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest, last_line_json
 from .image_agent import VerifiedEntity
 from .preanswer import ReasoningTrace
-from .search import SearchHit, WebSearchIndex
+from .search import SearchHit, WebSearchIndex, fuse_hits
 from .timing import TimeBudget
 
 logger = logging.getLogger(__name__)
@@ -97,11 +97,9 @@ class TextSearchAgent:
                 FIXTURE_KEY_SLOT: fixture_key,
             },
         )
-        try:
-            response = self.gateway.generate(request, budget)
-            raw = json.loads(response.text.strip().splitlines()[-1])
-            subs = self._parse_subqueries(raw, trace)
-        except (GatewayError, ValueError, KeyError, IndexError):
+        subs = self.gateway.try_generate(
+            request, lambda r: self._parse_subqueries(last_line_json(r), trace), budget)
+        if subs is None:
             logger.warning("decomposition failed; using the original query")
             subs = [SubQuery(query, SubQueryOrigin.DECOMPOSITION, None)]
 
@@ -149,20 +147,11 @@ class TextSearchAgent:
         text = text[0].upper() + text[1:]
         return SubQuery(text, SubQueryOrigin.FUSION)
 
-    def text_search(self, subqueries: list[SubQuery], k_per_query: int | None = None,
-                    k_total: int | None = None) -> list[SearchHit]:
-        """Fused web search: max-score url dedup, descending, truncated."""
+    def text_search(self, subqueries: list[SubQuery]) -> list[SearchHit]:
+        """Fused web search: k_per_query hits per sub-query, fused to k_total."""
         if not subqueries:
             raise ValueError("subqueries must be non-empty")
-        k_per_query = k_per_query or self.k_per_query
-        k_total = k_total or self.k_total
-
-        best: dict[str, SearchHit] = {}
-        for sub in subqueries:
-            for hit in self.web_index.search(sub.text, k_per_query):
-                current = best.get(hit.url)
-                if current is None or hit.score > current.score:
-                    best[hit.url] = hit
-        fused = sorted(best.values(), key=lambda h: (-h.score, h.url))
-        return fused[:k_total]
-
+        return fuse_hits(
+            (self.web_index.search(sub.text, self.k_per_query) for sub in subqueries),
+            self.k_total,
+        )

@@ -73,6 +73,7 @@ def test_trace_index_out_of_range(world, capsys):
         "--dataset", str(world["dataset"]), "--index", "999",
     ])
     assert code == 2
+    one_error_line(capsys, "999")
 
 
 def test_trace_matches_eval_row_for_every_record(world, tmp_path, capsys):
@@ -99,7 +100,7 @@ def test_trace_matches_eval_row_for_every_record(world, tmp_path, capsys):
         assert payload["trace"]["stages"] == row["stages"], index
 
 
-def test_trace_rejects_a_session_with_a_gap(world, tmp_path):
+def gapped_dataset(world, tmp_path):
     records = [json.loads(line) for line in world["dataset"].read_text().splitlines()
                if line.strip()]
     gapped = [r for r in records
@@ -107,6 +108,51 @@ def test_trace_rejects_a_session_with_a_gap(world, tmp_path):
     dataset = tmp_path / "gapped.jsonl"
     dataset.write_text("\n".join(json.dumps(r) for r in gapped) + "\n")
     first = next(i for i, r in enumerate(gapped) if r["session_id"] == "dialog-1")
-    with pytest.raises(ValueError, match="contiguous"):
-        main(["trace", "--config", str(world["config"]),
-              "--dataset", str(dataset), "--index", str(first)])
+    return dataset, first
+
+
+def one_error_line(capsys, *needles):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    for needle in needles:
+        assert needle in lines[0]
+
+
+def test_trace_rejects_a_session_with_a_gap(world, tmp_path, capsys):
+    dataset, first = gapped_dataset(world, tmp_path)
+    code = main(["trace", "--config", str(world["config"]),
+                 "--dataset", str(dataset), "--index", str(first)])
+    assert code == 2
+    one_error_line(capsys, "contiguous", "dialog-1")
+
+
+def test_eval_rejects_a_session_with_a_gap_before_any_turn(world, tmp_path, capsys,
+                                                           monkeypatch):
+    from dynarag.orchestrator import Orchestrator
+
+    def no_turns(*args):
+        raise AssertionError("a turn ran before the dataset was checked")
+
+    monkeypatch.setattr(Orchestrator, "answer_turn", no_turns)
+    dataset, _ = gapped_dataset(world, tmp_path)
+    report_path = tmp_path / "report.json"
+    code = main(["eval", "--config", str(world["config"]),
+                 "--dataset", str(dataset), "--report-out", str(report_path)])
+    assert code == 2
+    one_error_line(capsys, "contiguous", "dialog-1")
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_malformed_dataset_line_is_one_error_line(world, tmp_path, capsys, command):
+    lines = world["dataset"].read_text().splitlines()
+    dataset = tmp_path / "broken.jsonl"
+    dataset.write_text("\n".join([lines[0], "{not json", *lines[1:]]) + "\n")
+    extra = (["--report-out", str(tmp_path / "report.json")] if command == "eval"
+             else ["--index", "0"])
+    code = main([command, "--config", str(world["config"]),
+                 "--dataset", str(dataset), *extra])
+    assert code == 2
+    one_error_line(capsys, "line 2")

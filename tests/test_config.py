@@ -60,3 +60,17 @@ def test_empty_config_file_gives_defaults(tmp_path):
     path.write_text("")
     config = PipelineConfig.from_file(path)
     assert config.encoder.dim == 256
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"rerank": {"k_1": 5}}, "k_1"),
+    ({"agents": {"image_width": 640}}, "image_width"),
+    ({"rerankers": {"k1": 5}}, "rerankers"),
+])
+def test_unknown_config_keys_are_rejected(tmp_path, doc, key):
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_dict(doc)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_file(path)

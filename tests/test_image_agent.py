@@ -2,16 +2,16 @@ import json
 
 import pytest
 
-from dynarag.encoders import HashedTextEncoder
-from dynarag.errors import DetectorUnavailable, EmptyCandidates
+from dynarag.errors import BackendTimeout, DetectorUnavailable, EmptyCandidates
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from dynarag.image_agent import (
-    FixtureEntityVerifier,
     ImageSearchAgent,
     ObjectCandidate,
     Region,
+    visual_match,
 )
 from dynarag.prompts import register_all
+from dynarag.timing import SimulatedClock, TimeBudget
 from dynarag.search import (
     ImageKgIndex,
     ImageRecord,
@@ -63,13 +63,11 @@ def make_agent(entries=None) -> ImageSearchAgent:
         gateway=gateway,
         kg_index=ImageKgIndex().build(KG_ENTRIES),
         image_store=ImageStore([IMAGE]),
-        text_encoder=HashedTextEncoder(),
-        entity_verifier=FixtureEntityVerifier(),
     )
 
 
-def fe(template, key, text):
-    return FixtureEntry(template, key, text, (0.9,), 0.0)
+def fe(template, key, text, latency_ms=0.0):
+    return FixtureEntry(template, key, text, (0.9,), latency_ms)
 
 
 # --- object extraction -----------------------------------------------------------
@@ -297,3 +295,72 @@ def test_ground_extraction_failure_uses_whole_image():
     hits, entity = agent.ground("img-street", "q", 5, 5, "k")
     # whole-image embedding is unrelated to the KG: hits exist, none verified
     assert entity is None
+
+
+def test_ground_without_image_fixture_finds_nothing():
+    agent = make_agent([
+        fe("object_list", "k", json.dumps({"object_list": ["car"]})),
+    ])
+    assert agent.ground("img-nope", "q", 5, 5, "k") == ([], None)
+    assert make_agent([fe("object_list", "k", "garbage")]).ground(
+        "img-nope", "q", 5, 5, "k") == ([], None)
+    assert agent.ground(None, "q", 5, 5, "k") == ([], None)
+
+
+@pytest.mark.parametrize("raw, score", [
+    ("true", 1.0), ("Yes", 1.0), ("false", 0.0), ("no", 0.0),
+    ("0.7", 0.7), ("1.5", 1.0), ("-2", 0.0), ("maybe", 0.0), (None, None),
+])
+def test_visual_match_reads_the_scripted_flag(raw, score):
+    attributes = {} if raw is None else {"visual_match": raw}
+    entry = KgEntry("e", "kg://e", unit_embedding_for("e"), attributes)
+    assert visual_match(entry) == score
+
+
+# --- deadlines -------------------------------------------------------------------------
+
+
+def ten_second_budget() -> TimeBudget:
+    return TimeBudget(SimulatedClock(), deadline_at=10.0)
+
+
+def spy_kg_searches(agent, monkeypatch) -> list:
+    calls = []
+    original = agent.kg_index.search
+
+    def spy(embedding, k):
+        calls.append(k)
+        return original(embedding, k)
+
+    monkeypatch.setattr(agent.kg_index, "search", spy)
+    return calls
+
+
+def test_slow_object_list_raises_timeout_and_searches_nothing(monkeypatch):
+    agent = make_agent([
+        fe("object_list", "k", json.dumps({"object_list": ["car"]}), 20_000.0),
+    ])
+    searches = spy_kg_searches(agent, monkeypatch)
+    with pytest.raises(BackendTimeout):
+        agent.ground("img-street", "What car is this?", 5, 5, "k", ten_second_budget())
+    assert searches == []
+
+
+def test_slow_object_select_raises_timeout_and_searches_nothing(monkeypatch):
+    agent = make_agent([
+        fe("object_list", "k", json.dumps({"object_list": ["car", "tree"]})),
+        fe("object_select", "k", json.dumps({"object": "car"}), 20_000.0),
+    ])
+    searches = spy_kg_searches(agent, monkeypatch)
+    with pytest.raises(BackendTimeout):
+        agent.ground("img-street", "What car is this?", 5, 5, "k", ten_second_budget())
+    assert searches == []
+
+
+def test_failed_object_select_still_falls_back_to_first_candidate():
+    agent = make_agent([
+        fe("object_list", "k", json.dumps({"object_list": ["car", "tree"]})),
+    ])
+    hits, entity = agent.ground("img-street", "What car is this?", 5, 5, "k",
+                                ten_second_budget())
+    assert entity is not None and entity.entity_name == "Porsche 911"

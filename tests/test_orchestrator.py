@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -15,6 +16,8 @@ from dynarag.orchestrator import (
 )
 from dynarag.postanswer import FALLBACK_ANSWER
 from dynarag.routing import Branch
+from dynarag.search import ImageKgIndex, WebSearchIndex
+from dynarag.text_agent import TextSearchAgent
 from dynarag.timing import SimulatedClock
 
 
@@ -121,6 +124,31 @@ def test_deadline_breach_returns_fallback_within_grace(world_runtime):
     assert STAGE_DEADLINE_FALLBACK in trace.stage_timings
 
 
+def test_slow_object_extraction_ends_the_turn_before_any_search(world_runtime,
+                                                                monkeypatch):
+    from dynarag.fixtures import model_entries
+    from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
+    from dynarag.prompts import register_all
+
+    backend = ScriptedBackend(model_entries())
+    backend.add(FixtureEntry("object_list", "cafe-q1:0",
+                             '{"object_list": ["cafe"]}', (0.9,), 20_000.0))
+    gateway = ModelGateway(backend)
+    register_all(gateway)
+    runtime = dataclasses.replace(world_runtime, gateway=gateway)
+    searches = []
+    for index_class in (ImageKgIndex, WebSearchIndex):
+        monkeypatch.setattr(index_class, "search",
+                            lambda self, query, k: searches.append(query) or [])
+
+    answer, trace = run_single(runtime, "cafe-q1", "Who founded this cafe?", "img-cafe")
+    assert answer == FALLBACK_ANSWER
+    assert trace.stages == ["pre_answer", "route_search", "route_tools",
+                            "image_search", STAGE_DEADLINE_FALLBACK]
+    assert trace.elapsed_s == pytest.approx(10.0)
+    assert searches == []
+
+
 def test_session_budget_limits_later_turns():
     config = PipelineConfig()
     config.limits.session_budget_s = 12.0
@@ -162,18 +190,21 @@ def dialog_turns():
     ]
 
 
-def test_dialog_threads_entity_across_turns(world_runtime):
+def test_dialog_threads_entity_across_turns(world_runtime, monkeypatch):
     orchestrator = world_runtime.orchestrator(clock=SimulatedClock())
 
     recorded = []
-    original = orchestrator.text_agent.rephrase_and_split
+    original = TextSearchAgent.rephrase_and_split
 
-    def spy(query, trace, visual_context=None, fixture_key="", history="", budget=None):
-        subs = original(query, trace, visual_context, fixture_key, history, budget)
+    def spy(self, query, trace, visual_context=None, fixture_key="", history="",
+            budget=None):
+        subs = original(self, query, trace, visual_context, fixture_key, history, budget)
         recorded.append((fixture_key, [s.text for s in subs]))
         return subs
 
-    orchestrator.text_agent.rephrase_and_split = spy
+    # The runtime's modules are shared with other tests: patch the class for
+    # this test only (an instance patch would leave a bound method behind).
+    monkeypatch.setattr(TextSearchAgent, "rephrase_and_split", spy)
     results = list(orchestrator.run_session(dialog_turns()))
 
     assert results[0][0] == "The car is a Porsche 911."
@@ -259,6 +290,26 @@ def test_pipeline_is_deterministic(world_runtime):
                    json.dumps(trace_to_dict(trace_b), sort_keys=True)
 
 
+def test_file_built_world_traces_equal_the_in_memory_world(world_runtime, tmp_path):
+    from dynarag.fixtures import write_world
+    from dynarag.pipeline import build_runtime
+
+    paths = write_world(tmp_path)
+    from_files = build_runtime(PipelineConfig.from_file(paths["config"]))
+    sessions = all_world_sessions()
+    assert len(sessions) == 21
+    compared = 0
+    for turns in sessions.values():
+        in_memory = world_runtime.orchestrator(clock=SimulatedClock()).run_session(turns)
+        loaded = from_files.orchestrator(clock=SimulatedClock()).run_session(turns)
+        for (answer_a, trace_a), (answer_b, trace_b) in zip(in_memory, loaded,
+                                                            strict=True):
+            assert answer_a == answer_b
+            assert trace_to_dict(trace_a) == trace_to_dict(trace_b)
+            compared += 1
+    assert compared == 23
+
+
 def test_executed_stages_match_branch_chain(world_runtime):
     for sid, turns in all_world_sessions().items():
         results = list(world_runtime.orchestrator(clock=SimulatedClock()).run_session(turns))
@@ -272,7 +323,6 @@ def test_executed_stages_match_branch_chain(world_runtime):
 def test_recorded_pipeline_run_replays_bit_identically(tmp_path, world_runtime):
     from dynarag.fixtures import model_entries
     from dynarag.gateway import ModelGateway, Recorder, ScriptedBackend
-    from dynarag.pipeline import PipelineRuntime
     from dynarag.prompts import register_all
 
     log = tmp_path / "recording.jsonl"
@@ -280,15 +330,7 @@ def test_recorded_pipeline_run_replays_bit_identically(tmp_path, world_runtime):
     register_all(recording_gateway)
 
     def runtime_with(gateway):
-        return PipelineRuntime(
-            config=world_runtime.config,
-            gateway=gateway,
-            web_index=world_runtime.web_index,
-            kg_index=world_runtime.kg_index,
-            image_store=world_runtime.image_store,
-            text_encoder=world_runtime.text_encoder,
-            query_encoder=world_runtime.query_encoder,
-        )
+        return dataclasses.replace(world_runtime, gateway=gateway)
 
     turns = [turn("cafe-q1", 0, "Who founded this cafe?", "img-cafe")]
     recorded = list(runtime_with(recording_gateway).orchestrator(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynarag.config import VerifierConfig
+from dynarag.errors import BackendTimeout
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from dynarag.postanswer import (
     FALLBACK_ANSWER,
@@ -16,6 +17,7 @@ from dynarag.postanswer import (
     white_box_verify,
 )
 from dynarag.prompts import register_all
+from dynarag.timing import SimulatedClock, TimeBudget
 
 
 def make_module(entries) -> PostAnswerModule:
@@ -174,3 +176,12 @@ def test_model_verify_round_trip():
 def test_model_verify_missing_fixture_is_incorrect():
     module = make_module([])
     assert module.model_verify("q", "img", "ctx", "ra", "nope") is Verdict.INCORRECT
+
+
+def test_model_verify_past_the_deadline_raises_timeout():
+    module = make_module([FixtureEntry(
+        "verifier", "k", "**Response:** Correct Answer", (1.0,), 20_000.0,
+    )])
+    budget = TimeBudget(SimulatedClock(), deadline_at=10.0)
+    with pytest.raises(BackendTimeout):
+        module.model_verify("q", "img", "ctx", "ra", "k", budget)

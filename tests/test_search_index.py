@@ -231,6 +231,25 @@ def test_image_record_embeddings_must_be_finite(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("embedding", [
+    [math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf], [1.0, 1.0], [0.5, 0.0],
+])
+def test_kg_entry_built_in_code_is_checked(embedding):
+    with pytest.raises(ValueError):
+        KgEntry("bad", "kg://bad", np.array(embedding), {})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_image_record_built_in_code_is_checked(bad):
+    region = {"label": "cup", "bbox": (0, 0, 5, 5), "embedding": np.array([0.0, 1.0])}
+    ImageRecord("img", np.array([1.0, 0.0]), [region])
+    with pytest.raises(ValueError):
+        ImageRecord("img", np.array([bad, 0.0]), [region])
+    with pytest.raises(ValueError):
+        ImageRecord("img", np.array([1.0, 0.0]),
+                    [{**region, "embedding": np.array([0.0, bad])}])
+
+
 def test_kg_search_rejects_non_finite_query():
     index = ImageKgIndex().build([kg(0, unit_embedding_for("x", dim=4))])
     with pytest.raises(ValueError):

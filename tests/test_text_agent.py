@@ -3,12 +3,14 @@ import json
 import pytest
 
 from dynarag.config import RoutingConfig
+from dynarag.errors import BackendTimeout
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from dynarag.image_agent import VerifiedEntity
 from dynarag.preanswer import parse_trace
 from dynarag.prompts import register_all
 from dynarag.search import KgEntry, WebDoc, WebSearchIndex, unit_embedding_for
 from dynarag.text_agent import SubQuery, SubQueryOrigin, TextSearchAgent, enhance
+from dynarag.timing import SimulatedClock, TimeBudget
 
 ROUTING = RoutingConfig()
 
@@ -36,14 +38,14 @@ BMW_TRACE = trace("\n".join([
 ]))
 
 
-def make_agent(entries=None, docs=DOCS) -> TextSearchAgent:
+def make_agent(entries=None, docs=DOCS, k_total=10) -> TextSearchAgent:
     gateway = ModelGateway(ScriptedBackend(entries or []))
     register_all(gateway)
     return TextSearchAgent(
         gateway=gateway,
         web_index=WebSearchIndex().build(docs),
         k_per_query=10,
-        k_total=10,
+        k_total=k_total,
     )
 
 
@@ -104,6 +106,20 @@ def test_missing_fixture_falls_back_to_original_query():
     agent = make_agent([])
     subs = agent.rephrase_and_split("Original question?", BMW_TRACE, None, "nope")
     assert [s.text for s in subs] == ["Original question?"]
+
+
+def test_slow_decomposition_raises_timeout_and_searches_nothing(monkeypatch):
+    agent = make_agent([FixtureEntry(
+        "decompose", "k", json.dumps({"sub_queries": [{"text": "a?"}]}),
+        (0.9,), 20_000.0,
+    )])
+    searches = []
+    monkeypatch.setattr(agent.web_index, "search",
+                        lambda query, k: searches.append(query) or [])
+    with pytest.raises(BackendTimeout):
+        agent.rephrase_and_split("Original question?", BMW_TRACE, None, "k", "",
+                                 TimeBudget(SimulatedClock(), deadline_at=10.0))
+    assert searches == []
 
 
 def test_decomposition_steps_map_into_trace():
@@ -196,9 +212,9 @@ def test_shared_doc_keeps_max_score():
 
 
 def test_three_subqueries_top5_matches_bruteforce_merge():
-    agent = make_agent()
+    agent = make_agent(k_total=5)
     queries = ["BMW M4 production", "Alessi kettle price", "succulent plants winter"]
-    fused = agent.text_search([sq(q) for q in queries], k_per_query=10, k_total=5)
+    fused = agent.text_search([sq(q) for q in queries])
 
     pool: dict[str, float] = {}
     for q in queries:
