@@ -26,7 +26,7 @@ for c in chunks:
     print(f"  [{c.source.value}] {c.text[:76]}")
 
 survivors = coarse_score(QUESTION, None, chunks, cfg,
-                         runtime.query_encoder, runtime.text_encoder)
+                         runtime.query_encoder, runtime.chunk_store)
 print(f"\n== coarse stage: {len(survivors)} of {len(chunks)} survive "
       f"tau={cfg.tau_coarse}, K1={cfg.k1} ==")
 for chunk, score in survivors:

@@ -5,12 +5,22 @@ mapped to a fixed dimension (and sign) through sha1, counts are accumulated
 and the vector is L2-normalized. No model weights, fully reproducible across
 processes, which is what the search-index and reranker contracts need. Real
 encoders can be plugged in behind the same ``encode`` surface.
+
+Encoding is split in two so hashing can be paid once and reused: a token's
+code is its slot, plus ``dim`` when its sign is negative, and ``embed`` turns
+the codes of many rows into unit vectors with one weighted bincount. Every
+count is a sum of +-1 and every squared norm a sum of squared counts, all
+exact integers in float64 (below 2^53, so for texts of fewer than ~9.4e7
+tokens), so the result has the same bits whatever order the sums run in.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
+import struct
+from typing import Sequence
 
 import numpy as np
 
@@ -18,17 +28,13 @@ DEFAULT_DIM = 256
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z]+)?")
 
+# The first four digest bytes pick the slot, the low bit of the fifth the sign.
+_DIGEST_HEAD = struct.Struct(">IB")
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric tokens; apostrophes kept inside words."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def _token_slot(token: str, dim: int) -> tuple[int, float]:
-    digest = hashlib.sha1(token.encode("utf-8")).digest()
-    index = int.from_bytes(digest[:4], "big") % dim
-    sign = 1.0 if digest[4] & 1 else -1.0
-    return index, sign
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
@@ -45,16 +51,59 @@ class HashedTextEncoder:
         if dim < 1:
             raise ValueError("encoder dimension must be positive")
         self.dim = dim
+        # Codes lie in [0, 2 * dim): the smallest unsigned type that holds them
+        # (uint16 at the default dim).
+        self.code_dtype = np.min_scalar_type(2 * dim - 1)
+        codes = np.arange(2 * dim)
+        self._slot = codes % dim
+        self._sign = np.where(codes < dim, 1.0, -1.0)
+
+    def _hash(self, tokens: Sequence[str]) -> tuple[list[int], list[float]]:
+        """Each token's slot and sign (+1.0 or -1.0)."""
+        dim, sha1, unpack = self.dim, hashlib.sha1, _DIGEST_HEAD.unpack_from
+        slots, signs = [], []
+        for token in tokens:
+            word, flag = unpack(sha1(token.encode("utf-8")).digest())
+            slots.append(word % dim)
+            signs.append(1.0 if flag & 1 else -1.0)
+        return slots, signs
+
+    def token_codes(self, tokens: Sequence[str]) -> np.ndarray:
+        """One code per token: its slot, plus ``dim`` when its sign is -1."""
+        dim = self.dim
+        slots, signs = self._hash(tokens)
+        return np.array([slot if sign > 0 else slot + dim
+                         for slot, sign in zip(slots, signs)], dtype=self.code_dtype)
+
+    def embed(self, codes: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+        """Unit rows, one per entry of ``lengths``, from the concatenated
+        codes of the rows (zero rows for rows without codes)."""
+        dim, rows = self.dim, len(lengths)
+        if not len(codes):  # an empty weighted bincount would come back int64
+            return np.zeros((rows, dim))
+        codes = codes.astype(np.intp, copy=False)  # intp gathers run fastest
+        index = self._slot[codes] + np.repeat(np.arange(0, rows * dim, dim), lengths)
+        out = np.bincount(index, weights=self._sign[codes],
+                          minlength=rows * dim).reshape(rows, dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+        norms[norms == 0.0] = 1.0
+        out /= norms[:, None]
+        return out
 
     def encode(self, text: str) -> np.ndarray:
         return self.encode_tokens(tokenize(text))
 
     def encode_tokens(self, tokens: list[str]) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in tokens:
-            index, sign = _token_slot(token, self.dim)
-            vec[index] += sign
-        return normalize(vec)
+        """``embed`` of one row, with the same sums, minus its fixed costs
+        (the code array and the two gathers): most calls embed a short query."""
+        slots, signs = self._hash(tokens)
+        if not slots:
+            return np.zeros(self.dim)
+        vec = np.bincount(slots, weights=signs, minlength=self.dim)
+        square = vec @ vec
+        if square:
+            vec /= math.sqrt(square)
+        return vec
 
 
 class MultiVectorQueryEncoder:
@@ -77,16 +126,17 @@ class MultiVectorQueryEncoder:
     ) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be >= 1")
-        whole = self.text_encoder.encode(question)
+        encoder = self.text_encoder
+        tokens = tokenize(question)
+        codes = encoder.token_codes(tokens)
+        # The whole question and every non-empty group, hashed once, one embed.
+        groups = n - 1
+        rows = [codes] + [codes[j::groups] for j in range(min(groups, len(tokens)))]
+        embedded = encoder.embed(np.concatenate(rows), [len(r) for r in rows])
+
+        whole = embedded[0]
         if image_embedding is not None and image_embedding.shape == whole.shape:
             whole = normalize(whole + np.asarray(image_embedding, dtype=np.float64))
-
         vectors = np.tile(whole, (n, 1))
-        tokens = tokenize(question)
-        groups = n - 1
-        if groups > 0 and tokens:
-            for j in range(groups):
-                group = tokens[j::groups]
-                if group:
-                    vectors[j + 1] = self.text_encoder.encode_tokens(group)
+        vectors[1:len(rows)] = embedded[1:]
         return vectors

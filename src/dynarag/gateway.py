@@ -273,6 +273,10 @@ class ModelGateway:
             return None
 
 
-def last_line_json(response: ModelResponse):
-    """The JSON object on the last line of a reply (models reason first)."""
-    return json.loads(response.text.strip().splitlines()[-1])
+def last_line_json(response: ModelResponse) -> dict:
+    """The JSON object on the last line of a reply (models reason first).
+    Any other JSON value there raises ValueError, as unparseable text does."""
+    value = json.loads(response.text.strip().splitlines()[-1])
+    if not isinstance(value, dict):
+        raise ValueError(f"last line is a JSON {type(value).__name__}, not an object")
+    return value

@@ -91,6 +91,13 @@ def visual_match(entry: KgEntry) -> float | None:
         return 0.0
 
 
+def _object_list(response) -> list:
+    names = last_line_json(response)["object_list"]
+    if not isinstance(names, list):
+        raise ValueError("object_list is not a list of names")
+    return names
+
+
 def _whole_image(record: ImageRecord) -> Region:
     return Region((0, 0, record.width, record.height), "image", 1.0,
                   record.whole_embedding)
@@ -116,8 +123,7 @@ class ImageSearchAgent:
                    FIXTURE_KEY_SLOT: fixture_key},
             image_ref=image_ref,
         )
-        names = self.gateway.try_generate(
-            request, lambda r: list(last_line_json(r)["object_list"]), budget)
+        names = self.gateway.try_generate(request, _object_list, budget)
         if names is None:
             logger.warning("object extraction failed; falling back to whole image")
             return []

@@ -302,7 +302,7 @@ class Orchestrator:
                 hits,
                 runtime.config.rerank,
                 runtime.query_encoder,
-                runtime.text_encoder,
+                runtime.chunk_store,
                 RERANK_INSTRUCTION,
             )
 

@@ -1,11 +1,13 @@
 """Assemble the full pipeline from a configuration document.
 
 The runtime is the one place that knows the object graph. It holds everything
-a turn reads and nothing a turn writes: indexes, fixtures, gateway, config,
-and the modules wired over them (domain classifier, pre-answer, both search
-agents, post-answer), each built once. The modules are stateless, so every
-session shares them; ``orchestrator(clock)`` pairs the runtime with a
-session's own clock so sessions never share a simulated clock.
+a turn reads: indexes, fixtures, gateway, config, and the modules wired over
+them (domain classifier, pre-answer, both search agents, post-answer), each
+built once. The modules are stateless, so every session shares them. The one
+thing a turn writes is the reranker's chunk-code store, a cache filled from the
+immutable indexes, so no turn's result depends on which turns ran before it.
+``orchestrator(clock)`` pairs the runtime with a session's own clock so
+sessions never share a simulated clock.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .orchestrator import Orchestrator
 from .postanswer import PostAnswerModule
 from .preanswer import KeywordCentroidClassifier, PreAnswerModule
 from .prompts import register_all
+from .reranker import ChunkCodeStore
 from .search import ImageKgIndex, ImageStore, WebSearchIndex
 from .text_agent import TextSearchAgent
 
@@ -32,6 +35,7 @@ class PipelineRuntime:
     kg_index: ImageKgIndex
     image_store: ImageStore
     query_encoder: MultiVectorQueryEncoder = field(init=False, repr=False)
+    chunk_store: ChunkCodeStore = field(init=False, repr=False)
     pre_answer: PreAnswerModule = field(init=False, repr=False)
     image_agent: ImageSearchAgent = field(init=False, repr=False)
     text_agent: TextSearchAgent = field(init=False, repr=False)
@@ -40,6 +44,7 @@ class PipelineRuntime:
     def __post_init__(self):
         cfg = self.config
         self.query_encoder = MultiVectorQueryEncoder(self.text_encoder)
+        self.chunk_store = ChunkCodeStore(self.text_encoder)
         self.pre_answer = PreAnswerModule(
             self.gateway, KeywordCentroidClassifier(cfg.domains), cfg.routing
         )

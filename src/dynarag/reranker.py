@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -131,6 +133,8 @@ def chunk_evidence(hits: list[SearchHit], config: RerankConfig) -> list[Chunk]:
             text = _doc_text(hit.payload)
         else:
             text = _kg_paragraph(hit.payload)
+        source, url = hit.source, hit.url
+        prefix = f"{source.value}:{url}#"
         position = 0
         for block in _split_blocks(text):
             for span in _fixed_spans(block, config.max_chunk_chars, config.chunk_overlap):
@@ -140,14 +144,71 @@ def chunk_evidence(hits: list[SearchHit], config: RerankConfig) -> list[Chunk]:
                 chunks.append(
                     Chunk(
                         text=span,
-                        source=hit.source,
-                        doc_url=hit.url,
+                        source=source,
+                        doc_url=url,
                         position=position,
-                        chunk_id=f"{hit.source.value}:{hit.url}#{position}",
+                        chunk_id=f"{prefix}{position}",
                     )
                 )
                 position += 1
     return chunks
+
+
+# --- chunk codes -----------------------------------------------------------
+
+
+class ChunkCodeStore:
+    """The token codes of each evidence doc's chunks, hashed once per store.
+
+    An entry is filled the first time a doc's chunks are embedded and holds
+    only their codes (``HashedTextEncoder.token_codes``, 2 bytes a token at
+    the default dim) and per-chunk lengths: no text, no vectors. It is keyed
+    by the chunking parameters and (source, url), so a web doc and a KG entry
+    sharing a url never collide and one chunking never reads another's codes.
+    A url must name one payload per source for the store's lifetime, as it
+    does in the runtime's immutable indexes.
+    """
+
+    def __init__(self, encoder: HashedTextEncoder):
+        self.encoder = encoder
+        self._docs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    def embed(self, chunks: list[Chunk], config: RerankConfig) -> np.ndarray:
+        """Unit embeddings of ``chunk_evidence(hits, config)``, one row per
+        chunk, with one ``HashedTextEncoder.embed`` call."""
+        chunking = (config.max_chunk_chars, config.chunk_overlap)
+        codes, lengths = [], []
+        for doc, run in _doc_runs(chunks):
+            key = (chunking, *doc)
+            entry = self._docs.get(key)
+            if entry is None:
+                entry = self._docs[key] = self._doc_codes(run)
+            elif len(entry[1]) != len(run):
+                raise ValueError(f"{len(run)} chunks of {doc[1]} do not match "
+                                 f"the {len(entry[1])} stored for it")
+            codes.append(entry[0])
+            lengths.append(entry[1])
+        return self.encoder.embed(np.concatenate(codes), np.concatenate(lengths))
+
+    def _doc_codes(self, run: list[Chunk]) -> tuple[np.ndarray, np.ndarray]:
+        parts = [self.encoder.token_codes(tokenize(chunk.text)) for chunk in run]
+        return np.concatenate(parts), np.array([len(p) for p in parts], dtype=np.int32)
+
+
+_doc_of = attrgetter("source", "doc_url")
+
+
+def _doc_runs(chunks: list[Chunk]):
+    """Each doc's (source, url) and chunks: the chunks of one (source, url) in
+    a row, split again at every later position 0 (one doc hit twice)."""
+    for doc, group in groupby(chunks, _doc_of):
+        run = list(group)
+        if run[-1].position - run[0].position == len(run) - 1:
+            yield doc, run
+            continue
+        starts = [i for i, c in enumerate(run) if i == 0 or c.position == 0]
+        for start, end in zip(starts, starts[1:] + [len(run)]):
+            yield doc, run[start:end]
 
 
 # --- coarse stage -----------------------------------------------------------
@@ -159,17 +220,16 @@ def coarse_score(
     chunks: list[Chunk],
     config: RerankConfig,
     query_encoder: MultiVectorQueryEncoder | None = None,
-    text_encoder: HashedTextEncoder | None = None,
+    chunk_store: ChunkCodeStore | None = None,
 ) -> list[tuple[Chunk, float]]:
     """Max-over-query-vectors cosine per chunk; threshold then cap at K1."""
     if not chunks:
         return []
-    if query_encoder is None or text_encoder is None:
-        raise EncoderUnavailable("coarse stage needs query and text encoders")
+    if query_encoder is None or chunk_store is None:
+        raise EncoderUnavailable("coarse stage needs a query encoder and a chunk store")
 
     qvecs = query_encoder.encode(question, image_embedding, config.n_query_tokens)
-    chunk_matrix = np.vstack([text_encoder.encode(c.text) for c in chunks])
-    scores = (qvecs @ chunk_matrix.T).max(axis=0)
+    scores = (qvecs @ chunk_store.embed(chunks, config).T).max(axis=0)
 
     survivors = [
         (chunk, float(score))
@@ -249,14 +309,14 @@ def rerank(
     hits: list[SearchHit],
     config: RerankConfig,
     query_encoder: MultiVectorQueryEncoder,
-    text_encoder: HashedTextEncoder,
+    chunk_store: ChunkCodeStore,
     instruction: str = "",
     scorer=None,
 ) -> AssembledContext:
     """Full cascade from raw hits to the assembled evidence string."""
     chunks = chunk_evidence(hits, config)
     survivors = coarse_score(
-        question, image_embedding, chunks, config, query_encoder, text_encoder
+        question, image_embedding, chunks, config, query_encoder, chunk_store
     )
     selected = fine_score(question, survivors, instruction, config, scorer)
     return assemble_context(selected)

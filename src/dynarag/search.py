@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import HashedTextEncoder
+from .encoders import HashedTextEncoder, tokenize
 from .errors import DimensionMismatch, IndexNotBuilt, ParseError
 
 WEB_RESULT_CAP = 50  # the web API returns at most 50 pages per query
@@ -213,8 +213,11 @@ class WebSearchIndex:
         return self
 
     def _embed(self, docs: list[WebDoc]) -> np.ndarray:
-        vectors = [self.encoder.encode(f"{d.title} {d.snippet}") for d in docs]
-        return np.vstack(vectors) if vectors else np.zeros((0, self.encoder.dim))
+        encoder = self.encoder
+        parts = [encoder.token_codes(tokenize(f"{d.title} {d.snippet}")) for d in docs]
+        if not parts:
+            return np.zeros((0, encoder.dim))
+        return encoder.embed(np.concatenate(parts), [len(p) for p in parts])
 
     def __len__(self) -> int:
         return len(self._pos_docs) + len(self._neg_docs)

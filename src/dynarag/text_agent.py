@@ -107,13 +107,18 @@ class TextSearchAgent:
 
     def _parse_subqueries(self, raw: dict, trace: ReasoningTrace) -> list[SubQuery]:
         items = raw["sub_queries"]
+        if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+            raise ValueError("sub_queries is not a list of objects")
         if not items:
             raise ValueError("empty decomposition")
         subs = []
         for item in items:
             step = item.get("step")
             if step is not None:
-                step = int(step)
+                try:
+                    step = int(step)
+                except (TypeError, OverflowError):  # a list, an object, Infinity
+                    raise ValueError(f"step {step!r} is not an integer") from None
                 if not (0 <= step < max(len(trace.steps), 1)):
                     step = None
             subs.append(SubQuery(str(item["text"]), SubQueryOrigin.DECOMPOSITION, step))

@@ -25,7 +25,13 @@ from dynarag.postanswer import (
     white_box_verify,
 )
 from dynarag.preanswer import parse_trace
-from dynarag.reranker import Chunk, assemble_context, coarse_score, fine_score
+from dynarag.reranker import (
+    Chunk,
+    ChunkCodeStore,
+    assemble_context,
+    coarse_score,
+    fine_score,
+)
 from dynarag.routing import Branch, route_search, route_tools
 from dynarag.search import ImageKgIndex, KgEntry, Source, WebDoc, WebSearchIndex
 from dynarag.timing import SimulatedClock
@@ -114,7 +120,7 @@ def test_criterion_1_reranker_oracle_equivalence():
         )
         question = " ".join(rng.choice([f"tok{j}" for j in range(60)], size=6))
 
-        survivors = coarse_score(question, None, chunks, cfg, QUERY_ENC, TEXT_ENC)
+        survivors = coarse_score(question, None, chunks, cfg, QUERY_ENC, ChunkCodeStore(TEXT_ENC))
         selected = fine_score(question, survivors, "", cfg)
         context = assemble_context(selected)
 
@@ -138,7 +144,7 @@ def test_criterion_2_coarse_scores_match_double_loop():
         question = " ".join(rng.choice(vocab, size=8))
         cfg = RerankConfig(k1=100, k2=1, tau_coarse=0.0, tau_fine=0.0,
                            n_query_tokens=n_q)
-        got = coarse_score(question, None, chunks, cfg, QUERY_ENC, TEXT_ENC)
+        got = coarse_score(question, None, chunks, cfg, QUERY_ENC, ChunkCodeStore(TEXT_ENC))
         oracle = dict(zip(
             [c.chunk_id for c in chunks],
             _oracle_coarse_scores(question, chunks, n_q),

@@ -1,11 +1,166 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from dynarag.encoders import (
     HashedTextEncoder,
     MultiVectorQueryEncoder,
+    normalize,
     tokenize,
 )
+from dynarag.search import WebDoc, WebSearchIndex
+
+
+def oracle_encode_tokens(tokens, dim=256):
+    """The per-token loop the encoder used before its batched path: every
+    embedding must keep these bits."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokens:
+        digest = hashlib.sha1(token.encode("utf-8")).digest()
+        index = int.from_bytes(digest[:4], "big") % dim
+        sign = 1.0 if digest[4] & 1 else -1.0
+        vec[index] += sign
+    norm = float(np.linalg.norm(vec))
+    return vec if norm == 0.0 else vec / norm
+
+
+def oracle_multivector(question, image_embedding, n, dim=256):
+    whole = oracle_encode_tokens(tokenize(question), dim)
+    if image_embedding is not None and image_embedding.shape == whole.shape:
+        whole = normalize(whole + image_embedding)
+    vectors = np.tile(whole, (n, 1))
+    tokens = tokenize(question)
+    groups = n - 1
+    if groups > 0 and tokens:
+        for j in range(groups):
+            if tokens[j::groups]:
+                vectors[j + 1] = oracle_encode_tokens(tokens[j::groups], dim)
+    return vectors
+
+
+def random_token_lists(seed, count=60, max_len=80):
+    rng = np.random.default_rng(seed)
+    vocab = ["".join(rng.choice(list("abcdefghij0123456789"), size=int(rng.integers(1, 9))))
+             for _ in range(300)]
+    return [list(rng.choice(vocab, size=int(rng.integers(0, max_len))))
+            for _ in range(count)]
+
+
+def embed_all(encoder, token_lists):
+    parts = [encoder.token_codes(tokens) for tokens in token_lists]
+    return encoder.embed(np.concatenate(parts), [len(p) for p in parts])
+
+
+def assert_bits(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 256, 16384, 40000])
+def test_every_path_matches_the_per_token_oracle_bit_for_bit(dim):
+    encoder = HashedTextEncoder(dim)
+    token_lists = random_token_lists(seed=dim)
+    batched = embed_all(encoder, token_lists)
+    for row, tokens in zip(batched, token_lists):
+        want = oracle_encode_tokens(tokens, dim)
+        assert_bits(encoder.encode_tokens(tokens), want)
+        assert_bits(encoder.encode(" ".join(tokens)), want)
+        assert_bits(row, want)
+
+
+@pytest.mark.parametrize("text", ["", "???", "東京タワー", "--- ..."])
+def test_text_without_tokens_is_the_zero_vector_on_every_path(text):
+    encoder = HashedTextEncoder()
+    zero = oracle_encode_tokens([])
+    assert tokenize(text) == []
+    assert_bits(encoder.encode(text), zero)
+    assert_bits(encoder.encode_tokens([]), zero)
+    codes = encoder.token_codes(tokenize(text))
+    assert_bits(encoder.embed(codes, [0])[0], zero)
+
+
+def test_rows_without_codes_are_zero_between_rows_with_codes():
+    encoder = HashedTextEncoder()
+    token_lists = [[], ["alpha", "beta"], [], ["gamma"], []]
+    batched = embed_all(encoder, token_lists)
+    for row, tokens in zip(batched, token_lists):
+        assert_bits(row, oracle_encode_tokens(tokens))
+
+
+def test_all_rows_empty_is_float_zero_not_an_integer_bincount():
+    encoder = HashedTextEncoder()
+    out = encoder.embed(np.zeros(0, dtype=encoder.code_dtype), [0, 0, 0])
+    assert_bits(out, np.zeros((3, 256)))
+
+
+def test_tokens_that_cancel_in_one_slot_give_the_zero_vector():
+    dim = 8
+    encoder = HashedTextEncoder(dim)
+    codes = {}
+    for i in range(1000):
+        token = f"t{i}"
+        [code] = encoder.token_codes([token]).tolist()
+        partner = codes.get((code + dim) % (2 * dim))
+        if partner is not None:
+            break
+        codes[code] = token
+    tokens = [partner, token]  # one slot, opposite signs
+    zero = oracle_encode_tokens(tokens, dim)
+    assert not zero.any()
+    assert_bits(encoder.encode_tokens(tokens), zero)
+    assert_bits(embed_all(encoder, [tokens, ["x"]])[0], zero)
+
+
+def test_one_token_repeated_300_times_is_a_signed_unit_axis():
+    encoder = HashedTextEncoder()
+    tokens = ["coffee"] * 300
+    want = oracle_encode_tokens(tokens)
+    assert np.count_nonzero(want) == 1 and abs(want.sum()) == 1.0
+    assert_bits(encoder.encode_tokens(tokens), want)
+    assert_bits(embed_all(encoder, [tokens, ["tea"] * 7])[0], want)
+
+
+@pytest.mark.parametrize("dim, dtype", [(1, np.uint8), (128, np.uint8),
+                                        (256, np.uint16), (16384, np.uint16),
+                                        (32768, np.uint16), (32769, np.uint32)])
+def test_code_dtype_holds_every_code_of_its_dim(dim, dtype):
+    encoder = HashedTextEncoder(dim)
+    assert encoder.code_dtype == dtype
+    assert np.iinfo(encoder.code_dtype).max >= 2 * dim - 1
+    tokens = [f"w{i}" for i in range(2000)]
+    codes = encoder.token_codes(tokens)
+    expected = []
+    for token in tokens:
+        digest = hashlib.sha1(token.encode("utf-8")).digest()
+        slot = int.from_bytes(digest[:4], "big") % dim
+        expected.append(slot if digest[4] & 1 else slot + dim)
+    assert codes.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_multivector_matches_the_per_group_oracle_bit_for_bit(n):
+    encoder = MultiVectorQueryEncoder()
+    image = oracle_encode_tokens(["storefront", "image"])
+    for question in ["", "hi", "who founded this cafe in oakland",
+                     "What's the price of the Alessi 9093 kettle in this shop?"]:
+        for embedding in (None, image):
+            assert_bits(encoder.encode(question, embedding, n),
+                        oracle_multivector(question, embedding, n))
+
+
+def test_web_index_matrices_match_the_per_token_oracle_bit_for_bit():
+    rng = np.random.default_rng(3)
+    docs = [WebDoc(url=f"https://d/{i}", title=f"Doc {i}",
+                   snippet=" ".join(tokens) or "???",
+                   is_hard_negative=bool(i % 4 == 0))
+            for i, tokens in enumerate(random_token_lists(seed=3, count=40))]
+    index = WebSearchIndex(HashedTextEncoder(), hard_negative_rate=0.5).build(docs)
+    for matrix, part in ((index._pos_matrix, [d for d in docs if not d.is_hard_negative]),
+                         (index._neg_matrix, [d for d in docs if d.is_hard_negative])):
+        want = np.vstack([oracle_encode_tokens(tokenize(f"{d.title} {d.snippet}"))
+                          for d in part])
+        assert_bits(matrix, want)
 
 
 def test_tokenize_lowercases_and_keeps_apostrophes():

@@ -23,6 +23,7 @@ from dynarag.gateway import (
     Recorder,
     RemoteBackend,
     ScriptedBackend,
+    last_line_json,
 )
 from dynarag.orchestrator import STAGE_ERROR_FALLBACK, QueryTurn, SessionState
 from dynarag.postanswer import FALLBACK_ANSWER
@@ -53,6 +54,28 @@ def test_mock_echoes_scripted_fixture():
     response = gateway.generate(request())
     assert response.text == "scripted trace"
     assert response.token_probs == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("last_line", ['["a"]', '5', '"text"', 'null'])
+def test_last_line_json_rejects_anything_but_an_object(last_line):
+    gateway = make_gateway([entry(text=f"reasoning first\n{last_line}")])
+    with pytest.raises(ValueError):
+        last_line_json(gateway.generate(request()))
+    assert gateway.try_generate(request(), last_line_json) is None
+
+
+def test_last_line_json_returns_the_object_on_the_last_line():
+    gateway = make_gateway([entry(text='step 1\n{"answer": "x"}\n')])
+    assert last_line_json(gateway.generate(request())) == {"answer": "x"}
+
+
+def test_try_generate_lets_a_decoder_bug_propagate():
+    def broken(response):
+        return len(5)  # a TypeError is a bug, not an unparseable reply
+
+    gateway = make_gateway([entry(text='{"answer": "x"}')])
+    with pytest.raises(TypeError):
+        gateway.try_generate(request(), broken)
 
 
 def test_same_request_is_byte_identical():

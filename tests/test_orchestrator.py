@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from dynarag.orchestrator import (
     expected_stages,
     trace_to_dict,
 )
+from dynarag.image_agent import ImageSearchAgent
 from dynarag.postanswer import FALLBACK_ANSWER
 from dynarag.routing import Branch
 from dynarag.search import ImageKgIndex, WebSearchIndex
@@ -147,6 +149,60 @@ def test_slow_object_extraction_ends_the_turn_before_any_search(world_runtime,
                             "image_search", STAGE_DEADLINE_FALLBACK]
     assert trace.elapsed_s == pytest.approx(10.0)
     assert searches == []
+
+
+def scripted(runtime, *overrides: tuple[str, str]):
+    """The demo world with some of cafe-q1:0's replies replaced."""
+    from dynarag.fixtures import model_entries
+    from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
+    from dynarag.prompts import register_all
+
+    backend = ScriptedBackend(model_entries())
+    for template, text in overrides:
+        backend.add(FixtureEntry(template, "cafe-q1:0", text, (0.9,), 40.0))
+    gateway = ModelGateway(backend)
+    register_all(gateway)
+    return dataclasses.replace(runtime, gateway=gateway)
+
+
+CAFE_STAGES = ["pre_answer", "route_search", "route_tools", "image_search",
+               "text_search", "rerank", "generate", "verify"]
+
+
+@pytest.mark.parametrize("template, reply, warning", [
+    ("object_list", '{"object_list": 5}', "object extraction failed"),
+    ("object_list", '{"object_list": "cafe"}', "object extraction failed"),
+    ("object_list", '["cafe", "sign"]', "object extraction failed"),
+    ("decompose", '{"sub_queries": ["a"]}', "decomposition failed"),
+    ("decompose", '{"sub_queries": {"text": "a"}}', "decomposition failed"),
+    ("decompose", '[{"text": "a"}]', "decomposition failed"),
+    ("decompose", '{"sub_queries": [{"text": "a", "step": [1]}]}',
+     "decomposition failed"),
+])
+def test_wrong_shape_reply_falls_back_inside_its_agent(world_runtime, caplog,
+                                                      template, reply, warning):
+    runtime = scripted(world_runtime, (template, reply))
+    with caplog.at_level(logging.WARNING):
+        answer, trace = run_single(runtime, "cafe-q1", "Who founded this cafe?",
+                                   "img-cafe")
+    assert warning in caplog.text
+    assert trace.stages == CAFE_STAGES
+    assert not trace.answer.fallback
+
+
+@pytest.mark.parametrize("reply", ['["cafe"]', "7", '"cafe"'])
+def test_wrong_shape_object_select_falls_back_to_the_first_candidate(
+        world_runtime, monkeypatch, reply):
+    runtime = scripted(world_runtime,
+                       ("object_list", '{"object_list": ["awning", "cafe"]}'),
+                       ("object_select", reply))
+    selected = []
+    select = ImageSearchAgent.select_object
+    monkeypatch.setattr(ImageSearchAgent, "select_object",
+                        lambda *args: selected.append(select(*args)) or selected[-1])
+    answer, trace = run_single(runtime, "cafe-q1", "Who founded this cafe?", "img-cafe")
+    assert [c.name for c in selected] == ["awning"]
+    assert trace.stages == CAFE_STAGES
 
 
 def test_session_budget_limits_later_turns():

@@ -48,3 +48,22 @@ def test_tracer_installs_spans_a_turn_and_uninstalls(tracer_module, world_runtim
             "routing.tools", "reranker.rerank", "search.web"} <= names
     for name, (owner, attr) in tracer_module.TRACED.items():
         assert vars(owner)[attr] is originals[name], name
+
+
+def test_tracer_records_the_reranker_funnel_of_a_rag_turn(tracer_module, world_runtime):
+    """The funnel metrics (hits, chunks, keep ratio) are read off the
+    ``reranker.chunk`` span: a reranker that stopped calling
+    ``chunk_evidence`` would silently report them as 0."""
+    tracer = tracer_module.Tracer().install()
+    try:
+        orchestrator = world_runtime.orchestrator(clock=SimulatedClock())
+        turn = QueryTurn("cafe-q1", 0, "Who founded this cafe?", "img-cafe", 10.0)
+        [(answer, trace)] = orchestrator.run_session([turn])
+    finally:
+        tracer.uninstall()
+    assert trace.route.branch.value == "rag_augment"
+    spans = {span.name: span for span in tracer.spans}
+    chunk = spans["reranker.chunk"]
+    assert chunk.attrs["hits"] > 0 and chunk.attrs["chunks"] > 0
+    assert spans["reranker.coarse"].parent == spans["reranker.rerank"].id
+    assert spans["reranker.coarse"].attrs["kept"] > 0

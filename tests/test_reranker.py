@@ -9,6 +9,7 @@ from dynarag.errors import ScorerUnavailable
 from dynarag.reranker import (
     AssembledContext,
     Chunk,
+    ChunkCodeStore,
     ChunkScore,
     TokenOverlapScorer,
     assemble_context,
@@ -103,7 +104,7 @@ def test_chunk_matching_one_query_vector_scores_one():
     # second token group matches that slot exactly.
     cfg = RerankConfig(tau_coarse=0.9, n_query_tokens=3)
     c = chunk(0, "beta delta")
-    out = coarse_score("alpha beta gamma delta", None, [c], cfg, QUERY_ENC, TEXT_ENC)
+    out = coarse_score("alpha beta gamma delta", None, [c], cfg, QUERY_ENC, ChunkCodeStore(TEXT_ENC))
     assert len(out) == 1
     assert out[0][1] > 1.0 - 1e-9
 
@@ -112,7 +113,7 @@ def test_all_chunks_below_tau_gives_empty_survivors():
     cfg = RerankConfig(tau_coarse=0.99)
     chunks = [chunk(i, f"unrelated tokens {i}") for i in range(5)]
     out = coarse_score("completely different question", None, chunks, cfg,
-                       QUERY_ENC, TEXT_ENC)
+                       QUERY_ENC, ChunkCodeStore(TEXT_ENC))
     assert out == []
 
 
@@ -123,7 +124,7 @@ def test_coarse_top_k1_matches_bruteforce_double_loop():
     cfg = RerankConfig(k1=20, tau_coarse=0.0, n_query_tokens=8)
     question = "w1 w2 w3 w4 w5"
 
-    out = coarse_score(question, None, chunks, cfg, QUERY_ENC, TEXT_ENC)
+    out = coarse_score(question, None, chunks, cfg, QUERY_ENC, ChunkCodeStore(TEXT_ENC))
 
     qvecs = QUERY_ENC.encode(question, None, cfg.n_query_tokens)
     oracle_scores = []
@@ -277,7 +278,7 @@ def random_hits(rng, n_docs=8) -> list[SearchHit]:
 
 
 def cascade(question, hits, cfg) -> AssembledContext:
-    return rerank(question, None, hits, cfg, QUERY_ENC, TEXT_ENC)
+    return rerank(question, None, hits, cfg, QUERY_ENC, ChunkCodeStore(TEXT_ENC))
 
 
 def test_threshold_monotonicity():
