@@ -7,9 +7,12 @@
 
 ``eval`` and ``trace`` run sessions through the same runner,
 ``Orchestrator.run_session``, so a traced turn sees the session state that
-eval gave it. Both check the whole dataset before any turn runs: a malformed
-line or a session whose turn indices are not 0..n-1 prints one ``error:``
-line to stderr and exits 2, as a bad ``--index`` does.
+eval gave it. Both check the whole dataset before any turn runs. A bad input
+file prints one ``error:`` line naming it to stderr and exits 2, as a bad
+``--index`` does: a config that is missing, does not parse or has an unknown key,
+a corpus or fixture file that is missing or has a malformed line, a malformed
+dataset line, or a session whose turn indices are not 0..n-1. An exception
+raised inside a turn is not an input error and propagates.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -58,9 +62,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    """A bad input file or argument: one ``error:`` line on stderr, exit 2."""
+
+
+@contextmanager
+def _input_file(path):
+    """Report an input file that fails to load as a UsageError naming it."""
+    try:
+        yield
+    except ParseError as exc:  # names its own file and line
+        raise UsageError(str(exc)) from exc
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _load_config(args) -> PipelineConfig:
+    with _input_file(args.config):
+        return PipelineConfig.from_file(args.config)
+
+
+def _build_runtime(args, config: PipelineConfig):
+    """The runtime over the files the config names; a corpus or fixture file
+    that fails to load is reported against the config that named it."""
+    with _input_file(args.config):
+        return build_runtime(config)
+
+
 def cmd_ingest(args) -> int:
-    config = PipelineConfig.from_file(args.config)
-    runtime = build_runtime(config)
+    runtime = _build_runtime(args, _load_config(args))
     stats = {
         "web_docs": len(runtime.web_index),
         "kg_entries": len(runtime.kg_index),
@@ -74,24 +104,19 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-class UsageError(Exception):
-    """A bad dataset or argument: one ``error:`` line on stderr, exit 2."""
-
-
 def _load_sessions(args, config: PipelineConfig
                    ) -> tuple[list[EvalRecord], dict[str, list[EvalRecord]]]:
     """The dataset's records and its checked sessions, before any turn runs."""
-    try:
+    with _input_file(args.dataset):
         records = load_dataset(args.dataset, config.limits.turn_deadline_s)
         return records, group_sessions(records)
-    except (ParseError, ValueError) as exc:
-        raise UsageError(f"{args.dataset}: {exc}") from exc
 
 
 def cmd_eval(args) -> int:
-    config = PipelineConfig.from_file(args.config)
+    config = _load_config(args)
     _, sessions = _load_sessions(args, config)
-    report = evaluate(sessions, build_runtime(config), simulated_time=not args.real_time)
+    report = evaluate(sessions, _build_runtime(args, config),
+                      simulated_time=not args.real_time)
     out = Path(args.report_out)
     out.write_text(report.to_json() + "\n", encoding="utf-8")
     out.with_suffix(out.suffix + ".md").write_text(report.to_markdown(), encoding="utf-8")
@@ -101,7 +126,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    config = PipelineConfig.from_file(args.config)
+    config = _load_config(args)
     records, sessions = _load_sessions(args, config)
     if not (0 <= args.index < len(records)):
         raise UsageError(f"index {args.index} out of range "
@@ -110,7 +135,7 @@ def cmd_trace(args) -> int:
 
     # Run the record's session up to and including its turn, as eval does.
     turns = [r.turn for r in sessions[record.turn.session_id]]
-    orchestrator = build_runtime(config).orchestrator(clock=SimulatedClock())
+    orchestrator = _build_runtime(args, config).orchestrator(clock=SimulatedClock())
     results = orchestrator.run_session(turns)
     *_, (final_answer, trace) = islice(results, record.turn.turn_index + 1)
     print(json.dumps(

@@ -196,10 +196,23 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        """``from_dict`` of the YAML or JSON document at ``path``. A relative
+        ``paths.*`` entry names a file relative to the config file's own
+        directory, not the current one; an absolute entry is kept."""
         path = Path(path)
         text = path.read_text(encoding="utf-8")
-        raw = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
-        return cls.from_dict(raw or {})
+        try:
+            raw = json.loads(text) if path.suffix == ".json" else yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            # one line: the parser's message spans several
+            raise ValueError("invalid YAML: " + " ".join(str(exc).split())) from exc
+        config = cls.from_dict(raw or {})
+        base = path.absolute().parent
+        for f in fields(config.paths):
+            value = getattr(config.paths, f.name)
+            if value:
+                setattr(config.paths, f.name, str(base / value))
+        return config
 
 
 def _load_section(defaults, overrides: dict, where: str):

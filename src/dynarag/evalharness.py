@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import read_jsonl
 from .orchestrator import PipelineTrace, QueryTurn, check_session
 from .pipeline import PipelineRuntime
 from .postanswer import FALLBACK_ANSWER
@@ -94,19 +94,7 @@ class EvalRecord:
 
 
 def load_dataset(path: str | Path, default_deadline_s: float) -> list[EvalRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(
-                    EvalRecord.from_dict(json.loads(line), default_deadline_s)
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-    return records
+    return read_jsonl(path, lambda raw: EvalRecord.from_dict(raw, default_deadline_s))
 
 
 def group_sessions(records: list[EvalRecord]) -> dict[str, list[EvalRecord]]:

@@ -19,7 +19,6 @@ from .config import PipelineConfig
 from .encoders import HashedTextEncoder
 from .gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from .pipeline import PipelineRuntime
-from .prompts import register_all
 from .search import (
     ImageKgIndex,
     ImageRecord,
@@ -635,11 +634,9 @@ def build_world_runtime(config: PipelineConfig | None = None) -> PipelineRuntime
     """In-memory runtime over the demo world (no files involved)."""
     config = config or PipelineConfig()
     encoder = HashedTextEncoder(config.encoder.dim)
-    gateway = ModelGateway(ScriptedBackend(model_entries()))
-    register_all(gateway)
     return PipelineRuntime(
         config=config,
-        gateway=gateway,
+        gateway=ModelGateway(ScriptedBackend(model_entries())),
         web_index=WebSearchIndex(encoder, config.hard_negative.rate).build(build_web_docs()),
         kg_index=ImageKgIndex().build(build_kg_entries()),
         image_store=ImageStore(build_image_records()),
@@ -647,7 +644,8 @@ def build_world_runtime(config: PipelineConfig | None = None) -> PipelineRuntime
 
 
 def write_world(root: str | Path) -> dict[str, Path]:
-    """Materialize the demo world as files; returns the path map."""
+    """Materialize the demo world as files; returns the path map. The config
+    names the other files relative to ``root``, so the world can be moved."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -672,10 +670,8 @@ def write_world(root: str | Path) -> dict[str, Path]:
 
     config_doc = {
         "paths": {
-            "web_corpus": str(paths["web_corpus"]),
-            "kg_corpus": str(paths["kg_corpus"]),
-            "image_fixtures": str(paths["image_fixtures"]),
-            "model_fixtures": str(paths["model_fixtures"]),
+            name: paths[name].name
+            for name in ("web_corpus", "kg_corpus", "image_fixtures", "model_fixtures")
         },
     }
     import yaml

@@ -1,5 +1,9 @@
 """Single gateway through which every model call flows.
 
+A ``ModelRequest`` names a template in ``prompts.TEMPLATES``, its slot values
+and the fixture key a scripted backend looks the reply up by.
+``ModelGateway(backend)`` needs no further set-up.
+
 Backends:
   - ScriptedBackend: deterministic responses loaded from a JSONL fixture file,
     keyed by (template_id, fixture_key). Doubles as the replay backend for
@@ -24,48 +28,28 @@ import logging
 import threading
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
     BackendError,
     BackendTimeout,
-    DuplicateTemplate,
     GatewayError,
     MissingSlot,
     UnknownFixture,
     UnknownTemplate,
+    read_jsonl,
 )
+from .prompts import TEMPLATES
 from .timing import TimeBudget
 
 logger = logging.getLogger(__name__)
-
-FIXTURE_KEY_SLOT = "fixture_key"
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    template_id: str
-    body: str
-    required_slots: frozenset[str]
-    requires_image: bool = False
-
-    def render(self, slots: dict[str, str]) -> str:
-        missing = self.required_slots - slots.keys()
-        if missing:
-            raise MissingSlot(
-                f"template {self.template_id!r} missing slots: {sorted(missing)}"
-            )
-        out = self.body
-        for name, value in slots.items():
-            out = out.replace("{" + name + "}", str(value))
-        return out
-
 
 @dataclass(frozen=True)
 class ModelRequest:
     template_id: str
     slots: dict[str, str]
+    fixture_key: str
     image_ref: str | None = None
 
 
@@ -133,11 +117,7 @@ class ScriptedBackend:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
         backend = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    backend.add(FixtureEntry.from_dict(json.loads(line)))
+        read_jsonl(path, lambda raw: backend.add(FixtureEntry.from_dict(raw)))
         return backend
 
     def complete(self, template_id: str, fixture_key: str, prompt: str,
@@ -224,41 +204,21 @@ class RemoteBackend:
 
 @dataclass
 class ModelGateway:
-    """Template registry plus a pluggable completion backend."""
+    """The pipeline's prompt templates (``prompts.TEMPLATES``) over a
+    pluggable completion backend."""
 
     backend: ScriptedBackend | Recorder | RemoteBackend
-    _templates: dict[str, PromptTemplate] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def register_template(
-        self,
-        template_id: str,
-        body: str,
-        required_slots: set[str],
-        requires_image: bool = False,
-    ) -> None:
-        with self._lock:
-            if template_id in self._templates:
-                raise DuplicateTemplate(f"template {template_id!r} already registered")
-            self._templates[template_id] = PromptTemplate(
-                template_id, body, frozenset(required_slots), requires_image
-            )
-
-    def template(self, template_id: str) -> PromptTemplate:
-        try:
-            return self._templates[template_id]
-        except KeyError:
-            raise UnknownTemplate(f"no template {template_id!r}") from None
 
     def generate(self, request: ModelRequest, budget: TimeBudget | None = None) -> ModelResponse:
-        template = self.template(request.template_id)
+        template = TEMPLATES.get(request.template_id)
+        if template is None:
+            raise UnknownTemplate(f"no template {request.template_id!r}")
         if template.requires_image and request.image_ref is None:
             raise MissingSlot(
                 f"template {request.template_id!r} requires an image reference"
             )
         prompt = template.render(request.slots)
-        fixture_key = request.slots.get(FIXTURE_KEY_SLOT, "")
-        return self.backend.complete(request.template_id, fixture_key, prompt, budget)
+        return self.backend.complete(request.template_id, request.fixture_key, prompt, budget)
 
     def try_generate(self, request: ModelRequest, decode,
                      budget: TimeBudget | None = None):

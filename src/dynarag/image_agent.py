@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DetectorUnavailable, EmptyCandidates
-from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest, last_line_json
+from .gateway import ModelGateway, ModelRequest, last_line_json
 from .search import ImageKgIndex, ImageRecord, ImageStore, KgEntry, SearchHit, fuse_hits
 from .timing import TimeBudget
 
@@ -119,8 +119,8 @@ class ImageSearchAgent:
             raise ValueError("object_num must be >= 1")
         request = ModelRequest(
             template_id="object_list",
-            slots={"query": query, "object_num": str(object_num),
-                   FIXTURE_KEY_SLOT: fixture_key},
+            slots={"query": query, "object_num": str(object_num)},
+            fixture_key=fixture_key,
             image_ref=image_ref,
         )
         names = self.gateway.try_generate(request, _object_list, budget)
@@ -151,8 +151,8 @@ class ImageSearchAgent:
             slots={
                 "query": query,
                 "object_list": json.dumps([c.name for c in candidates]),
-                FIXTURE_KEY_SLOT: fixture_key,
             },
+            fixture_key=fixture_key,
             image_ref=image_ref,
         )
         chosen = self.gateway.try_generate(

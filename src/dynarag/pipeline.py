@@ -21,7 +21,6 @@ from .image_agent import ImageSearchAgent
 from .orchestrator import Orchestrator
 from .postanswer import PostAnswerModule
 from .preanswer import KeywordCentroidClassifier, PreAnswerModule
-from .prompts import register_all
 from .reranker import ChunkCodeStore
 from .search import ImageKgIndex, ImageStore, WebSearchIndex
 from .text_agent import TextSearchAgent
@@ -75,8 +74,6 @@ def build_runtime(config: PipelineConfig, backend=None) -> PipelineRuntime:
         if paths.model_fixtures is None:
             raise ValueError("config.paths.model_fixtures is required for the mock stack")
         backend = ScriptedBackend.from_jsonl(paths.model_fixtures)
-    gateway = ModelGateway(backend)
-    register_all(gateway)
 
     web_index = (
         WebSearchIndex.ingest(paths.web_corpus, encoder, config.hard_negative.rate)
@@ -94,7 +91,7 @@ def build_runtime(config: PipelineConfig, backend=None) -> PipelineRuntime:
 
     return PipelineRuntime(
         config=config,
-        gateway=gateway,
+        gateway=ModelGateway(backend),
         web_index=web_index,
         kg_index=kg_index,
         image_store=image_store,

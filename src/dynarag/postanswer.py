@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import VerifierConfig
-from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest
+from .gateway import ModelGateway, ModelRequest
 from .timing import TimeBudget
 
 FALLBACK_ANSWER = "I don't know"
@@ -123,8 +123,8 @@ class PostAnswerModule:
                 "question": question,
                 "evidence": context_text,
                 "history": history,
-                FIXTURE_KEY_SLOT: fixture_key,
             },
+            fixture_key=fixture_key,
             image_ref=image_ref,
         )
         response = self.gateway.generate(request, budget)
@@ -146,8 +146,8 @@ class PostAnswerModule:
                 "question": question,
                 "evidence": context_text,
                 "answer": reason_and_answer,
-                FIXTURE_KEY_SLOT: fixture_key,
             },
+            fixture_key=fixture_key,
             image_ref=image_ref,
         )
         verdict = self.gateway.try_generate(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DomainConfig, RoutingConfig
 from .encoders import HashedTextEncoder, tokenize
-from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest
+from .gateway import ModelGateway, ModelRequest
 from .prompts import CANNOT_DETERMINE, examples_for_domain
 from .timing import TimeBudget
 
@@ -285,8 +285,8 @@ class PreAnswerModule:
                 "domain": domain.name,
                 "examples": examples_for_domain(domain.name),
                 "history": history,
-                FIXTURE_KEY_SLOT: fixture_key,
             },
+            fixture_key=fixture_key,
             image_ref=image_ref,
         )
         response = self.gateway.generate(request, budget)

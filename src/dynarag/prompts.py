@@ -1,15 +1,47 @@
-"""Prompt templates and the in-context example packs keyed by domain.
+"""The pipeline's six prompt templates and the in-context example packs keyed
+by domain.
 
-Template bodies use ``{slot}`` placeholders. The sentinel strings matter:
-downstream parsers key on the numbered-step prefix, the "I cannot determine"
-marker (``CANNOT_DETERMINE``), the trailing JSON answer line, the
-reason/answer labels and the "**Response:**" verdict line, so they must stay
-in sync with the extractors.
+``TEMPLATES`` maps each template id to its ``PromptTemplate``. It is a
+constant: a gateway reads it and nothing registers into it. Template bodies use
+``{slot}`` placeholders, and a template's required slots are exactly the
+placeholders in its body. The JSON examples inside the bodies never match,
+because their keys are quoted. The sentinel strings matter: downstream parsers
+key on the numbered-step prefix, the "I cannot determine" marker
+(``CANNOT_DETERMINE``), the trailing JSON answer line, the reason/answer labels
+and the "**Response:**" verdict line, so they must stay in sync with the
+extractors.
 """
 
 from __future__ import annotations
 
-from .gateway import ModelGateway
+import re
+from dataclasses import dataclass, field
+
+from .errors import MissingSlot
+
+_SLOT = re.compile(r"\{(\w+)\}")
+
+
+@dataclass(frozen=True)
+class PromptTemplate:
+    template_id: str
+    body: str
+    requires_image: bool
+    required_slots: frozenset[str] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "required_slots", frozenset(_SLOT.findall(self.body)))
+
+    def render(self, slots: dict[str, str]) -> str:
+        """The body with every placeholder replaced in one pass, so text
+        inside a slot's value is never substituted again."""
+        missing = self.required_slots - slots.keys()
+        if missing:
+            raise MissingSlot(
+                f"template {self.template_id!r} missing slots: {sorted(missing)}"
+            )
+        return _SLOT.sub(lambda m: str(slots[m.group(1)]), self.body)
+
 
 CANNOT_DETERMINE = "I cannot determine the"
 
@@ -120,25 +152,13 @@ def examples_for_domain(domain: str) -> str:
     return DOMAIN_EXAMPLES.get(domain, DOMAIN_EXAMPLES["other"])
 
 
-def register_all(gateway: ModelGateway) -> None:
-    """Register every pipeline template on a fresh gateway."""
-    gateway.register_template(
-        "evaluator", EVALUATOR, {"query", "domain", "examples", "history"},
-        requires_image=True,
+TEMPLATES: dict[str, PromptTemplate] = {
+    t.template_id: t for t in (
+        PromptTemplate("evaluator", EVALUATOR, requires_image=True),
+        PromptTemplate("object_list", OBJECT_LIST, requires_image=True),
+        PromptTemplate("object_select", OBJECT_SELECT, requires_image=True),
+        PromptTemplate("decompose", DECOMPOSE, requires_image=False),
+        PromptTemplate("post_answer", POST_ANSWER, requires_image=True),
+        PromptTemplate("verifier", VERIFIER, requires_image=True),
     )
-    gateway.register_template(
-        "object_list", OBJECT_LIST, {"query", "object_num"}, requires_image=True
-    )
-    gateway.register_template(
-        "object_select", OBJECT_SELECT, {"query", "object_list"}, requires_image=True
-    )
-    gateway.register_template(
-        "decompose", DECOMPOSE, {"query", "reasoning", "visual_context", "history"}
-    )
-    gateway.register_template(
-        "post_answer", POST_ANSWER, {"question", "evidence", "history"},
-        requires_image=True,
-    )
-    gateway.register_template(
-        "verifier", VERIFIER, {"question", "evidence", "answer"}, requires_image=True
-    )
+}

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import RerankConfig
 from .encoders import HashedTextEncoder, MultiVectorQueryEncoder, tokenize
-from .errors import EncoderUnavailable, ScorerUnavailable
+from .errors import ScorerUnavailable
 from .search import KgEntry, SearchHit, Source, WebDoc
 
 _TAG_RE = re.compile(r"<[^>]+>")
@@ -219,14 +219,12 @@ def coarse_score(
     image_embedding: np.ndarray | None,
     chunks: list[Chunk],
     config: RerankConfig,
-    query_encoder: MultiVectorQueryEncoder | None = None,
-    chunk_store: ChunkCodeStore | None = None,
+    query_encoder: MultiVectorQueryEncoder,
+    chunk_store: ChunkCodeStore,
 ) -> list[tuple[Chunk, float]]:
     """Max-over-query-vectors cosine per chunk; threshold then cap at K1."""
     if not chunks:
         return []
-    if query_encoder is None or chunk_store is None:
-        raise EncoderUnavailable("coarse stage needs a query encoder and a chunk store")
 
     qvecs = query_encoder.encode(question, image_embedding, config.n_query_tokens)
     scores = (qvecs @ chunk_store.embed(chunks, config).T).max(axis=0)

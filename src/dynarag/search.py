@@ -12,7 +12,6 @@ noise.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import HashedTextEncoder, tokenize
-from .errors import DimensionMismatch, IndexNotBuilt, ParseError
+from .errors import DimensionMismatch, IndexNotBuilt, read_jsonl
 
 WEB_RESULT_CAP = 50  # the web API returns at most 50 pages per query
 
@@ -123,20 +122,6 @@ def fuse_hits(result_lists, k: int) -> list[SearchHit]:
     return sorted(best.values(), key=lambda h: (-h.score, h.url))[:k]
 
 
-def _read_jsonl(path: str | Path, parse) -> list:
-    items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(parse(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-    return items
-
-
 def _finite(values) -> np.ndarray:
     """Embedding as float64; NaN or infinite components raise ValueError."""
     array = np.asarray(values, dtype=np.float64)
@@ -199,7 +184,7 @@ class WebSearchIndex:
     def ingest(cls, corpus_path: str | Path, encoder: HashedTextEncoder | None = None,
                hard_negative_rate: float = 0.0) -> "WebSearchIndex":
         index = cls(encoder, hard_negative_rate)
-        index.build(_read_jsonl(corpus_path, WebDoc.from_dict))
+        index.build(read_jsonl(corpus_path, WebDoc.from_dict))
         return index
 
     def build(self, docs: list[WebDoc]) -> "WebSearchIndex":
@@ -274,7 +259,7 @@ class ImageKgIndex:
     @classmethod
     def ingest(cls, corpus_path: str | Path) -> "ImageKgIndex":
         index = cls()
-        index.build(_read_jsonl(corpus_path, KgEntry.from_dict))
+        index.build(read_jsonl(corpus_path, KgEntry.from_dict))
         return index
 
     def build(self, entries: list[KgEntry]) -> "ImageKgIndex":
@@ -367,7 +352,7 @@ class ImageStore:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ImageStore":
-        return cls(_read_jsonl(path, ImageRecord.from_dict))
+        return cls(read_jsonl(path, ImageRecord.from_dict))
 
     def get(self, image_id: str) -> ImageRecord | None:
         return self._records.get(image_id)

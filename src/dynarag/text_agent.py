@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .gateway import FIXTURE_KEY_SLOT, ModelGateway, ModelRequest, last_line_json
+from .gateway import ModelGateway, ModelRequest, last_line_json
 from .image_agent import VerifiedEntity
 from .preanswer import ReasoningTrace
 from .search import SearchHit, WebSearchIndex, fuse_hits
@@ -94,8 +94,8 @@ class TextSearchAgent:
                 "reasoning": "\n".join(trace.steps),
                 "visual_context": visual_context or "",
                 "history": history,
-                FIXTURE_KEY_SLOT: fixture_key,
             },
+            fixture_key=fixture_key,
         )
         subs = self.gateway.try_generate(
             request, lambda r: self._parse_subqueries(last_line_json(r), trace), budget)

@@ -55,10 +55,6 @@ class TimeBudget:
         self.clock = clock
         self.deadline_at = deadline_at
 
-    @classmethod
-    def unlimited(cls, clock=None) -> "TimeBudget":
-        return cls(clock or SimulatedClock(), deadline_at=None)
-
     def remaining(self) -> float:
         if self.deadline_at is None:
             return float("inf")

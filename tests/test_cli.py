@@ -156,3 +156,69 @@ def test_malformed_dataset_line_is_one_error_line(world, tmp_path, capsys, comma
                  "--dataset", str(dataset), *extra])
     assert code == 2
     one_error_line(capsys, "line 2")
+
+
+def command_args(command, config, world, tmp_path):
+    extra = {"ingest": [],
+             "eval": ["--dataset", str(world["dataset"]),
+                      "--report-out", str(tmp_path / "report.json")],
+             "trace": ["--dataset", str(world["dataset"]), "--index", "0"]}
+    return [command, "--config", str(config), *extra[command]]
+
+
+COMMANDS = ["ingest", "eval", "trace"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("text, needle", [("rerank:\n  k_1: 5\n", "k_1"),
+                                          ("paths: [\n", "invalid YAML")])
+def test_bad_config_is_one_error_line(world, tmp_path, capsys, command, text, needle):
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main(command_args(command, config, world, tmp_path)) == 2
+    one_error_line(capsys, str(config), needle)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_missing_config_file_is_one_error_line(world, tmp_path, capsys, command):
+    config = tmp_path / "no-such-config.yaml"
+    assert main(command_args(command, config, world, tmp_path)) == 2
+    one_error_line(capsys, str(config), "No such file")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_json_corpus_line_is_one_error_line(world, tmp_path, capsys, command):
+    broken = write_world(tmp_path / "broken")
+    lines = broken["web_corpus"].read_text().splitlines()
+    broken["web_corpus"].write_text("\n".join([lines[0], "not json", *lines[1:]]) + "\n")
+    assert main(command_args(command, broken["config"], world, tmp_path)) == 2
+    one_error_line(capsys, str(broken["web_corpus"]), "line 2")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_missing_corpus_file_is_one_error_line(world, tmp_path, capsys, command):
+    broken = write_world(tmp_path / "broken")
+    broken["kg_corpus"].unlink()
+    assert main(command_args(command, broken["config"], world, tmp_path)) == 2
+    one_error_line(capsys, str(broken["config"]), str(broken["kg_corpus"]))
+
+
+def test_model_fixture_line_without_a_key_is_one_error_line(world, tmp_path, capsys):
+    broken = write_world(tmp_path / "broken")
+    broken["model_fixtures"].write_text('{"template_id": "evaluator"}\n')
+    assert main(command_args("eval", broken["config"], world, tmp_path)) == 2
+    one_error_line(capsys, str(broken["model_fixtures"]), "line 1", "'fixture_key'")
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+@pytest.mark.parametrize("error", [ValueError, OSError, RuntimeError])
+def test_an_exception_inside_a_turn_propagates(world, tmp_path, monkeypatch, command, error):
+    from dynarag.orchestrator import Orchestrator
+
+    def failing_turn(*args):
+        raise error("raised inside a turn")
+
+    monkeypatch.setattr(Orchestrator, "answer_turn", failing_turn)
+    with pytest.raises(error, match="inside a turn"):
+        main(command_args(command, world["config"], world, tmp_path))

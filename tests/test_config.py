@@ -1,9 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 from dynarag.config import PipelineConfig, RerankConfig
+from dynarag.errors import ParseError
+from dynarag.evalharness import load_dataset
+from dynarag.fixtures import write_world
+from dynarag.gateway import ScriptedBackend
+from dynarag.pipeline import build_runtime
+from dynarag.search import ImageKgIndex, ImageStore, WebSearchIndex
 
 
 def test_defaults_are_usable():
@@ -74,3 +81,78 @@ def test_unknown_config_keys_are_rejected(tmp_path, doc, key):
     path.write_text(yaml.safe_dump(doc))
     with pytest.raises(ValueError, match=key):
         PipelineConfig.from_file(path)
+
+
+# --- the files a config names -------------------------------------------------------
+
+
+def test_relative_paths_resolve_against_the_config_directory(tmp_path, monkeypatch):
+    world = write_world(tmp_path / "world")
+    doc = yaml.safe_load(world["config"].read_text())
+    assert doc["paths"]["web_corpus"] == "web_corpus.jsonl"
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    config = PipelineConfig.from_file(world["config"])
+    assert Path(config.paths.web_corpus) == world["web_corpus"]
+    assert len(build_runtime(config).web_index) == 14
+
+
+def test_absolute_paths_keep_their_meaning(tmp_path):
+    corpus = write_world(tmp_path / "world")["web_corpus"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"paths": {"web_corpus": str(corpus)}}))
+    assert PipelineConfig.from_file(path).paths.web_corpus == str(corpus)
+    assert PipelineConfig.from_file(path).paths.kg_corpus is None
+
+
+def test_a_world_written_to_a_relative_directory_loads_from_any_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_world("w")
+    for cwd, config_path in [(tmp_path, "w/config.yaml"), (tmp_path / "w", "config.yaml")]:
+        monkeypatch.chdir(cwd)
+        runtime = build_runtime(PipelineConfig.from_file(config_path))
+        assert (len(runtime.web_index), len(runtime.kg_index), len(runtime.image_store)) \
+            == (14, 6, 19)
+
+
+LOADERS = {
+    "web_corpus": WebSearchIndex.ingest,
+    "kg_corpus": ImageKgIndex.ingest,
+    "image_fixtures": ImageStore.from_jsonl,
+    "model_fixtures": ScriptedBackend.from_jsonl,
+    "dataset": lambda path: load_dataset(path, 10.0),
+}
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("{not json", "Expecting property name"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ("{}", "missing key"),
+])
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_a_malformed_line_in_any_input_file_names_its_line(tmp_path, name, bad_line, message):
+    path = write_world(tmp_path)[name]
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:2], bad_line, *lines[2:]]) + "\n")
+    with pytest.raises(ParseError) as err:
+        LOADERS[name](path)
+    assert (err.value.path, err.value.line) == (path, 3)
+    assert str(err.value).startswith(f"{path}: line 3: ")
+    assert message in str(err.value)
+
+
+def test_a_fixture_line_without_a_key_names_the_key(tmp_path):
+    path = tmp_path / "model_fixtures.jsonl"
+    path.write_text('{"template_id": "evaluator"}\n')
+    with pytest.raises(ParseError, match="line 1: missing key 'fixture_key'"):
+        ScriptedBackend.from_jsonl(path)
+
+
+def test_a_fixture_probability_out_of_range_names_its_line(tmp_path):
+    path = tmp_path / "model_fixtures.jsonl"
+    row = {"template_id": "evaluator", "fixture_key": "k", "text": "t"}
+    path.write_text(json.dumps({**row, "token_probs": [0.5]}) + "\n"
+                    + json.dumps({**row, "token_probs": [1.5]}) + "\n")
+    with pytest.raises(ParseError, match="line 2: .*outside"):
+        ScriptedBackend.from_jsonl(path)

@@ -14,7 +14,6 @@ from dynarag.evalharness import (
 from dynarag.fixtures import eval_rows, model_entries
 from dynarag.gateway import ModelGateway, ScriptedBackend
 from dynarag.orchestrator import STAGE_ERROR_FALLBACK
-from dynarag.prompts import register_all
 
 
 # --- accuracy oracle ---------------------------------------------------------------
@@ -213,9 +212,7 @@ def write_rows(tmp_path, rows):
 def test_library_error_scores_as_fallback_and_session_continues(world_runtime, tmp_path):
     entries = [e for e in model_entries()
                if (e.template_id, e.fixture_key) != ("evaluator", "dialog-1:0")]
-    gateway = ModelGateway(ScriptedBackend(entries))
-    register_all(gateway)
-    runtime = dataclasses.replace(world_runtime, gateway=gateway)
+    runtime = dataclasses.replace(world_runtime, gateway=ModelGateway(ScriptedBackend(entries)))
     rows = [r for r in eval_rows()
             if r["session_id"] == "dialog-1" and r["turn_index"] < 2]
     first, second = run_eval(write_rows(tmp_path, rows), runtime).records

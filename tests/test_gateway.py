@@ -10,7 +10,6 @@ import pytest
 
 from dynarag.errors import (
     BackendTimeout,
-    DuplicateTemplate,
     GatewayError,
     MissingSlot,
     UnknownFixture,
@@ -25,28 +24,96 @@ from dynarag.gateway import (
     ScriptedBackend,
     last_line_json,
 )
+from dynarag.fixtures import model_entries
 from dynarag.orchestrator import STAGE_ERROR_FALLBACK, QueryTurn, SessionState
 from dynarag.postanswer import FALLBACK_ANSWER
-from dynarag.prompts import register_all
+from dynarag.prompts import TEMPLATES, PromptTemplate
 from dynarag.timing import SimulatedClock, TimeBudget
 
 
 def make_gateway(entries=None) -> ModelGateway:
-    gateway = ModelGateway(ScriptedBackend(entries or []))
-    gateway.register_template("evaluator", "Q: {query} D: {domain}", {"query", "domain"})
-    return gateway
+    return ModelGateway(ScriptedBackend(entries or []))
 
 
-def entry(template="evaluator", key="umbrella-q1", text="scripted trace",
+def entry(template="decompose", key="umbrella-q1", text="scripted trace",
           probs=(1.0, 1.0), latency_ms=0.0) -> FixtureEntry:
     return FixtureEntry(template, key, text, probs, latency_ms)
 
 
 def request(key="umbrella-q1") -> ModelRequest:
+    """A ``decompose`` request: the one template that needs no image."""
     return ModelRequest(
-        template_id="evaluator",
-        slots={"query": "q", "domain": "other", "fixture_key": key},
+        template_id="decompose",
+        slots={"query": "q", "reasoning": "1. r", "visual_context": "", "history": ""},
+        fixture_key=key,
     )
+
+
+# The table each gateway used to be given at runtime, copied literally:
+# template id -> (required slots, requires an image).
+REGISTERED = {
+    "evaluator": ({"query", "domain", "examples", "history"}, True),
+    "object_list": ({"query", "object_num"}, True),
+    "object_select": ({"query", "object_list"}, True),
+    "decompose": ({"query", "reasoning", "visual_context", "history"}, False),
+    "post_answer": ({"question", "evidence", "history"}, True),
+    "verifier": ({"question", "evidence", "answer"}, True),
+}
+
+
+def test_templates_read_their_slots_from_their_bodies():
+    assert {tid: (set(t.required_slots), t.requires_image)
+            for tid, t in TEMPLATES.items()} == REGISTERED
+    assert all(t.template_id == tid for tid, t in TEMPLATES.items())
+
+
+class CapturingBackend:
+    def __init__(self):
+        self.calls = []
+
+    def complete(self, template_id, fixture_key, prompt, budget=None):
+        self.calls.append((template_id, fixture_key, prompt))
+        return ScriptedBackend([entry(template_id, fixture_key)]).complete(
+            template_id, fixture_key, prompt, budget)
+
+
+def oracle_render(body: str, slots: dict[str, str]) -> str:
+    """Every placeholder to a sentinel first, so no value is scanned again."""
+    for name in slots:
+        body = body.replace("{" + name + "}", f"\0{name}\0")
+    for name, value in slots.items():
+        body = body.replace(f"\0{name}\0", value)
+    return body
+
+
+@pytest.mark.parametrize("template_id", sorted(REGISTERED))
+@pytest.mark.parametrize("value", ["What does {history} say?", "see {query} or {evidence}"])
+def test_slot_values_render_verbatim(template_id, value):
+    names = sorted(REGISTERED[template_id][0])
+    slots = {name: f"{value} [{name}]" for name in names}
+    template = TEMPLATES[template_id]
+    prompt = template.render(slots)
+    assert prompt == oracle_render(template.body, slots)
+    for name in names:
+        assert prompt.count(f"{value} [{name}]") == template.body.count("{" + name + "}")
+
+    backend = CapturingBackend()
+    ModelGateway(backend).generate(ModelRequest(template_id, slots, "k", image_ref="img"))
+    assert backend.calls == [(template_id, "k", prompt)]
+
+
+def test_a_bare_gateway_serves_every_template():
+    entries = model_entries()
+    gateway = ModelGateway(ScriptedBackend(entries))
+    served = set()
+    for template_id, (names, _) in REGISTERED.items():
+        fixture = next(e for e in entries if e.template_id == template_id)
+        response = gateway.generate(ModelRequest(
+            template_id, {name: "x" for name in names}, fixture.fixture_key,
+            image_ref="img"))
+        assert response.text == fixture.text
+        served.add(template_id)
+    assert served == set(TEMPLATES)
 
 
 def test_mock_echoes_scripted_fixture():
@@ -94,37 +161,29 @@ def test_missing_fixture_raises_unknown_fixture():
 def test_unknown_template():
     gateway = make_gateway()
     with pytest.raises(UnknownTemplate):
-        gateway.generate(ModelRequest("nope", {"fixture_key": "k"}))
+        gateway.generate(ModelRequest("nope", {}, "k"))
 
 
 def test_missing_slot():
     gateway = make_gateway([entry()])
     with pytest.raises(MissingSlot):
-        gateway.generate(ModelRequest("evaluator", {"query": "q"}))
+        gateway.generate(ModelRequest("decompose", {"query": "q"}, "umbrella-q1"))
 
 
-def test_duplicate_template_rejected():
-    gateway = make_gateway()
-    with pytest.raises(DuplicateTemplate):
-        gateway.register_template("evaluator", "again", set())
-
-
-def test_empty_template_body_renders_empty():
+def test_empty_template_body_renders_empty(monkeypatch):
+    monkeypatch.setitem(TEMPLATES, "empty", PromptTemplate("empty", "", requires_image=False))
     gateway = make_gateway([FixtureEntry("empty", "k", "ok", (0.5,), 0.0)])
-    gateway.register_template("empty", "", set())
-    assert gateway.template("empty").render({}) == ""
-    response = gateway.generate(ModelRequest("empty", {"fixture_key": "k"}))
+    assert TEMPLATES["empty"].render({}) == ""
+    response = gateway.generate(ModelRequest("empty", {}, "k"))
     assert response.text == "ok"
 
 
 def test_vision_template_requires_image():
-    gateway = ModelGateway(ScriptedBackend([entry(template="vis")]))
-    gateway.register_template("vis", "{query}", {"query"}, requires_image=True)
+    gateway = ModelGateway(ScriptedBackend([entry(template="evaluator")]))
+    slots = {"query": "q", "domain": "other", "examples": "", "history": ""}
     with pytest.raises(MissingSlot):
-        gateway.generate(ModelRequest("vis", {"query": "q", "fixture_key": "umbrella-q1"}))
-    ok = gateway.generate(
-        ModelRequest("vis", {"query": "q", "fixture_key": "umbrella-q1"}, image_ref="img-1")
-    )
+        gateway.generate(ModelRequest("evaluator", slots, "umbrella-q1"))
+    ok = gateway.generate(ModelRequest("evaluator", slots, "umbrella-q1", image_ref="img-1"))
     assert ok.text == "scripted trace"
 
 
@@ -166,12 +225,10 @@ def test_record_then_replay_bit_identical(tmp_path):
     log = tmp_path / "recording.jsonl"
     scripted = ScriptedBackend([entry(), entry(key="second", text="other", probs=(0.9,))])
     gateway = ModelGateway(Recorder(scripted, log))
-    gateway.register_template("evaluator", "Q: {query} D: {domain}", {"query", "domain"})
 
     originals = [gateway.generate(request()), gateway.generate(request("second"))]
 
     replay = ModelGateway(ScriptedBackend.from_jsonl(log))
-    replay.register_template("evaluator", "Q: {query} D: {domain}", {"query", "domain"})
     replays = [replay.generate(request()), replay.generate(request("second"))]
     assert replays == originals
 
@@ -184,7 +241,7 @@ def test_fixture_file_round_trip(tmp_path):
     rows = [entry().to_dict(), entry(key="k2", text="two", probs=(0.25,), latency_ms=7.0).to_dict()]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     backend = ScriptedBackend.from_jsonl(path)
-    response = backend.complete("evaluator", "k2", "prompt")
+    response = backend.complete("decompose", "k2", "prompt")
     assert response.text == "two"
     assert response.latency == pytest.approx(0.007)
 
@@ -236,11 +293,7 @@ def _serving(handler):
 
 def test_remote_backend_round_trip():
     with _serving(_Handler) as endpoint:
-        gateway = ModelGateway(RemoteBackend(endpoint))
-        gateway.register_template("evaluator", "{query}", {"query"})
-        response = gateway.generate(
-            ModelRequest("evaluator", {"query": "q", "fixture_key": "abc"})
-        )
+        response = ModelGateway(RemoteBackend(endpoint)).generate(request("abc"))
         assert response.text == "echo:abc"
         assert response.token_probs == (0.8,)
 
@@ -285,32 +338,21 @@ def _closed_port_url() -> str:
     return f"http://127.0.0.1:{port}/"
 
 
-def _remote_gateway(endpoint: str) -> ModelGateway:
-    gateway = ModelGateway(RemoteBackend(endpoint))
-    gateway.register_template("evaluator", "{query}", {"query"})
-    return gateway
-
-
 def test_remote_backend_closed_port_raises_gateway_error():
     with pytest.raises(GatewayError):
-        _remote_gateway(_closed_port_url()).generate(
-            ModelRequest("evaluator", {"query": "q", "fixture_key": "k"})
-        )
+        ModelGateway(RemoteBackend(_closed_port_url())).generate(request("k"))
 
 
 @pytest.mark.parametrize("key", sorted(_BROKEN_REPLIES))
 def test_remote_backend_broken_reply_raises_gateway_error(key):
     with _serving(_BrokenHandler) as endpoint:
         with pytest.raises(GatewayError):
-            _remote_gateway(endpoint).generate(
-                ModelRequest("evaluator", {"query": "q", "fixture_key": key})
-            )
+            ModelGateway(RemoteBackend(endpoint)).generate(request(key))
 
 
 def test_answer_turn_over_closed_port_falls_back(world_runtime):
-    gateway = ModelGateway(RemoteBackend(_closed_port_url()))
-    register_all(gateway)
-    runtime = dataclasses.replace(world_runtime, gateway=gateway)
+    runtime = dataclasses.replace(
+        world_runtime, gateway=ModelGateway(RemoteBackend(_closed_port_url())))
     turn = QueryTurn("cafe-q1", 0, "Who founded this cafe?", "img-cafe", 10.0)
     answer, trace = runtime.orchestrator(clock=SimulatedClock()).answer_turn(
         turn, SessionState("cafe-q1", 30.0)

@@ -10,7 +10,6 @@ from dynarag.image_agent import (
     Region,
     visual_match,
 )
-from dynarag.prompts import register_all
 from dynarag.timing import SimulatedClock, TimeBudget
 from dynarag.search import (
     ImageKgIndex,
@@ -57,10 +56,8 @@ IMAGE = ImageRecord(
 
 
 def make_agent(entries=None) -> ImageSearchAgent:
-    gateway = ModelGateway(ScriptedBackend(entries or []))
-    register_all(gateway)
     return ImageSearchAgent(
-        gateway=gateway,
+        gateway=ModelGateway(ScriptedBackend(entries or [])),
         kg_index=ImageKgIndex().build(KG_ENTRIES),
         image_store=ImageStore([IMAGE]),
     )

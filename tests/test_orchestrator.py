@@ -130,14 +130,11 @@ def test_slow_object_extraction_ends_the_turn_before_any_search(world_runtime,
                                                                 monkeypatch):
     from dynarag.fixtures import model_entries
     from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
-    from dynarag.prompts import register_all
 
     backend = ScriptedBackend(model_entries())
     backend.add(FixtureEntry("object_list", "cafe-q1:0",
                              '{"object_list": ["cafe"]}', (0.9,), 20_000.0))
-    gateway = ModelGateway(backend)
-    register_all(gateway)
-    runtime = dataclasses.replace(world_runtime, gateway=gateway)
+    runtime = dataclasses.replace(world_runtime, gateway=ModelGateway(backend))
     searches = []
     for index_class in (ImageKgIndex, WebSearchIndex):
         monkeypatch.setattr(index_class, "search",
@@ -155,14 +152,11 @@ def scripted(runtime, *overrides: tuple[str, str]):
     """The demo world with some of cafe-q1:0's replies replaced."""
     from dynarag.fixtures import model_entries
     from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
-    from dynarag.prompts import register_all
 
     backend = ScriptedBackend(model_entries())
     for template, text in overrides:
         backend.add(FixtureEntry(template, "cafe-q1:0", text, (0.9,), 40.0))
-    gateway = ModelGateway(backend)
-    register_all(gateway)
-    return dataclasses.replace(runtime, gateway=gateway)
+    return dataclasses.replace(runtime, gateway=ModelGateway(backend))
 
 
 CAFE_STAGES = ["pre_answer", "route_search", "route_tools", "image_search",
@@ -379,11 +373,9 @@ def test_executed_stages_match_branch_chain(world_runtime):
 def test_recorded_pipeline_run_replays_bit_identically(tmp_path, world_runtime):
     from dynarag.fixtures import model_entries
     from dynarag.gateway import ModelGateway, Recorder, ScriptedBackend
-    from dynarag.prompts import register_all
 
     log = tmp_path / "recording.jsonl"
     recording_gateway = ModelGateway(Recorder(ScriptedBackend(model_entries()), log))
-    register_all(recording_gateway)
 
     def runtime_with(gateway):
         return dataclasses.replace(world_runtime, gateway=gateway)
@@ -393,7 +385,6 @@ def test_recorded_pipeline_run_replays_bit_identically(tmp_path, world_runtime):
         clock=SimulatedClock()).run_session(turns))
 
     replay_gateway = ModelGateway(ScriptedBackend.from_jsonl(log))
-    register_all(replay_gateway)
     replayed = list(runtime_with(replay_gateway).orchestrator(
         clock=SimulatedClock()).run_session(turns))
 

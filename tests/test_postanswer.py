@@ -16,14 +16,11 @@ from dynarag.postanswer import (
     parse_verdict,
     white_box_verify,
 )
-from dynarag.prompts import register_all
 from dynarag.timing import SimulatedClock, TimeBudget
 
 
 def make_module(entries) -> PostAnswerModule:
-    gateway = ModelGateway(ScriptedBackend(entries))
-    register_all(gateway)
-    return PostAnswerModule(gateway, VerifierConfig())
+    return PostAnswerModule(ModelGateway(ScriptedBackend(entries)), VerifierConfig())
 
 
 # --- token statistics ---------------------------------------------------------

@@ -12,16 +12,14 @@ from dynarag.preanswer import (
     is_specific_identity,
     parse_trace,
 )
-from dynarag.prompts import register_all
 
 ROUTING = RoutingConfig()
 DOMAINS = DomainConfig()
 
 
 def make_module(entries) -> PreAnswerModule:
-    gateway = ModelGateway(ScriptedBackend(entries))
-    register_all(gateway)
-    return PreAnswerModule(gateway, KeywordCentroidClassifier(DOMAINS), ROUTING)
+    return PreAnswerModule(ModelGateway(ScriptedBackend(entries)),
+                           KeywordCentroidClassifier(DOMAINS), ROUTING)
 
 
 def evaluator_entry(key, text, probs=(0.9, 0.9)):

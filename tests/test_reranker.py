@@ -144,11 +144,6 @@ def test_coarse_top_k1_matches_bruteforce_double_loop():
         assert abs(got - want) < 1e-9
 
 
-def test_coarse_requires_encoders():
-    from dynarag.errors import EncoderUnavailable
-    with pytest.raises(EncoderUnavailable):
-        coarse_score("q", None, [chunk(0, "t")], RerankConfig())
-
 
 # --- fine stage -----------------------------------------------------------------------
 

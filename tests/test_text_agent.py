@@ -7,7 +7,6 @@ from dynarag.errors import BackendTimeout
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from dynarag.image_agent import VerifiedEntity
 from dynarag.preanswer import parse_trace
-from dynarag.prompts import register_all
 from dynarag.search import KgEntry, WebDoc, WebSearchIndex, unit_embedding_for
 from dynarag.text_agent import SubQuery, SubQueryOrigin, TextSearchAgent, enhance
 from dynarag.timing import SimulatedClock, TimeBudget
@@ -39,10 +38,8 @@ BMW_TRACE = trace("\n".join([
 
 
 def make_agent(entries=None, docs=DOCS, k_total=10) -> TextSearchAgent:
-    gateway = ModelGateway(ScriptedBackend(entries or []))
-    register_all(gateway)
     return TextSearchAgent(
-        gateway=gateway,
+        gateway=ModelGateway(ScriptedBackend(entries or [])),
         web_index=WebSearchIndex().build(docs),
         k_per_query=10,
         k_total=k_total,

@@ -52,7 +52,7 @@ def test_budget_check_raises_once_expired():
 
 
 def test_unlimited_budget_never_expires():
-    budget = TimeBudget.unlimited()
+    budget = TimeBudget(SimulatedClock())
     budget.spend(1e9)
     assert not budget.expired()
     assert budget.remaining() == float("inf")
