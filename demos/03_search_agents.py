@@ -1,9 +1,10 @@
 """Run the image and text search agents on the cafe-founder query.
 
-The image agent extracts and selects the queried object, searches the KG per
-detected region, and verifies the retrieved entity. The text agent then turns
-the question into sub-queries (the verified entity resolves 'this cafe') and
-fuses per-sub-query web results.
+The image agent extracts candidate object names, selects the one the question
+is about, searches the KG per detected region of the image's record, and
+verifies the retrieved entity. The text agent then turns the question into
+plain sub-query strings (the verified entity resolves 'this cafe') and fuses
+per-sub-query web results.
 """
 
 from dynarag.fixtures import build_world_runtime
@@ -19,10 +20,10 @@ image_agent = runtime.image_agent
 
 print("== visual grounding ==")
 candidates = image_agent.extract_objects(IMAGE, QUESTION, cfg.agents.object_num, KEY)
-print("candidates:", [c.name for c in candidates])
+print("candidates:", candidates)
 target = image_agent.select_object(candidates, QUESTION, IMAGE, KEY)
-print("selected:  ", target.full_name)
-regions = image_agent.detect_regions(IMAGE, target.name)
+print("selected:  ", target)
+regions = image_agent.detect_regions(runtime.image_store.get(IMAGE), target)
 print("regions:   ", [(r.label, r.bbox) for r in regions])
 hits = image_agent.multi_image_search(regions, k=3)
 for hit in hits:
@@ -40,7 +41,7 @@ subqueries = text_agent.rephrase_and_split(
 )
 subqueries.append(text_agent.fuse_object(QUESTION, entity))
 for sub in subqueries:
-    print(f"  [{sub.origin.value}] {sub.text}")
+    print("  sub-query:", sub)
 
 for hit in text_agent.text_search(subqueries)[:3]:
     print(f"  web hit {hit.score:+.3f}  {hit.payload.title}")

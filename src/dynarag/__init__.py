@@ -19,7 +19,6 @@ from .preanswer import DomainLabel, FeatureFlags, ReasoningTrace
 from .reranker import AssembledContext, Chunk, ChunkScore
 from .routing import Branch, RouteDecision, ToolDecision, route_search, route_tools
 from .search import ImageKgIndex, KgEntry, SearchHit, WebDoc, WebSearchIndex
-from .text_agent import SubQuery
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "ScriptedBackend",
     "SearchHit",
     "SessionState",
-    "SubQuery",
     "TokenStats",
     "ToolDecision",
     "VerifiedAnswer",

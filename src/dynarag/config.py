@@ -104,6 +104,11 @@ class AgentConfig:
     object_num: int = 5
     entity_threshold: float = 0.5
 
+    def __post_init__(self):
+        for name in ("k_per_query", "k_total", "object_num"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+
 
 @dataclass
 class RerankConfig:

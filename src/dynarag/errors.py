@@ -49,10 +49,24 @@ class ParseError(DynaragError):
         self.line = line
 
 
+NUMBER = (int, float)
+
+
+def typed(value, kind, name: str):
+    """``value`` if it is a ``kind`` (a type or a tuple of types); otherwise
+    ValueError naming the field. The ``from_dict`` parsers check each JSON
+    value with it, so a wrong-typed field is reported with its line."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"{name}: expected {names}, got {type(value).__name__}")
+    return value
+
+
 def read_jsonl(path: str | Path, parse) -> list:
     """``parse`` of each non-blank line's JSON object, in file order. A line
-    that is not a JSON object, or that ``parse`` rejects with KeyError or
-    ValueError, raises ParseError naming the path and the line."""
+    that is not a JSON object, or that ``parse`` rejects with KeyError,
+    ValueError or OverflowError (``Infinity`` where an integer belongs),
+    raises ParseError naming the path and the line."""
     items = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -65,7 +79,7 @@ def read_jsonl(path: str | Path, parse) -> list:
                 items.append(parse(raw))
             except KeyError as exc:
                 raise ParseError(f"missing key {exc}", path, lineno) from exc
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(str(exc), path, lineno) from exc
     return items
 
@@ -80,15 +94,7 @@ class DimensionMismatch(DynaragError):
     pass
 
 
-# --- agents and reranker ---------------------------------------------------
-
-class EmptyCandidates(DynaragError):
-    pass
-
-
-class DetectorUnavailable(DynaragError):
-    pass
-
+# --- reranker --------------------------------------------------------------
 
 class ScorerUnavailable(DynaragError):
     pass

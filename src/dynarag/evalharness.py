@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import read_jsonl
+from .errors import NUMBER, read_jsonl, typed
 from .orchestrator import PipelineTrace, QueryTurn, check_session
 from .pipeline import PipelineRuntime
 from .postanswer import FALLBACK_ANSWER
@@ -75,20 +75,22 @@ class EvalRecord:
 
     @classmethod
     def from_dict(cls, raw: dict, default_deadline_s: float) -> "EvalRecord":
-        truth = raw["ground_truth"]
+        truth = typed(raw["ground_truth"], str, "ground_truth")
         if not truth:
             raise ValueError("ground_truth must be non-empty")
         turn = QueryTurn(
-            session_id=raw["session_id"],
-            turn_index=int(raw.get("turn_index", 0)),
-            question=raw["question"],
-            image_ref=raw.get("image_ref"),
-            deadline_s=float(raw.get("deadline_s", default_deadline_s)),
+            session_id=typed(raw["session_id"], str, "session_id"),
+            turn_index=int(typed(raw.get("turn_index", 0), NUMBER, "turn_index")),
+            question=typed(raw["question"], str, "question"),
+            image_ref=typed(raw.get("image_ref"), (str, type(None)), "image_ref"),
+            deadline_s=float(typed(raw.get("deadline_s", default_deadline_s), NUMBER,
+                                   "deadline_s")),
         )
+        labels = typed(raw.get("taxonomy", {}), dict, "taxonomy")
         taxonomy = {
-            "dynamism": str(raw.get("taxonomy", {}).get("dynamism", "static")),
-            "category": str(raw.get("taxonomy", {}).get("category", "unknown")),
-            "domain": str(raw.get("taxonomy", {}).get("domain", "other")),
+            "dynamism": str(labels.get("dynamism", "static")),
+            "category": str(labels.get("category", "unknown")),
+            "domain": str(labels.get("domain", "other")),
         }
         return cls(turn=turn, ground_truth=truth, taxonomy=taxonomy)
 

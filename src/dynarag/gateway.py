@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
+    NUMBER,
     BackendError,
     BackendTimeout,
     GatewayError,
@@ -39,6 +40,7 @@ from .errors import (
     UnknownFixture,
     UnknownTemplate,
     read_jsonl,
+    typed,
 )
 from .prompts import TEMPLATES
 from .timing import TimeBudget
@@ -76,11 +78,12 @@ class FixtureEntry:
     @classmethod
     def from_dict(cls, raw: dict) -> "FixtureEntry":
         return cls(
-            template_id=raw["template_id"],
-            fixture_key=raw["fixture_key"],
-            text=raw["text"],
-            token_probs=tuple(float(p) for p in raw["token_probs"]),
-            latency_ms=float(raw.get("latency_ms", 0.0)),
+            template_id=typed(raw["template_id"], str, "template_id"),
+            fixture_key=typed(raw["fixture_key"], str, "fixture_key"),
+            text=typed(raw["text"], str, "text"),
+            token_probs=tuple(float(typed(p, NUMBER, "token_probs item"))
+                              for p in typed(raw["token_probs"], list, "token_probs")),
+            latency_ms=float(typed(raw.get("latency_ms", 0.0), NUMBER, "latency_ms")),
         )
 
     def to_dict(self) -> dict:

@@ -1,10 +1,13 @@
 """Visual grounding agent: find the queried object and verify its identity.
 
-The chain is: extract candidate objects from the image/question, select the
-one the question is about, detect its region(s), run an image-KG search per
-region, fuse the hits, and verify that the best retrieved entity is actually
-the thing shown. Detection and crop embeddings come from per-image fixtures
-(no pixel models here); verification reads a fixture flag on the KG entry.
+The chain is: extract candidate object names from the image/question, select
+the one the question is about, detect its region(s), run an image-KG search
+per region, fuse the hits, and verify that the best retrieved entity is
+actually the thing shown. Objects are plain names; a selection reply outside
+the candidates is repaired to its head word or to the nearest name.
+Detection and crop embeddings come from per-image fixtures (no pixel models
+here); verification reads a fixture flag on the KG entry. Without candidates
+the whole image is searched; without an image fixture nothing is.
 A failed or undecodable model call falls back (no candidates, the first
 candidate); a model call past the turn's deadline ends the turn.
 """
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DetectorUnavailable, EmptyCandidates
 from .gateway import ModelGateway, ModelRequest, last_line_json
 from .search import ImageKgIndex, ImageRecord, ImageStore, KgEntry, SearchHit, fuse_hits
 from .timing import TimeBudget
@@ -33,21 +35,6 @@ ACTION_BLACKLIST = frozenset({
     "running", "walking", "shopping", "driving", "eating", "playing",
     "emotion", "relationship", "happiness", "movement", "action",
 })
-
-_POSITION_CUES = ("left", "right", "top", "bottom", "front", "back",
-                  "middle", "center", "near", "closest")
-
-
-@dataclass(frozen=True)
-class ObjectCandidate:
-    name: str
-    distinguishing_attribute: str | None = None
-
-    @property
-    def full_name(self) -> str:
-        if self.distinguishing_attribute:
-            return f"{self.distinguishing_attribute} {self.name}"
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -114,7 +101,7 @@ class ImageSearchAgent:
 
     def extract_objects(self, image_ref: str | None, query: str, object_num: int,
                         fixture_key: str = "",
-                        budget: TimeBudget | None = None) -> list[ObjectCandidate]:
+                        budget: TimeBudget | None = None) -> list[str]:
         if object_num < 1:
             raise ValueError("object_num must be >= 1")
         request = ModelRequest(
@@ -128,77 +115,49 @@ class ImageSearchAgent:
             logger.warning("object extraction failed; falling back to whole image")
             return []
 
-        candidates: list[ObjectCandidate] = []
+        candidates: list[str] = []
         for raw in names:
             name = _normalize_name(str(raw))
             if not name or name in ACTION_BLACKLIST:
                 continue
-            candidates.append(ObjectCandidate(name))
+            candidates.append(name)
             if len(candidates) >= object_num:
                 break
         return candidates
 
-    def select_object(self, candidates: list[ObjectCandidate], query: str,
+    def select_object(self, candidates: list[str], query: str,
                       image_ref: str | None, fixture_key: str = "",
-                      budget: TimeBudget | None = None) -> ObjectCandidate:
+                      budget: TimeBudget | None = None) -> str:
         if not candidates:
-            raise EmptyCandidates("no object candidates to select from")
+            raise ValueError("candidates must be non-empty")
         if len(candidates) == 1:
             return candidates[0]
 
         request = ModelRequest(
             template_id="object_select",
-            slots={
-                "query": query,
-                "object_list": json.dumps([c.name for c in candidates]),
-            },
+            slots={"query": query, "object_list": json.dumps(candidates)},
             fixture_key=fixture_key,
             image_ref=image_ref,
         )
         chosen = self.gateway.try_generate(
             request, lambda r: _normalize_name(str(last_line_json(r)["object"])), budget)
         if chosen is None:
-            chosen = candidates[0].name
-
-        names = [c.name for c in candidates]
-        attribute: str | None = None
-        if chosen not in names:
-            head = chosen.split()[-1] if chosen else ""
-            if head in names:
-                # Model answered "red car" against candidate "car": keep the
-                # extra words as the distinguishing attribute.
-                attribute = chosen[: -len(head)].strip() or None
-                chosen = head
-            else:
-                nearest = difflib.get_close_matches(chosen, names, n=1, cutoff=0.0)
-                logger.warning("selected object %r not in candidates; using %r",
-                               chosen, nearest[0])
-                chosen = nearest[0]
-
-        selected = next(c for c in candidates if c.name == chosen)
-        if attribute is None and names.count(chosen) > 1:
-            attribute = self._position_attribute(query)
-        if attribute and selected.distinguishing_attribute is None:
-            selected = ObjectCandidate(selected.name, attribute)
-        return selected
-
-    @staticmethod
-    def _position_attribute(query: str) -> str | None:
-        lowered = query.lower()
-        for cue in _POSITION_CUES:
-            if re.search(rf"\b{cue}\b", lowered):
-                return cue
-        return None
+            return candidates[0]
+        if chosen in candidates:
+            return chosen
+        head = chosen.split()[-1] if chosen else ""
+        if head in candidates:
+            # Model answered "red car" against candidate "car".
+            return head
+        nearest = difflib.get_close_matches(chosen, candidates, n=1, cutoff=0.0)[0]
+        logger.warning("selected object %r not in candidates; using %r", chosen, nearest)
+        return nearest
 
     # -- detection -----------------------------------------------------------
 
-    def detect_regions(self, image_ref: str | None, object_name: str) -> list[Region]:
+    def detect_regions(self, record: ImageRecord, object_name: str) -> list[Region]:
         if not object_name:
             raise ValueError("object_name must be non-empty")
-        record = self.image_store.get(image_ref) if image_ref else None
-        if record is None:
-            raise DetectorUnavailable(f"no image fixture for {image_ref!r}")
-
         head = object_name.split()[-1].lower()
         matches = []
         for raw in record.regions:
@@ -252,26 +211,18 @@ class ImageSearchAgent:
     def ground(self, image_ref: str | None, query: str, object_num: int, k: int,
                fixture_key: str = "",
                budget: TimeBudget | None = None) -> tuple[list[SearchHit], VerifiedEntity | None]:
-        """Run the whole visual toolchain; falls back to whole-image search.
-
-        Without an image fixture there is no region to search: no hits, no
-        entity.
+        """Run the whole visual toolchain; with no candidate object the whole
+        image is searched. Without an image fixture there is no region to
+        search: no hits, no entity.
         """
         candidates = self.extract_objects(image_ref, query, object_num,
                                           fixture_key, budget)
-        if candidates:
-            target = self.select_object(candidates, query, image_ref,
-                                        fixture_key, budget)
-            try:
-                regions = self.detect_regions(image_ref, target.name)
-            except DetectorUnavailable:
-                return [], None
-        else:
-            record = self.image_store.get(image_ref) if image_ref else None
-            if record is None:
-                return [], None
-            regions = [_whole_image(record)]
-
+        target = self.select_object(candidates, query, image_ref,
+                                    fixture_key, budget) if candidates else None
+        record = self.image_store.get(image_ref) if image_ref else None
+        if record is None:
+            return [], None
+        regions = ([_whole_image(record)] if target is None
+                   else self.detect_regions(record, target))
         hits = self.multi_image_search(regions, k)
-        entity = self.select_entity(hits)
-        return hits, entity
+        return hits, self.select_entity(hits)

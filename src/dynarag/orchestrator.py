@@ -115,15 +115,8 @@ class PipelineTrace:
 
 
 def _fallback_answer(reason: str) -> VerifiedAnswer:
-    return VerifiedAnswer(
-        reason=reason,
-        answer=FALLBACK_ANSWER,
-        stats=TokenStats(1.0, 1.0, 1),
-        white_box_pass=False,
-        model_verdict=Verdict.INCORRECT,
-        final_answer=FALLBACK_ANSWER,
-        fallback=True,
-    )
+    return finalize(reason, FALLBACK_ANSWER, TokenStats(1.0, 1.0, 1), False,
+                    Verdict.INCORRECT)
 
 
 def _fallback_route(rationale: str) -> RouteDecision:
@@ -218,15 +211,8 @@ class Orchestrator:
 
     def _direct_answer(self, trace: ReasoningTrace) -> VerifiedAnswer:
         stats = TokenStats.from_probs(trace.token_probs or (1.0,))
-        return VerifiedAnswer(
-            reason=" ".join(trace.steps),
-            answer=trace.draft_answer,
-            stats=stats,
-            white_box_pass=True,
-            model_verdict=Verdict.CORRECT,
-            final_answer=trace.draft_answer,
-            fallback=False,
-        )
+        return finalize(" ".join(trace.steps), trace.draft_answer, stats, True,
+                        Verdict.CORRECT)
 
     def _run_verify(self, turn, session, trace, stage, budget):
         cfg = self.runtime.config

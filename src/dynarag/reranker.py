@@ -64,10 +64,6 @@ class AssembledContext:
     text: str
     chunks: tuple[tuple[Chunk, ChunkScore], ...]
 
-    @property
-    def empty(self) -> bool:
-        return not self.chunks
-
 
 # --- chunking ---------------------------------------------------------------
 

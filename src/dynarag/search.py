@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import HashedTextEncoder, tokenize
-from .errors import DimensionMismatch, IndexNotBuilt, read_jsonl
+from .errors import NUMBER, DimensionMismatch, IndexNotBuilt, read_jsonl, typed
 
 WEB_RESULT_CAP = 50  # the web API returns at most 50 pages per query
 
@@ -48,6 +48,8 @@ class WebDoc:
             timestamp=raw.get("timestamp", ""),
             is_hard_negative=bool(raw.get("is_hard_negative", False)),
         )
+        for name in ("url", "title", "snippet", "html", "timestamp"):
+            typed(getattr(doc, name), str, name)
         if not doc.snippet:
             raise ValueError("snippet must be non-empty")
         return doc
@@ -82,12 +84,12 @@ class KgEntry:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "KgEntry":
-        attributes = {str(k).lower(): str(v) for k, v in raw.get("attributes", {}).items()}
+        attributes = typed(raw.get("attributes", {}), dict, "attributes")
         return cls(
-            entity_name=raw["entity_name"],
-            url=raw["url"],
+            entity_name=typed(raw["entity_name"], str, "entity_name"),
+            url=typed(raw["url"], str, "url"),
             image_embedding=raw["image_embedding"],
-            attributes=attributes,
+            attributes={str(k).lower(): str(v) for k, v in attributes.items()},
         )
 
     def to_dict(self) -> dict:
@@ -123,11 +125,24 @@ def fuse_hits(result_lists, k: int) -> list[SearchHit]:
 
 
 def _finite(values) -> np.ndarray:
-    """Embedding as float64; NaN or infinite components raise ValueError."""
-    array = np.asarray(values, dtype=np.float64)
+    """Embedding as a float64 vector; anything but a flat sequence of finite
+    numbers raises ValueError."""
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except TypeError:
+        raise ValueError("embedding is not a list of numbers") from None
+    if array.ndim != 1:
+        raise ValueError("embedding is not a flat list of numbers")
     if not np.isfinite(array).all():
         raise ValueError("embedding has non-finite values")
     return array
+
+
+def _bbox(values) -> tuple:
+    """A region's (x, y, w, h): exactly four numbers, else ValueError."""
+    if len(typed(values, list, "bbox")) != 4 or not all(isinstance(v, NUMBER) for v in values):
+        raise ValueError("bbox: expected four numbers")
+    return tuple(values)
 
 
 def _check_unique_urls(items) -> None:
@@ -310,20 +325,21 @@ class ImageRecord:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ImageRecord":
+        regions = typed(raw.get("regions", []), list, "regions")
         return cls(
-            image_id=raw["image_id"],
+            image_id=typed(raw["image_id"], str, "image_id"),
             whole_embedding=raw["whole_embedding"],
             regions=[
                 {
-                    "label": r["label"],
-                    "bbox": tuple(r["bbox"]),
+                    "label": typed(r["label"], str, "label"),
+                    "bbox": _bbox(r["bbox"]),
                     "embedding": r["embedding"],
-                    "confidence": float(r.get("confidence", 1.0)),
+                    "confidence": float(typed(r.get("confidence", 1.0), NUMBER, "confidence")),
                 }
-                for r in raw.get("regions", [])
+                for r in (typed(r, dict, "region") for r in regions)
             ],
-            width=int(raw.get("width", 640)),
-            height=int(raw.get("height", 480)),
+            width=int(typed(raw.get("width", 640), NUMBER, "width")),
+            height=int(typed(raw.get("height", 480), NUMBER, "height")),
         )
 
     def to_dict(self) -> dict:

@@ -4,7 +4,8 @@ Multi-hop questions are decomposed into self-contained sub-queries through
 the gateway (falling back to the original question keeps the pipeline
 total), deictic referents are rewritten using the visual context, and a
 verified entity name can be fused into the original question to produce an
-object-aware query.
+object-aware query. Sub-queries are plain strings: the web search reads
+nothing else.
 Per-sub-query searches are merged by ``search.fuse_hits``, the same
 max-score url dedup as the image-side fusion. A failed or undecodable
 decomposition falls back to the original question; a model call past the
@@ -16,7 +17,6 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .gateway import ModelGateway, ModelRequest, last_line_json
 from .image_agent import VerifiedEntity
@@ -44,23 +44,6 @@ _WH_PREFIX_RE = re.compile(
 _ARTICLE_RE = re.compile(r"^(the|a|an)\s+", re.IGNORECASE)
 
 
-class SubQueryOrigin(str, Enum):
-    DECOMPOSITION = "decomposition"
-    ENHANCEMENT = "enhancement"
-    FUSION = "fusion"
-
-
-@dataclass(frozen=True)
-class SubQuery:
-    text: str
-    origin: SubQueryOrigin
-    parent_step: int | None = None
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("sub-query text must be non-empty")
-
-
 def enhance(text: str, visual_context: str | None) -> tuple[str, bool]:
     """Replace bare deictic referents with the visual context. Returns
     (new_text, changed)."""
@@ -86,7 +69,7 @@ class TextSearchAgent:
         fixture_key: str = "",
         history: str = "",
         budget: TimeBudget | None = None,
-    ) -> list[SubQuery]:
+    ) -> list[str]:
         request = ModelRequest(
             template_id="decompose",
             slots={
@@ -98,14 +81,14 @@ class TextSearchAgent:
             fixture_key=fixture_key,
         )
         subs = self.gateway.try_generate(
-            request, lambda r: self._parse_subqueries(last_line_json(r), trace), budget)
+            request, lambda r: self._parse_subqueries(last_line_json(r)), budget)
         if subs is None:
             logger.warning("decomposition failed; using the original query")
-            subs = [SubQuery(query, SubQueryOrigin.DECOMPOSITION, None)]
+            subs = [query]
+        return [enhance(sub, visual_context)[0] for sub in subs]
 
-        return [self._enhanced(sub, visual_context) for sub in subs]
-
-    def _parse_subqueries(self, raw: dict, trace: ReasoningTrace) -> list[SubQuery]:
+    @staticmethod
+    def _parse_subqueries(raw: dict) -> list[str]:
         items = raw["sub_queries"]
         if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
             raise ValueError("sub_queries is not a list of objects")
@@ -116,28 +99,22 @@ class TextSearchAgent:
             step = item.get("step")
             if step is not None:
                 try:
-                    step = int(step)
+                    int(step)
                 except (TypeError, OverflowError):  # a list, an object, Infinity
                     raise ValueError(f"step {step!r} is not an integer") from None
-                if not (0 <= step < max(len(trace.steps), 1)):
-                    step = None
-            subs.append(SubQuery(str(item["text"]), SubQueryOrigin.DECOMPOSITION, step))
+            text = str(item["text"])
+            if not text.strip():
+                raise ValueError("sub-query text must be non-empty")
+            subs.append(text)
         return subs
 
-    @staticmethod
-    def _enhanced(sub: SubQuery, visual_context: str | None) -> SubQuery:
-        text, changed = enhance(sub.text, visual_context)
-        if changed:
-            return SubQuery(text, SubQueryOrigin.ENHANCEMENT, sub.parent_step)
-        return sub
-
-    def fuse_object(self, query: str, entity: VerifiedEntity) -> SubQuery:
+    def fuse_object(self, query: str, entity: VerifiedEntity) -> str:
         """Object-aware query from the question plus the verified entity name."""
         name = entity.entity_name
         if not query.strip():
-            return SubQuery(name, SubQueryOrigin.FUSION)
+            return name
         if name.lower() in query.lower():
-            return SubQuery(query, SubQueryOrigin.FUSION)
+            return query
 
         text = query.strip().rstrip("?!.").strip()
         text = _WH_PREFIX_RE.sub("", text)
@@ -149,14 +126,13 @@ class TextSearchAgent:
         text = _ARTICLE_RE.sub("", text).strip()
         if not text:
             text = name
-        text = text[0].upper() + text[1:]
-        return SubQuery(text, SubQueryOrigin.FUSION)
+        return text[0].upper() + text[1:]
 
-    def text_search(self, subqueries: list[SubQuery]) -> list[SearchHit]:
+    def text_search(self, subqueries: list[str]) -> list[SearchHit]:
         """Fused web search: k_per_query hits per sub-query, fused to k_total."""
         if not subqueries:
             raise ValueError("subqueries must be non-empty")
         return fuse_hits(
-            (self.web_index.search(sub.text, self.k_per_query) for sub in subqueries),
+            (self.web_index.search(sub, self.k_per_query) for sub in subqueries),
             self.k_total,
         )

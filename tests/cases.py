@@ -1,4 +1,5 @@
-"""Hand-labelled routing and tool-selection case tables.
+"""Hand-labelled routing and tool-selection case tables, and input-file
+lines with a value of the wrong type.
 
 Each routing case is a full scripted reasoning trace plus the branch it must
 land on; each tool case adds the expected (need_image_search,
@@ -7,6 +8,32 @@ exemplar queries for the three branches.
 """
 
 import json
+
+# (input file of the demo world, field, wrong-typed value): each must be a
+# one-line input error naming the file, the line and the field.
+WRONG_TYPED_FIELDS = [
+    ("model_fixtures", "token_probs", 5),
+    ("kg_corpus", "attributes", [1, 2]),
+    ("image_fixtures", "regions", 5),
+    ("image_fixtures", "bbox", 5),
+    ("dataset", "taxonomy", []),
+    ("dataset", "turn_index", [0]),
+    ("web_corpus", "snippet", ["a"]),
+]
+
+
+def with_wrong_type(path, field, value):
+    """Rewrite line 3 of the JSONL file at ``path`` with ``field`` set to
+    ``value``; a ``bbox`` goes into a region added to the image."""
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[2])
+    if field == "bbox":
+        row["regions"] = [{"label": "sign", "bbox": value,
+                           "embedding": row["whole_embedding"]}]
+    else:
+        row[field] = value
+    lines[2] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def dcot(query, object_name, steps, answer, reasoning="r"):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cases import WRONG_TYPED_FIELDS, with_wrong_type
 from dynarag.cli import main
 from dynarag.fixtures import write_world
 
@@ -171,7 +172,10 @@ COMMANDS = ["ingest", "eval", "trace"]
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("text, needle", [("rerank:\n  k_1: 5\n", "k_1"),
-                                          ("paths: [\n", "invalid YAML")])
+                                          ("paths: [\n", "invalid YAML"),
+                                          ("agents:\n  object_num: 0\n", "object_num"),
+                                          ("agents:\n  k_per_query: -1\n", "k_per_query"),
+                                          ("agents:\n  k_total: 0\n", "k_total")])
 def test_bad_config_is_one_error_line(world, tmp_path, capsys, command, text, needle):
     config = tmp_path / "config.yaml"
     config.write_text(text)
@@ -209,6 +213,19 @@ def test_model_fixture_line_without_a_key_is_one_error_line(world, tmp_path, cap
     broken["model_fixtures"].write_text('{"template_id": "evaluator"}\n')
     assert main(command_args("eval", broken["config"], world, tmp_path)) == 2
     one_error_line(capsys, str(broken["model_fixtures"]), "line 1", "'fixture_key'")
+
+
+@pytest.mark.parametrize("name, field, value", WRONG_TYPED_FIELDS)
+def test_wrong_typed_input_value_is_one_error_line(world, tmp_path, capsys, name, field,
+                                                   value):
+    broken = write_world(tmp_path / "broken")
+    with_wrong_type(broken[name], field, value)
+    args = command_args("eval", broken["config"], world, tmp_path)
+    if name == "dataset":
+        args[args.index("--dataset") + 1] = str(broken["dataset"])
+    assert main(args) == 2
+    one_error_line(capsys, str(broken[name]), "line 3", field)
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "trace"])

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dynarag.config import PipelineConfig, RerankConfig
+from cases import WRONG_TYPED_FIELDS, with_wrong_type
+from dynarag.config import AgentConfig, PipelineConfig, RerankConfig
 from dynarag.errors import ParseError
 from dynarag.evalharness import load_dataset
 from dynarag.fixtures import write_world
@@ -60,6 +61,16 @@ def test_rerank_config_validation():
         RerankConfig(max_chunk_chars=100, chunk_overlap=100)
     with pytest.raises(ValueError):
         RerankConfig(n_query_tokens=0)
+
+
+@pytest.mark.parametrize("key", ["k_per_query", "k_total", "object_num"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_agent_config_validation(key, value):
+    with pytest.raises(ValueError, match=key):
+        AgentConfig(**{key: value})
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_dict({"agents": {key: value}})
+    assert getattr(AgentConfig(**{key: 1}), key) == 1
 
 
 def test_empty_config_file_gives_defaults(tmp_path):
@@ -140,6 +151,26 @@ def test_a_malformed_line_in_any_input_file_names_its_line(tmp_path, name, bad_l
     assert (err.value.path, err.value.line) == (path, 3)
     assert str(err.value).startswith(f"{path}: line 3: ")
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("name, field, value", WRONG_TYPED_FIELDS)
+def test_a_wrong_typed_value_in_any_input_file_names_its_line(tmp_path, name, field,
+                                                              value):
+    path = write_world(tmp_path)[name]
+    with_wrong_type(path, field, value)
+    with pytest.raises(ParseError) as err:
+        LOADERS[name](path)
+    assert (err.value.path, err.value.line) == (path, 3)
+    assert str(err.value).startswith(f"{path}: line 3: {field}: expected ")
+
+
+@pytest.mark.parametrize("name, field", [("dataset", "turn_index"),
+                                         ("image_fixtures", "width")])
+def test_an_infinite_integer_field_names_its_line(tmp_path, name, field):
+    path = write_world(tmp_path)[name]
+    with_wrong_type(path, field, float("inf"))
+    with pytest.raises(ParseError, match="line 3: cannot convert float infinity"):
+        LOADERS[name](path)
 
 
 def test_a_fixture_line_without_a_key_names_the_key(tmp_path):

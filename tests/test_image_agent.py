@@ -2,11 +2,10 @@ import json
 
 import pytest
 
-from dynarag.errors import BackendTimeout, DetectorUnavailable, EmptyCandidates
+from dynarag.errors import BackendTimeout
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from dynarag.image_agent import (
     ImageSearchAgent,
-    ObjectCandidate,
     Region,
     visual_match,
 )
@@ -74,14 +73,14 @@ def test_extract_scripted_three_objects():
     agent = make_agent([fe("object_list", "k",
                            json.dumps({"object_list": ["car", "building", "tree"]}))])
     out = agent.extract_objects("img-street", "q", 5, "k")
-    assert [c.name for c in out] == ["car", "building", "tree"]
+    assert out == ["car", "building", "tree"]
 
 
 def test_extract_filters_actions():
     agent = make_agent([fe("object_list", "k",
                            json.dumps({"object_list": ["car", "running", "tree"]}))])
     out = agent.extract_objects("img-street", "q", 5, "k")
-    assert [c.name for c in out] == ["car", "tree"]
+    assert out == ["car", "tree"]
 
 
 def test_extract_truncates_to_object_num():
@@ -95,7 +94,7 @@ def test_extract_caps_names_at_three_words():
     agent = make_agent([fe("object_list", "k",
                            json.dumps({"object_list": ["very long object name here"]}))])
     out = agent.extract_objects("img-street", "q", 5, "k")
-    assert out[0].name == "very long object"
+    assert out[0] == "very long object"
 
 
 def test_extract_parse_failure_gives_empty_list():
@@ -113,40 +112,30 @@ def test_extract_rejects_nonpositive_object_num():
 
 def test_select_single_candidate_passthrough():
     agent = make_agent()
-    only = ObjectCandidate("car")
-    assert agent.select_object([only], "q", "img-street") is only
+    assert agent.select_object(["car"], "q", "img-street") == "car"
 
 
-def test_select_duplicates_get_position_attribute():
+def test_select_duplicates_get_the_model_choice():
     agent = make_agent([fe("object_select", "k", json.dumps({"object": "car"}))])
-    out = agent.select_object(
-        [ObjectCandidate("car"), ObjectCandidate("car")],
-        "the car on the right", "img-street", "k",
-    )
-    assert out.name == "car"
-    assert out.distinguishing_attribute == "right"
-    assert out.full_name == "right car"
+    out = agent.select_object(["car", "car"], "the car on the right", "img-street", "k")
+    assert out == "car"
 
 
 def test_select_model_attribute_preserved():
     agent = make_agent([fe("object_select", "k", json.dumps({"object": "red car"}))])
-    out = agent.select_object(
-        [ObjectCandidate("car"), ObjectCandidate("tree")], "q", "img-street", "k"
-    )
-    assert out.name == "car"
-    assert out.distinguishing_attribute == "red"
+    # the head word wins over the closer spelling "red cart"
+    out = agent.select_object(["red cart", "car"], "q", "img-street", "k")
+    assert out == "car"
 
 
 def test_select_unknown_name_repaired_to_nearest():
     agent = make_agent([fe("object_select", "k", json.dumps({"object": "vehicle"}))])
-    out = agent.select_object(
-        [ObjectCandidate("car"), ObjectCandidate("tree")], "q", "img-street", "k"
-    )
-    assert out.name in ("car", "tree")
+    out = agent.select_object(["car", "tree"], "q", "img-street", "k")
+    assert out in ("car", "tree")
 
 
 def test_select_empty_candidates_raises():
-    with pytest.raises(EmptyCandidates):
+    with pytest.raises(ValueError):
         make_agent().select_object([], "q", "img-street")
 
 
@@ -154,33 +143,28 @@ def test_select_empty_candidates_raises():
 
 
 def test_detect_two_car_regions():
-    regions = make_agent().detect_regions("img-street", "car")
+    regions = make_agent().detect_regions(IMAGE, "car")
     assert len(regions) == 2
     assert all(r.label == "car" for r in regions)
 
 
 def test_detect_no_match_falls_back_to_whole_image():
-    regions = make_agent().detect_regions("img-street", "bicycle")
+    regions = make_agent().detect_regions(IMAGE, "bicycle")
     assert len(regions) == 1
     assert regions[0].bbox == (0, 0, 640, 480)
     assert regions[0].embedding is not None
 
 
 def test_detect_clamps_overflowing_box():
-    regions = make_agent().detect_regions("img-street", "sign")
+    regions = make_agent().detect_regions(IMAGE, "sign")
     (x, y, w, h) = regions[0].bbox
     assert x + w <= 640 and y + h <= 480
     assert regions[0].detector_confidence == 0.6
 
 
-def test_detect_missing_image_raises_detector_unavailable():
-    with pytest.raises(DetectorUnavailable):
-        make_agent().detect_regions("img-nope", "car")
-
-
 def test_detect_requires_object_name():
     with pytest.raises(ValueError):
-        make_agent().detect_regions("img-street", "")
+        make_agent().detect_regions(IMAGE, "")
 
 
 # --- fused multi-region search ----------------------------------------------------------

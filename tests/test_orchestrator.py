@@ -105,7 +105,7 @@ def test_rag_with_tools_neither_still_generates(world_runtime):
     assert trace.route.branch is Branch.RAG_AUGMENT
     assert not trace.tools.need_image_search
     assert not trace.tools.need_text_search
-    assert trace.evidence.empty
+    assert not trace.evidence.chunks
     assert answer == FALLBACK_ANSWER  # generation honestly abstained
     assert not trace.answer.fallback
 
@@ -195,7 +195,7 @@ def test_wrong_shape_object_select_falls_back_to_the_first_candidate(
     monkeypatch.setattr(ImageSearchAgent, "select_object",
                         lambda *args: selected.append(select(*args)) or selected[-1])
     answer, trace = run_single(runtime, "cafe-q1", "Who founded this cafe?", "img-cafe")
-    assert [c.name for c in selected] == ["awning"]
+    assert selected == ["awning"]
     assert trace.stages == CAFE_STAGES
 
 
@@ -249,7 +249,7 @@ def test_dialog_threads_entity_across_turns(world_runtime, monkeypatch):
     def spy(self, query, trace, visual_context=None, fixture_key="", history="",
             budget=None):
         subs = original(self, query, trace, visual_context, fixture_key, history, budget)
-        recorded.append((fixture_key, [s.text for s in subs]))
+        recorded.append((fixture_key, list(subs)))
         return subs
 
     # The runtime's modules are shared with other tests: patch the class for

@@ -228,7 +228,7 @@ def scored(c: Chunk, cum: float) -> tuple[Chunk, ChunkScore]:
 def test_empty_selection_assembles_empty_context():
     ctx = assemble_context([])
     assert ctx.text == ""
-    assert ctx.empty
+    assert ctx.chunks == ()
 
 
 def test_higher_cumulative_comes_first():

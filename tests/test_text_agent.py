@@ -8,7 +8,7 @@ from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 from dynarag.image_agent import VerifiedEntity
 from dynarag.preanswer import parse_trace
 from dynarag.search import KgEntry, WebDoc, WebSearchIndex, unit_embedding_for
-from dynarag.text_agent import SubQuery, SubQueryOrigin, TextSearchAgent, enhance
+from dynarag.text_agent import TextSearchAgent, enhance
 from dynarag.timing import SimulatedClock, TimeBudget
 
 ROUTING = RoutingConfig()
@@ -66,19 +66,16 @@ def test_scripted_multi_hop_decomposition_golden():
         "In which year did the company that makes this car go public?",
         BMW_TRACE, visual_context="BMW M4", fixture_key="bmw",
     )
-    assert [s.text for s in subs] == [
+    assert subs == [
         "Which company makes the BMW M4?",
         "In which year did BMW go public?",
     ]
-    assert all(s.origin is SubQueryOrigin.DECOMPOSITION for s in subs)
-    assert [s.parent_step for s in subs] == [0, 1]
 
 
 def test_single_hop_yields_one_subquery():
     agent = make_agent([decompose_entry("one", [("When was X built?", 0)])])
     subs = agent.rephrase_and_split("When was X built?", BMW_TRACE, None, "one")
-    assert len(subs) == 1
-    assert subs[0].origin is SubQueryOrigin.DECOMPOSITION
+    assert subs == ["When was X built?"]
 
 
 def test_pronoun_resolved_from_visual_context():
@@ -87,22 +84,20 @@ def test_pronoun_resolved_from_visual_context():
         "How much does it cost?", BMW_TRACE, visual_context="red kettle",
         fixture_key="kettle",
     )
-    assert "red kettle" in subs[0].text
-    assert "it" not in subs[0].text.split()
-    assert subs[0].origin is SubQueryOrigin.ENHANCEMENT
+    assert "red kettle" in subs[0]
+    assert "it" not in subs[0].split()
 
 
 def test_parse_failure_falls_back_to_original_query():
     agent = make_agent([FixtureEntry("decompose", "bad", "garbage", (0.9,), 0.0)])
     subs = agent.rephrase_and_split("Original question?", BMW_TRACE, None, "bad")
-    assert len(subs) == 1
-    assert subs[0].text == "Original question?"
+    assert subs == ["Original question?"]
 
 
 def test_missing_fixture_falls_back_to_original_query():
     agent = make_agent([])
     subs = agent.rephrase_and_split("Original question?", BMW_TRACE, None, "nope")
-    assert [s.text for s in subs] == ["Original question?"]
+    assert subs == ["Original question?"]
 
 
 def test_slow_decomposition_raises_timeout_and_searches_nothing(monkeypatch):
@@ -122,14 +117,14 @@ def test_slow_decomposition_raises_timeout_and_searches_nothing(monkeypatch):
 def test_decomposition_steps_map_into_trace():
     agent = make_agent([decompose_entry("k", [("a?", 0), ("b?", 7)])])
     subs = agent.rephrase_and_split("a? b?", BMW_TRACE, None, "k")
-    # step 7 is out of range for a 2-step trace and is dropped to None
-    assert subs[0].parent_step == 0
-    assert subs[1].parent_step is None
+    # step 7 is out of range for a 2-step trace; the sub-query still counts
+    assert subs == ["a?", "b?"]
 
 
-def test_subquery_text_must_be_nonempty():
-    with pytest.raises(ValueError):
-        SubQuery("   ", SubQueryOrigin.DECOMPOSITION)
+def test_blank_subquery_text_falls_back_to_original_query():
+    agent = make_agent([decompose_entry("k", [("a?", 0), ("   ", 1)])])
+    subs = agent.rephrase_and_split("Original question?", BMW_TRACE, None, "k")
+    assert subs == ["Original question?"]
 
 
 def test_enhance_swaps_deictic_noun_pairs():
@@ -156,20 +151,18 @@ def entity(name: str) -> VerifiedEntity:
 def test_fuse_object_price_example():
     agent = make_agent()
     fused = agent.fuse_object("What's the price of this?", entity("red sports car BMW M4"))
-    assert fused.text == "Price of red sports car BMW M4"
-    assert fused.origin is SubQueryOrigin.FUSION
+    assert fused == "Price of red sports car BMW M4"
 
 
 def test_fuse_object_query_already_contains_entity():
     agent = make_agent()
     fused = agent.fuse_object("How fast is the BMW M4?", entity("BMW M4"))
-    assert fused.text == "How fast is the BMW M4?"
-    assert fused.origin is SubQueryOrigin.FUSION
+    assert fused == "How fast is the BMW M4?"
 
 
 def test_fuse_object_empty_query_gives_entity_alone():
     agent = make_agent()
-    assert agent.fuse_object("", entity("BMW M4")).text == "BMW M4"
+    assert agent.fuse_object("", entity("BMW M4")) == "BMW M4"
 
 
 def test_fuse_object_always_contains_entity_name():
@@ -178,19 +171,15 @@ def test_fuse_object_always_contains_entity_name():
                "Where can I buy one?", "How heavy is that thing?"]
     for q in queries:
         fused = agent.fuse_object(q, entity("Alessi 9093 Kettle"))
-        assert "alessi 9093 kettle" in fused.text.casefold()
+        assert "alessi 9093 kettle" in fused.casefold()
 
 
 # --- fused web retrieval --------------------------------------------------------------
 
 
-def sq(text: str) -> SubQuery:
-    return SubQuery(text, SubQueryOrigin.DECOMPOSITION)
-
-
 def test_single_subquery_equals_search_web():
     agent = make_agent()
-    fused = agent.text_search([sq("BMW M4 production began")])
+    fused = agent.text_search(["BMW M4 production began"])
     plain = agent.web_index.search("BMW M4 production began", 10)
     assert [(h.url, h.score) for h in fused] == [(h.url, h.score) for h in plain]
 
@@ -199,7 +188,7 @@ def test_shared_doc_keeps_max_score():
     agent = make_agent()
     a = "BMW M4 production coupe"
     b = "production began"
-    fused = agent.text_search([sq(a), sq(b)])
+    fused = agent.text_search([a, b])
     per_query = {}
     for q in (a, b):
         for hit in agent.web_index.search(q, 10):
@@ -211,7 +200,7 @@ def test_shared_doc_keeps_max_score():
 def test_three_subqueries_top5_matches_bruteforce_merge():
     agent = make_agent(k_total=5)
     queries = ["BMW M4 production", "Alessi kettle price", "succulent plants winter"]
-    fused = agent.text_search([sq(q) for q in queries])
+    fused = agent.text_search(queries)
 
     pool: dict[str, float] = {}
     for q in queries:
@@ -228,7 +217,7 @@ def test_text_search_requires_subqueries():
 
 def test_fusion_order_independent():
     agent = make_agent()
-    a, b = sq("BMW M4 production"), sq("kettle price retail")
+    a, b = "BMW M4 production", "kettle price retail"
     ab = [(h.url, h.score) for h in agent.text_search([a, b])]
     ba = [(h.url, h.score) for h in agent.text_search([b, a])]
     assert ab == ba
