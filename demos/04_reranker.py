@@ -20,14 +20,14 @@ hits = kg_hits + web_hits
 print(f"{len(hits)} raw hits ({len(kg_hits)} kg + {len(web_hits)} web)")
 
 cfg = RerankConfig(k1=10, k2=3, tau_coarse=0.1, tau_fine=0.2)
-chunks = chunk_evidence(hits, cfg)
-print(f"\n== chunks ({len(chunks)}) ==")
-for c in chunks:
+# Each doc is chunked once per runtime; the evidence builds a Chunk on demand.
+evidence = chunk_evidence(hits, cfg, runtime.chunk_store)
+print(f"\n== chunks ({len(evidence)}) ==")
+for c in evidence:
     print(f"  [{c.source.value}] {c.text[:76]}")
 
-survivors = coarse_score(QUESTION, None, chunks, cfg,
-                         runtime.query_encoder, runtime.chunk_store)
-print(f"\n== coarse stage: {len(survivors)} of {len(chunks)} survive "
+survivors = coarse_score(QUESTION, None, evidence, cfg, runtime.query_encoder)
+print(f"\n== coarse stage: {len(survivors)} of {len(evidence)} survive "
       f"tau={cfg.tau_coarse}, K1={cfg.k1} ==")
 for chunk, score in survivors:
     print(f"  {score:+.3f}  {chunk.text[:64]}")

@@ -10,6 +10,7 @@ the mock stack.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -146,6 +147,13 @@ class VerifierConfig:
 class LimitsConfig:
     turn_deadline_s: float = 10.0
     session_budget_s: float = 30.0
+
+    def __post_init__(self):
+        for name in ("turn_deadline_s", "session_budget_s"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value)
+                    and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0")
 
 
 @dataclass

@@ -10,6 +10,7 @@ the JSON.
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -78,13 +79,20 @@ class EvalRecord:
         truth = typed(raw["ground_truth"], str, "ground_truth")
         if not truth:
             raise ValueError("ground_truth must be non-empty")
+        question = typed(raw["question"], str, "question")
+        if not question.strip():
+            raise ValueError("question must not be blank")
+        # json reads NaN and Infinity: a turn must not run without a deadline
+        deadline_s = float(typed(raw.get("deadline_s", default_deadline_s), NUMBER,
+                                 "deadline_s"))
+        if not (math.isfinite(deadline_s) and deadline_s > 0):
+            raise ValueError(f"deadline_s must be finite and > 0, got {deadline_s}")
         turn = QueryTurn(
             session_id=typed(raw["session_id"], str, "session_id"),
             turn_index=int(typed(raw.get("turn_index", 0), NUMBER, "turn_index")),
-            question=typed(raw["question"], str, "question"),
+            question=question,
             image_ref=typed(raw.get("image_ref"), (str, type(None)), "image_ref"),
-            deadline_s=float(typed(raw.get("deadline_s", default_deadline_s), NUMBER,
-                                   "deadline_s")),
+            deadline_s=deadline_s,
         )
         labels = typed(raw.get("taxonomy", {}), dict, "taxonomy")
         taxonomy = {

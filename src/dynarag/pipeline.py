@@ -4,8 +4,10 @@ The runtime is the one place that knows the object graph. It holds everything
 a turn reads: indexes, fixtures, gateway, config, and the modules wired over
 them (domain classifier, pre-answer, both search agents, post-answer), each
 built once. The modules are stateless, so every session shares them. The one
-thing a turn writes is the reranker's chunk-code store, a cache filled from the
-immutable indexes, so no turn's result depends on which turns ran before it.
+thing a turn writes is the reranker's chunk store: each evidence doc's chunk
+texts and token codes, built the first time the doc reaches the reranker from
+the immutable indexes' payloads, so no turn's result depends on which turns
+ran before it.
 ``orchestrator(clock)`` pairs the runtime with a session's own clock so
 sessions never share a simulated clock.
 """

@@ -1,12 +1,15 @@
 """Two-stage coarse-to-fine evidence filtering.
 
-Stage one scores every chunk by the maximum cosine similarity between the
-multi-vector query encoding and the chunk embedding, keeps candidates at or
-above tau_coarse, then caps at the K1 best. Stage two applies a point-wise
-relevance scorer; chunks are ranked by the cumulative score (clamped coarse
-times fine), capped at K2, and only kept while cumulative exceeds
-tau_fine * tau_coarse (strict). Selected chunks are assembled into a single
-provenance-annotated context string.
+Each evidence doc is chunked once per runtime: the ``ChunkCodeStore`` keeps
+a doc's chunk texts and their token codes, and ``chunk_evidence`` hands the
+turn its hits' entries as ``Evidence``. Stage one scores every chunk by the
+maximum cosine similarity between the multi-vector query encoding and the
+chunk embedding (taken from the codes alone), keeps candidates at or above
+tau_coarse, then caps at the K1 best; only those become ``Chunk`` objects.
+Stage two applies a point-wise relevance scorer; chunks are ranked by the
+cumulative score (clamped coarse times fine), capped at K2, and only kept
+while cumulative exceeds tau_fine * tau_coarse (strict). Selected chunks are
+assembled into a single provenance-annotated context string.
 
 Sorting is stable everywhere: equal scores preserve input order during the
 cascade, and the final assembly breaks ties by source (web first) then by
@@ -16,9 +19,10 @@ position inside the source document.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
+from itertools import accumulate
 
 import numpy as np
 
@@ -108,7 +112,9 @@ def _fixed_spans(text: str, max_chars: int, overlap: int) -> list[str]:
 
 
 def _doc_text(doc: WebDoc) -> str:
-    body = _strip_html(doc.html) if doc.html.strip() else doc.snippet
+    body = _strip_html(doc.html)
+    if not body.strip():  # no html, or tags only
+        body = doc.snippet
     return f"{doc.title}\n\n{body}" if doc.title else body
 
 
@@ -121,90 +127,109 @@ def _kg_paragraph(entry: KgEntry) -> str:
     return " ".join(sentences)
 
 
-def chunk_evidence(hits: list[SearchHit], config: RerankConfig) -> list[Chunk]:
-    """Union of chunks over all hits; deterministic ids carry provenance."""
-    chunks: list[Chunk] = []
-    for hit in hits:
-        if hit.source is Source.WEB:
-            text = _doc_text(hit.payload)
-        else:
-            text = _kg_paragraph(hit.payload)
-        source, url = hit.source, hit.url
-        prefix = f"{source.value}:{url}#"
-        position = 0
-        for block in _split_blocks(text):
-            for span in _fixed_spans(block, config.max_chunk_chars, config.chunk_overlap):
-                span = span.strip()
-                if not span:
-                    continue
-                chunks.append(
-                    Chunk(
-                        text=span,
-                        source=source,
-                        doc_url=url,
-                        position=position,
-                        chunk_id=f"{prefix}{position}",
-                    )
-                )
-                position += 1
-    return chunks
+def _spans(hit: SearchHit, config: RerankConfig):
+    """The hit's chunk texts in document order: structural blocks, then
+    fixed-width overlapping spans, stripped, empty spans dropped."""
+    if hit.source is Source.WEB:
+        text = _doc_text(hit.payload)
+    else:
+        text = _kg_paragraph(hit.payload)
+    for block in _split_blocks(text):
+        for span in _fixed_spans(block, config.max_chunk_chars, config.chunk_overlap):
+            span = span.strip()
+            if span:
+                yield span
 
 
-# --- chunk codes -----------------------------------------------------------
+# --- the chunk store ---------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ChunkedDoc:
+    """One evidence doc, chunked and hashed: the payload it was built from,
+    each chunk's text, and the chunks' concatenated token codes with one
+    length per chunk."""
+
+    payload: WebDoc | KgEntry
+    texts: tuple[str, ...]
+    codes: np.ndarray
+    lengths: np.ndarray
 
 
 class ChunkCodeStore:
-    """The token codes of each evidence doc's chunks, hashed once per store.
+    """Each evidence doc chunked once per store.
 
-    An entry is filled the first time a doc's chunks are embedded and holds
-    only their codes (``HashedTextEncoder.token_codes``, 2 bytes a token at
-    the default dim) and per-chunk lengths: no text, no vectors. It is keyed
-    by the chunking parameters and (source, url), so a web doc and a KG entry
-    sharing a url never collide and one chunking never reads another's codes.
-    A url must name one payload per source for the store's lifetime, as it
-    does in the runtime's immutable indexes.
+    An entry is built the first time a doc reaches the reranker and holds its
+    chunk texts and their token codes (``HashedTextEncoder.token_codes``, 2
+    bytes a token at the default dim): no ``Chunk`` objects, no vectors. It is
+    keyed by the chunking parameters and (source, url), so a web doc and a KG
+    entry sharing a url never collide and one chunking never reads another's
+    chunks. A url must name one payload per source for the store's lifetime,
+    as it does in the runtime's immutable indexes; a hit carrying another
+    payload raises ValueError.
     """
 
     def __init__(self, encoder: HashedTextEncoder):
         self.encoder = encoder
-        self._docs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._docs: dict[tuple, ChunkedDoc] = {}
 
-    def embed(self, chunks: list[Chunk], config: RerankConfig) -> np.ndarray:
-        """Unit embeddings of ``chunk_evidence(hits, config)``, one row per
-        chunk, with one ``HashedTextEncoder.embed`` call."""
-        chunking = (config.max_chunk_chars, config.chunk_overlap)
-        codes, lengths = [], []
-        for doc, run in _doc_runs(chunks):
-            key = (chunking, *doc)
-            entry = self._docs.get(key)
-            if entry is None:
-                entry = self._docs[key] = self._doc_codes(run)
-            elif len(entry[1]) != len(run):
-                raise ValueError(f"{len(run)} chunks of {doc[1]} do not match "
-                                 f"the {len(entry[1])} stored for it")
-            codes.append(entry[0])
-            lengths.append(entry[1])
-        return self.encoder.embed(np.concatenate(codes), np.concatenate(lengths))
+    def chunked(self, hit: SearchHit, config: RerankConfig) -> ChunkedDoc:
+        key = (config.max_chunk_chars, config.chunk_overlap, hit.source, hit.url)
+        doc = self._docs.get(key)
+        if doc is None:
+            doc = self._docs[key] = self.build(hit.payload, _spans(hit, config))
+        elif doc.payload is not hit.payload:
+            raise ValueError(f"{hit.url} names a different {hit.source.value} "
+                             f"payload from the one chunked for it")
+        return doc
 
-    def _doc_codes(self, run: list[Chunk]) -> tuple[np.ndarray, np.ndarray]:
-        parts = [self.encoder.token_codes(tokenize(chunk.text)) for chunk in run]
-        return np.concatenate(parts), np.array([len(p) for p in parts], dtype=np.int32)
+    def build(self, payload: WebDoc | KgEntry, texts) -> ChunkedDoc:
+        """The entry of ``payload`` chunked into ``texts``."""
+        texts = tuple(texts)
+        parts = [self.encoder.token_codes(tokenize(text)) for text in texts]
+        codes = (np.concatenate(parts) if parts
+                 else np.zeros(0, dtype=self.encoder.code_dtype))
+        return ChunkedDoc(payload, texts, codes,
+                          np.array([len(p) for p in parts], dtype=np.int32))
 
 
-_doc_of = attrgetter("source", "doc_url")
+class Evidence(Sequence):
+    """One turn's chunked hits, in hit order: ``len`` is their chunk count and
+    ``evidence[i]`` builds the i-th ``Chunk``, so a turn builds only the
+    chunks it keeps."""
+
+    def __init__(self, docs: list[tuple[Source, str, ChunkedDoc]],
+                 encoder: HashedTextEncoder):
+        self.docs = docs
+        self.encoder = encoder
+        self._starts = list(accumulate((len(doc.texts) for _, _, doc in docs),
+                                       initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int) -> Chunk:
+        if not 0 <= i < len(self):
+            raise IndexError(f"chunk {i} of {len(self)}")
+        d = bisect_right(self._starts, i) - 1
+        source, url, doc = self.docs[d]
+        position = i - self._starts[d]
+        return Chunk(text=doc.texts[position], source=source, doc_url=url,
+                     position=position, chunk_id=f"{source.value}:{url}#{position}")
+
+    def embed(self) -> np.ndarray:
+        """Unit embeddings, one row per chunk, with one ``embed`` call."""
+        docs = [doc for _, _, doc in self.docs]
+        return self.encoder.embed(np.concatenate([doc.codes for doc in docs]),
+                                  np.concatenate([doc.lengths for doc in docs]))
 
 
-def _doc_runs(chunks: list[Chunk]):
-    """Each doc's (source, url) and chunks: the chunks of one (source, url) in
-    a row, split again at every later position 0 (one doc hit twice)."""
-    for doc, group in groupby(chunks, _doc_of):
-        run = list(group)
-        if run[-1].position - run[0].position == len(run) - 1:
-            yield doc, run
-            continue
-        starts = [i for i, c in enumerate(run) if i == 0 or c.position == 0]
-        for start, end in zip(starts, starts[1:] + [len(run)]):
-            yield doc, run[start:end]
+def chunk_evidence(hits: list[SearchHit], config: RerankConfig,
+                   store: ChunkCodeStore) -> Evidence:
+    """The chunks of all hits, in hit order, each doc chunked once per store;
+    deterministic ids carry provenance."""
+    return Evidence([(hit.source, hit.url, store.chunked(hit, config)) for hit in hits],
+                    store.encoder)
 
 
 # --- coarse stage -----------------------------------------------------------
@@ -213,25 +238,22 @@ def _doc_runs(chunks: list[Chunk]):
 def coarse_score(
     question: str,
     image_embedding: np.ndarray | None,
-    chunks: list[Chunk],
+    evidence: Evidence,
     config: RerankConfig,
     query_encoder: MultiVectorQueryEncoder,
-    chunk_store: ChunkCodeStore,
 ) -> list[tuple[Chunk, float]]:
-    """Max-over-query-vectors cosine per chunk; threshold then cap at K1."""
-    if not chunks:
+    """Max-over-query-vectors cosine per chunk; threshold then cap at K1.
+    Only the survivors are built as ``Chunk`` objects."""
+    if not len(evidence):
         return []
 
     qvecs = query_encoder.encode(question, image_embedding, config.n_query_tokens)
-    scores = (qvecs @ chunk_store.embed(chunks, config).T).max(axis=0)
+    scores = (qvecs @ evidence.embed().T).max(axis=0)
 
-    survivors = [
-        (chunk, float(score))
-        for chunk, score in zip(chunks, scores)
-        if score >= config.tau_coarse
-    ]
-    survivors.sort(key=lambda pair: -pair[1])  # stable: ties keep input order
-    return survivors[: config.k1]
+    kept = np.flatnonzero(scores >= config.tau_coarse)
+    # stable: ties keep input order
+    kept = kept[np.argsort(-scores[kept], kind="stable")[: config.k1]]
+    return [(evidence[i], float(scores[i])) for i in kept.tolist()]
 
 
 # --- fine stage ---------------------------------------------------------------
@@ -308,9 +330,7 @@ def rerank(
     scorer=None,
 ) -> AssembledContext:
     """Full cascade from raw hits to the assembled evidence string."""
-    chunks = chunk_evidence(hits, config)
-    survivors = coarse_score(
-        question, image_embedding, chunks, config, query_encoder, chunk_store
-    )
+    evidence = chunk_evidence(hits, config, chunk_store)
+    survivors = coarse_score(question, image_embedding, evidence, config, query_encoder)
     selected = fine_score(question, survivors, instruction, config, scorer)
     return assemble_context(selected)

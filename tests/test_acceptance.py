@@ -26,8 +26,8 @@ from dynarag.postanswer import (
 )
 from dynarag.preanswer import parse_trace
 from dynarag.reranker import (
-    Chunk,
     ChunkCodeStore,
+    Evidence,
     assemble_context,
     coarse_score,
     fine_score,
@@ -90,26 +90,30 @@ def _oracle_cascade(question, chunks, cfg):
     return selected
 
 
-def _random_chunks(rng, max_chunks=100):
+def _random_evidence(rng, max_chunks=100) -> Evidence:
+    """1..max_chunks random chunks in docs of 1-4 chunks, each doc built by the
+    store's per-doc constructor: docs share positions, so equal cumulative
+    scores fall back on the source and position tie-break."""
     vocab = [f"tok{j}" for j in range(60)]
-    n = int(rng.integers(1, max_chunks + 1))
-    chunks = []
-    for i in range(n):
-        words = rng.choice(vocab, size=int(rng.integers(3, 25)))
+    left = int(rng.integers(1, max_chunks + 1))
+    store = ChunkCodeStore(TEXT_ENC)
+    docs = []
+    while left:
+        size = min(left, int(rng.integers(1, 5)))
+        left -= size
         source = Source.WEB if rng.random() < 0.6 else Source.IMAGE_KG
-        chunks.append(Chunk(
-            text=" ".join(words), source=source,
-            doc_url=f"https://r/{i}", position=int(rng.integers(0, 5)),
-            chunk_id=f"c{i}",
-        ))
-    return chunks
+        texts = [" ".join(rng.choice(vocab, size=int(rng.integers(3, 25))))
+                 for _ in range(size)]
+        url = f"https://r/{len(docs)}"
+        docs.append((source, url, store.build(WebDoc(url, "", ""), texts)))
+    return Evidence(docs, TEXT_ENC)
 
 
 def test_criterion_1_reranker_oracle_equivalence():
     rng = np.random.default_rng(2024)
     started = time.perf_counter()
     for trial in range(200):
-        chunks = _random_chunks(rng)
+        evidence = _random_evidence(rng)
         k1 = int(rng.integers(5, 31))
         cfg = RerankConfig(
             k1=k1,
@@ -120,11 +124,11 @@ def test_criterion_1_reranker_oracle_equivalence():
         )
         question = " ".join(rng.choice([f"tok{j}" for j in range(60)], size=6))
 
-        survivors = coarse_score(question, None, chunks, cfg, QUERY_ENC, ChunkCodeStore(TEXT_ENC))
+        survivors = coarse_score(question, None, evidence, cfg, QUERY_ENC)
         selected = fine_score(question, survivors, "", cfg)
         context = assemble_context(selected)
 
-        expected = _oracle_cascade(question, chunks, cfg)
+        expected = _oracle_cascade(question, list(evidence), cfg)
         got_ids = [c.chunk_id for c, _ in context.chunks]
         want_ids = [c.chunk_id for c, _, _ in expected]
         assert got_ids == want_ids, f"trial {trial}: {got_ids} != {want_ids}"
@@ -140,11 +144,12 @@ def test_criterion_2_coarse_scores_match_double_loop():
     rng = np.random.default_rng(7)
     vocab = [f"tok{j}" for j in range(60)]
     for n_q in range(1, 17):
-        chunks = _random_chunks(rng, max_chunks=40)
+        evidence = _random_evidence(rng, max_chunks=40)
+        chunks = list(evidence)
         question = " ".join(rng.choice(vocab, size=8))
         cfg = RerankConfig(k1=100, k2=1, tau_coarse=0.0, tau_fine=0.0,
                            n_query_tokens=n_q)
-        got = coarse_score(question, None, chunks, cfg, QUERY_ENC, ChunkCodeStore(TEXT_ENC))
+        got = coarse_score(question, None, evidence, cfg, QUERY_ENC)
         oracle = dict(zip(
             [c.chunk_id for c in chunks],
             _oracle_coarse_scores(question, chunks, n_q),

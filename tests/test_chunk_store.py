@@ -1,22 +1,29 @@
-"""The reranker's chunk-code store: a per-runtime cache of each evidence doc's
-token codes that must never change a score."""
+"""The reranker's chunk store: a per-runtime cache of each evidence doc's chunk
+texts and token codes that must never change a chunk, a score or a trace."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynarag.config import RerankConfig
+import dynarag.reranker as reranker
+from dynarag.config import PipelineConfig, RerankConfig
 from dynarag.encoders import HashedTextEncoder, tokenize
+from dynarag.evalharness import group_sessions, load_dataset
 from dynarag.fixtures import EVAL_ROWS, build_world_runtime
 from dynarag.orchestrator import QueryTurn, trace_to_dict
-from dynarag.reranker import ChunkCodeStore, chunk_evidence
+from dynarag.pipeline import build_runtime
+from dynarag.reranker import Chunk, ChunkCodeStore, chunk_evidence
 from dynarag.search import KgEntry, SearchHit, Source, WebDoc, unit_embedding_for
 from dynarag.timing import SimulatedClock
 
 from test_encoders import oracle_encode_tokens
 
 ENCODER = HashedTextEncoder()
+WORLDGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "worldgen.py"
 
 
 def web_hit(url, html, title="") -> SearchHit:
@@ -32,15 +39,60 @@ def kg_hit(entity, url, attributes) -> SearchHit:
     return SearchHit(Source.IMAGE_KG, 0.5, entry)
 
 
+# --- the reference: every hit chunked and every chunk embedded on every turn ------
+
+
+def reference_chunks(hits, config) -> list[Chunk]:
+    """The reranker's chunking as it ran before the store kept chunk texts."""
+    chunks = []
+    for hit in hits:
+        if hit.source is Source.WEB:
+            text = reranker._doc_text(hit.payload)
+        else:
+            text = reranker._kg_paragraph(hit.payload)
+        prefix = f"{hit.source.value}:{hit.url}#"
+        position = 0
+        for block in reranker._split_blocks(text):
+            for span in reranker._fixed_spans(block, config.max_chunk_chars,
+                                              config.chunk_overlap):
+                span = span.strip()
+                if not span:
+                    continue
+                chunks.append(Chunk(text=span, source=hit.source, doc_url=hit.url,
+                                    position=position, chunk_id=f"{prefix}{position}"))
+                position += 1
+    return chunks
+
+
 def encoded(chunks) -> np.ndarray:
     """Each chunk's text through the per-token loop, one chunk at a time."""
     return np.vstack([oracle_encode_tokens(tokenize(c.text)) for c in chunks])
 
 
-def assert_rows(store, hits, config):
-    chunks = chunk_evidence(hits, config)
-    got = store.embed(chunks, config)
-    assert got.tobytes() == encoded(chunks).tobytes()
+def reference_coarse_score(question, image_embedding, chunks, config, query_encoder):
+    if not chunks:
+        return []
+    qvecs = query_encoder.encode(question, image_embedding, config.n_query_tokens)
+    scores = (qvecs @ encoded(chunks).T).max(axis=0)
+    survivors = [(c, float(s)) for c, s in zip(chunks, scores) if s >= config.tau_coarse]
+    survivors.sort(key=lambda pair: -pair[1])
+    return survivors[: config.k1]
+
+
+def use_reference(monkeypatch):
+    """Route ``rerank`` through the reference chunking and coarse stage."""
+    monkeypatch.setattr(reranker, "chunk_evidence",
+                        lambda hits, config, store: reference_chunks(hits, config))
+    monkeypatch.setattr(reranker, "coarse_score", reference_coarse_score)
+
+
+def assert_matches_reference(store, hits, config):
+    evidence = chunk_evidence(hits, config, store)
+    want = reference_chunks(hits, config)
+    assert list(evidence) == want
+    assert len(evidence) == len(want)
+    if want:
+        assert evidence.embed().tobytes() == encoded(want).tobytes()
 
 
 LONG_HTML = "<h1>History</h1>" + "".join(
@@ -50,35 +102,74 @@ LONG_HTML = "<h1>History</h1>" + "".join(
 # --- the pipeline ---------------------------------------------------------------
 
 
-def demo_traces(runtime) -> list[str]:
-    sessions: dict[str, list[QueryTurn]] = {}
-    for sid, ti, q, img, _truth, _tax in EVAL_ROWS:
-        sessions.setdefault(sid, []).append(QueryTurn(sid, ti, q, img, 10.0))
+def turn_records(runtime, sessions) -> list[str]:
+    """Each turn's trace, plus the bits of each selected chunk's scores."""
     out = []
-    for sid in sorted(sessions):
-        turns = sorted(sessions[sid], key=lambda t: t.turn_index)
+    for turns in sessions:
         for _answer, trace in runtime.orchestrator(clock=SimulatedClock()).run_session(turns):
-            out.append(json.dumps(trace_to_dict(trace), sort_keys=True))
+            bits = [] if trace.evidence is None else [
+                (score.coarse.hex(), score.fine.hex(), score.cumulative.hex())
+                for _chunk, score in trace.evidence.chunks
+            ]
+            out.append(json.dumps([trace_to_dict(trace), bits], sort_keys=True))
     return out
 
 
-def test_warm_and_cold_stores_give_the_traces_of_per_chunk_encoding(monkeypatch):
-    cold = demo_traces(build_world_runtime())
-    warm_runtime = build_world_runtime()
-    demo_traces(warm_runtime)
+def demo_sessions() -> list[list[QueryTurn]]:
+    sessions: dict[str, list[QueryTurn]] = {}
+    for sid, ti, q, img, _truth, _tax in EVAL_ROWS:
+        sessions.setdefault(sid, []).append(QueryTurn(sid, ti, q, img, 10.0))
+    return [sorted(sessions[sid], key=lambda t: t.turn_index) for sid in sorted(sessions)]
+
+
+@pytest.fixture(scope="module")
+def long_docs_world(tmp_path_factory):
+    """A small ``long_docs`` benchmark world: 100 html docs of 10-15 KB, 30 turns."""
+    spec = importlib.util.spec_from_file_location("perfbench_worldgen", WORLDGEN_PATH)
+    worldgen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = worldgen  # its dataclasses look their module up
+    spec.loader.exec_module(worldgen)
+    config_path = worldgen.generate("long_docs", seed=3,
+                                    out=tmp_path_factory.mktemp("long_docs"), scale=0.05)
+    config = PipelineConfig.from_file(config_path)
+    records = load_dataset(config_path.parent / "dataset.jsonl",
+                           config.limits.turn_deadline_s)
+    sessions = [[r.turn for r in group] for group in group_sessions(records).values()]
+    return config, sessions
+
+
+def assert_cold_and_warm_stores_match_the_reference(build, sessions, monkeypatch):
+    cold = turn_records(build(), sessions)
+    warm_runtime = build()
+    turn_records(warm_runtime, sessions)
     assert warm_runtime.chunk_store._docs  # filled by the first pass
-    warm = demo_traces(warm_runtime)
+    warm = turn_records(warm_runtime, sessions)
 
-    # The reference embeds every chunk's text on every turn, as the reranker
-    # did before it had a store.
-    monkeypatch.setattr(ChunkCodeStore, "embed",
-                        lambda self, chunks, config: encoded(chunks))
-    reference = demo_traces(build_world_runtime())
+    use_reference(monkeypatch)
+    reference = turn_records(build(), sessions)
 
-    assert len(reference) == len(EVAL_ROWS) == 23
-    assert any('"evidence": {' in trace for trace in reference)
+    assert any('"evidence": {' in record for record in reference)
     assert cold == reference
     assert warm == reference
+    return reference
+
+
+def test_warm_and_cold_stores_give_the_traces_of_per_chunk_encoding(monkeypatch):
+    reference = assert_cold_and_warm_stores_match_the_reference(
+        build_world_runtime, demo_sessions(), monkeypatch)
+    assert len(reference) == len(EVAL_ROWS) == 23
+
+
+def test_long_html_docs_give_the_traces_of_per_chunk_encoding(long_docs_world,
+                                                              monkeypatch):
+    config, sessions = long_docs_world
+    runtime = build_runtime(config)
+    docs = runtime.web_index._pos_docs + runtime.web_index._neg_docs
+    assert len(docs) == 100
+    assert all(len(doc.html) > 10_000 for doc in docs)
+    reference = assert_cold_and_warm_stores_match_the_reference(
+        lambda: build_runtime(config), sessions, monkeypatch)
+    assert len(reference) == 30
 
 
 def test_each_runtime_builds_one_store_over_its_text_encoder():
@@ -95,9 +186,9 @@ def test_web_doc_and_kg_entry_sharing_a_url_do_not_collide():
     config = RerankConfig()
     web = web_hit("https://shared", "<p>web page text about kettles</p>")
     kg = kg_hit("Kettle", "https://shared", {"brand": "Alessi", "price": "$90"})
-    assert_rows(store, [web, kg], config)
-    assert_rows(store, [kg], config)
-    assert_rows(store, [web], config)
+    assert_matches_reference(store, [web, kg], config)
+    assert_matches_reference(store, [kg], config)
+    assert_matches_reference(store, [web], config)
     assert len(store._docs) == 2
 
 
@@ -108,7 +199,7 @@ def test_chunking_parameters_always_come_from_the_config_given(first, second):
     hits = [web_hit("https://long", LONG_HTML, "Title")]
     for max_chars, overlap in (first, second, first):
         config = RerankConfig(max_chunk_chars=max_chars, chunk_overlap=overlap)
-        assert_rows(store, hits, config)
+        assert_matches_reference(store, hits, config)
     assert len(store._docs) == 2
 
 
@@ -116,35 +207,59 @@ def test_a_doc_hit_twice_in_a_row_embeds_both_copies():
     store = ChunkCodeStore(ENCODER)
     config = RerankConfig(max_chunk_chars=120, chunk_overlap=20)
     hit = web_hit("https://long", LONG_HTML)
-    assert_rows(store, [hit, hit], config)
-    assert_rows(store, [hit], config)
-    assert_rows(store, [hit, kg_hit("K", "kg://k", {"a": "b"}), hit, hit], config)
+    kg = kg_hit("K", "kg://k", {"a": "b"})
+    assert_matches_reference(store, [hit, hit], config)
+    assert_matches_reference(store, [hit], config)
+    assert_matches_reference(store, [hit, kg, hit, hit], config)
+    once = len(chunk_evidence([hit], config, store))
+    assert len(chunk_evidence([hit, kg, hit, hit], config, store)) == 3 * once + 1
 
 
-def test_a_url_whose_chunk_count_changed_is_rejected():
+def test_a_url_that_names_another_payload_is_rejected():
     store = ChunkCodeStore(ENCODER)
     config = RerankConfig(max_chunk_chars=120, chunk_overlap=20)
-    store.embed(chunk_evidence([web_hit("https://u", LONG_HTML)], config), config)
-    changed = chunk_evidence([web_hit("https://u", "<p>short</p>")], config)
-    with pytest.raises(ValueError, match="https://u"):
-        store.embed(changed, config)
+    chunk_evidence([web_hit("https://u", LONG_HTML)], config, store)
+    # Equal content is not enough: the store answers for one payload per url.
+    for changed in (web_hit("https://u", "<p>short</p>"), web_hit("https://u", LONG_HTML)):
+        with pytest.raises(ValueError, match="https://u"):
+            chunk_evidence([changed], config, store)
+
+
+def test_empty_hits_give_no_chunks():
+    evidence = chunk_evidence([], RerankConfig(), ChunkCodeStore(ENCODER))
+    assert len(evidence) == 0 and list(evidence) == []
+
+
+def test_a_doc_without_chunks_takes_no_row():
+    store = ChunkCodeStore(ENCODER)
+    empty = kg_hit("E", "kg://e", {"visual_match": "true"})
+    assert_matches_reference(store, [empty, web_hit("https://w", "<p>text</p>"), empty],
+                             RerankConfig())
 
 
 # --- contents -------------------------------------------------------------------
 
 
-def test_store_keeps_only_integer_codes():
+def test_an_entry_holds_its_payload_texts_and_integer_codes_only():
     store = ChunkCodeStore(ENCODER)
     config = RerankConfig()
     hits = [web_hit("https://long", LONG_HTML, "Title"),
             kg_hit("K", "kg://k", {"brand": "Acme", "price": "$5"})]
-    chunks = chunk_evidence(hits, config)
-    store.embed(chunks, config)
+    chunks = reference_chunks(hits, config)
+    chunk_evidence(hits, config, store)
     tokens = sum(len(tokenize(c.text)) for c in chunks)
     stored = 0
-    for codes, lengths in store._docs.values():
-        assert codes.dtype == np.uint16  # 2 bytes a token at the default dim
-        assert np.issubdtype(lengths.dtype, np.integer)
-        assert codes.size == lengths.sum()
-        stored += codes.size
+    for hit, entry in zip(hits, store._docs.values()):
+        assert entry.payload is hit.payload
+        assert set(vars(type(entry))["__slots__"]) == {"payload", "texts", "codes",
+                                                       "lengths"}
+        assert type(entry.texts) is tuple
+        assert all(type(text) is str for text in entry.texts)
+        assert entry.codes.dtype == np.uint16  # 2 bytes a token at the default dim
+        assert np.issubdtype(entry.lengths.dtype, np.integer)
+        assert entry.codes.size == entry.lengths.sum()
+        assert len(entry.lengths) == len(entry.texts)
+        stored += entry.codes.size
     assert stored == tokens
+    assert [t for entry in store._docs.values() for t in entry.texts] == \
+        [c.text for c in chunks]

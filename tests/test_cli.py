@@ -159,6 +159,25 @@ def test_malformed_dataset_line_is_one_error_line(world, tmp_path, capsys, comma
     one_error_line(capsys, "line 2")
 
 
+@pytest.mark.parametrize("command", ["eval", "trace"])
+@pytest.mark.parametrize("field, value, needle", [("deadline_s", float("nan"), "deadline_s"),
+                                                  ("deadline_s", 0, "deadline_s"),
+                                                  ("question", " \t", "question")])
+def test_a_dataset_row_that_disables_its_turn_is_one_error_line(world, tmp_path, capsys,
+                                                                command, field, value,
+                                                                needle):
+    lines = world["dataset"].read_text().splitlines()
+    dataset = tmp_path / "bad-row.jsonl"
+    bad = json.dumps(dict(json.loads(lines[1]), **{field: value}))
+    dataset.write_text("\n".join([lines[0], bad, *lines[2:]]) + "\n")
+    extra = (["--report-out", str(tmp_path / "report.json")] if command == "eval"
+             else ["--index", "0"])
+    code = main([command, "--config", str(world["config"]),
+                 "--dataset", str(dataset), *extra])
+    assert code == 2
+    one_error_line(capsys, "line 2", needle)
+
+
 def command_args(command, config, world, tmp_path):
     extra = {"ingest": [],
              "eval": ["--dataset", str(world["dataset"]),
@@ -175,7 +194,11 @@ COMMANDS = ["ingest", "eval", "trace"]
                                           ("paths: [\n", "invalid YAML"),
                                           ("agents:\n  object_num: 0\n", "object_num"),
                                           ("agents:\n  k_per_query: -1\n", "k_per_query"),
-                                          ("agents:\n  k_total: 0\n", "k_total")])
+                                          ("agents:\n  k_total: 0\n", "k_total"),
+                                          ("limits:\n  session_budget_s: .nan\n",
+                                           "session_budget_s"),
+                                          ("limits:\n  turn_deadline_s: 0\n",
+                                           "turn_deadline_s")])
 def test_bad_config_is_one_error_line(world, tmp_path, capsys, command, text, needle):
     config = tmp_path / "config.yaml"
     config.write_text(text)

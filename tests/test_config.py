@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from cases import WRONG_TYPED_FIELDS, with_wrong_type
-from dynarag.config import AgentConfig, PipelineConfig, RerankConfig
+from dynarag.config import AgentConfig, LimitsConfig, PipelineConfig, RerankConfig
 from dynarag.errors import ParseError
 from dynarag.evalharness import load_dataset
 from dynarag.fixtures import write_world
@@ -71,6 +71,24 @@ def test_agent_config_validation(key, value):
     with pytest.raises(ValueError, match=key):
         PipelineConfig.from_dict({"agents": {key: value}})
     assert getattr(AgentConfig(**{key: 1}), key) == 1
+
+
+@pytest.mark.parametrize("limits, key", [
+    ({"session_budget_s": float("nan")}, "session_budget_s"),
+    ({"turn_deadline_s": 0}, "turn_deadline_s"),
+    ({"turn_deadline_s": -1.0}, "turn_deadline_s"),
+    ({"session_budget_s": float("inf")}, "session_budget_s"),
+    ({"turn_deadline_s": "5"}, "turn_deadline_s"),
+])
+def test_limits_config_validation(tmp_path, limits, key):
+    with pytest.raises(ValueError, match=key):
+        LimitsConfig(**limits)
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_dict({"limits": limits})
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"limits": limits}))
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_file(path)
 
 
 def test_empty_config_file_gives_defaults(tmp_path):

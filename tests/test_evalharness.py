@@ -94,6 +94,28 @@ def test_empty_ground_truth_rejected(tmp_path):
         load_dataset(path, 10.0)
 
 
+@pytest.mark.parametrize("deadline_s", [float("nan"), float("inf"), 0, -2.5])
+def test_a_deadline_that_is_not_finite_and_positive_is_rejected(tmp_path, deadline_s):
+    rows = eval_rows()[:2]
+    rows[1] = dict(rows[1], deadline_s=deadline_s)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ParseError, match="deadline_s") as err:
+        load_dataset(path, 10.0)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("question", ["", "   ", "\n\t"])
+def test_a_blank_question_is_rejected(tmp_path, question):
+    rows = eval_rows()[:2]
+    rows[1] = dict(rows[1], question=question)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ParseError, match="question") as err:
+        load_dataset(path, 10.0)
+    assert err.value.line == 2
+
+
 # --- report construction -----------------------------------------------------------------
 
 

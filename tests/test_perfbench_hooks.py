@@ -10,8 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import dynarag.reranker
 from dynarag.orchestrator import QueryTurn
+from dynarag.reranker import chunk_evidence
 from dynarag.timing import SimulatedClock
+
+from test_chunk_store import reference_chunks
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,10 +54,19 @@ def test_tracer_installs_spans_a_turn_and_uninstalls(tracer_module, world_runtim
         assert vars(owner)[attr] is originals[name], name
 
 
-def test_tracer_records_the_reranker_funnel_of_a_rag_turn(tracer_module, world_runtime):
+def test_tracer_records_the_reranker_funnel_of_a_rag_turn(tracer_module, world_runtime,
+                                                         monkeypatch):
     """The funnel metrics (hits, chunks, keep ratio) are read off the
     ``reranker.chunk`` span: a reranker that stopped calling
-    ``chunk_evidence`` would silently report them as 0."""
+    ``chunk_evidence``, or whose result stopped counting chunks, would
+    silently report them wrong."""
+    seen_hits = []
+
+    def recording_chunk_evidence(hits, config, store):
+        seen_hits.append(list(hits))
+        return chunk_evidence(hits, config, store)
+
+    monkeypatch.setattr(dynarag.reranker, "chunk_evidence", recording_chunk_evidence)
     tracer = tracer_module.Tracer().install()
     try:
         orchestrator = world_runtime.orchestrator(clock=SimulatedClock())
@@ -64,6 +77,9 @@ def test_tracer_records_the_reranker_funnel_of_a_rag_turn(tracer_module, world_r
     assert trace.route.branch.value == "rag_augment"
     spans = {span.name: span for span in tracer.spans}
     chunk = spans["reranker.chunk"]
-    assert chunk.attrs["hits"] > 0 and chunk.attrs["chunks"] > 0
+    [hits] = seen_hits
+    assert chunk.attrs["hits"] == len(hits) > 0
+    assert chunk.attrs["chunks"] == len(reference_chunks(hits, world_runtime.config.rerank))
+    assert chunk.attrs["chunks"] > chunk.attrs["hits"]
     assert spans["reranker.coarse"].parent == spans["reranker.rerank"].id
     assert spans["reranker.coarse"].attrs["kept"] > 0

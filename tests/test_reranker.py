@@ -11,6 +11,7 @@ from dynarag.reranker import (
     Chunk,
     ChunkCodeStore,
     ChunkScore,
+    Evidence,
     TokenOverlapScorer,
     assemble_context,
     chunk_evidence,
@@ -42,12 +43,26 @@ def chunk(i, text, source=Source.WEB, position=0) -> Chunk:
                  position=position, chunk_id=f"c{i}")
 
 
+def chunks_of(hits, cfg=RerankConfig()) -> list[Chunk]:
+    return list(chunk_evidence(hits, cfg, ChunkCodeStore(TEXT_ENC)))
+
+
+def one_chunk_docs(*texts) -> Evidence:
+    """Evidence of one single-chunk web doc per text, urls https://c/0, 1, ..."""
+    store = ChunkCodeStore(TEXT_ENC)
+    docs = []
+    for i, text in enumerate(texts):
+        url = f"https://c/{i}"
+        docs.append((Source.WEB, url, store.build(WebDoc(url, "", text), [text])))
+    return Evidence(docs, TEXT_ENC)
+
+
 # --- chunking ---------------------------------------------------------------------
 
 
 def test_kg_attribute_block_renders_template_sentences():
     hit = kg_hit("WidgetX", "kg://w", {"brand": "Acme", "price": "$5"})
-    chunks = chunk_evidence([hit], RerankConfig())
+    chunks = chunks_of([hit])
     assert len(chunks) == 1
     assert chunks[0].text == "The brand of WidgetX is Acme. The price of WidgetX is $5."
     assert chunks[0].source is Source.IMAGE_KG
@@ -55,7 +70,7 @@ def test_kg_attribute_block_renders_template_sentences():
 
 def test_visual_match_attribute_never_leaks_into_evidence():
     hit = kg_hit("W", "kg://w", {"brand": "Acme", "visual_match": "true"})
-    chunks = chunk_evidence([hit], RerankConfig())
+    chunks = chunks_of([hit])
     assert "visual_match" not in chunks[0].text
 
 
@@ -63,7 +78,7 @@ def test_long_paragraph_splits_with_overlap():
     # 1200 chars, max 512, overlap 64: spans [0:512], [448:960], [896:1200]
     text = "".join(chr(ord("a") + (i % 26)) for i in range(1200))
     hit = web_hit("https://d/long", text)
-    chunks = chunk_evidence([hit], RerankConfig())
+    chunks = chunks_of([hit])
     assert len(chunks) == 3
     assert chunks[0].text == text[0:512]
     assert chunks[1].text == text[448:960]
@@ -72,7 +87,7 @@ def test_long_paragraph_splits_with_overlap():
 
 
 def test_empty_hits_give_empty_chunks():
-    assert chunk_evidence([], RerankConfig()) == []
+    assert chunks_of([]) == []
 
 
 def test_chunk_ids_unique_and_lengths_bounded():
@@ -82,7 +97,7 @@ def test_chunk_ids_unique_and_lengths_bounded():
         web_hit("https://d/2", "y" * 40, title="Two"),
         kg_hit("E", "kg://e", {"brand": "B", "price": "$1"}),
     ]
-    chunks = chunk_evidence(hits, cfg)
+    chunks = chunks_of(hits, cfg)
     ids = [c.chunk_id for c in chunks]
     assert len(ids) == len(set(ids))
     assert all(len(c.text) <= cfg.max_chunk_chars for c in chunks)
@@ -91,9 +106,16 @@ def test_chunk_ids_unique_and_lengths_bounded():
 def test_html_is_stripped_when_present():
     doc = WebDoc(url="https://d/h", title="", snippet="ignored",
                  html="<html><body><p>visible words</p></body></html>")
-    chunks = chunk_evidence([SearchHit(Source.WEB, 0.1, doc)], RerankConfig())
+    chunks = chunks_of([SearchHit(Source.WEB, 0.1, doc)])
     assert any("visible words" in c.text for c in chunks)
     assert all("<p>" not in c.text for c in chunks)
+
+
+@pytest.mark.parametrize("html", ["<div></div>", "<html>\n <body> </body>\n</html>"])
+def test_tag_only_html_falls_back_to_the_snippet(html):
+    doc = WebDoc(url="https://d/t", title="Title", snippet="snippet words", html=html)
+    chunks = chunks_of([SearchHit(Source.WEB, 0.1, doc)])
+    assert [c.text for c in chunks] == ["Title", "snippet words"]
 
 
 # --- coarse stage -----------------------------------------------------------------
@@ -103,28 +125,28 @@ def test_chunk_matching_one_query_vector_scores_one():
     # n=3 query slots: whole, tokens[0::2], tokens[1::2]. Chunk equal to the
     # second token group matches that slot exactly.
     cfg = RerankConfig(tau_coarse=0.9, n_query_tokens=3)
-    c = chunk(0, "beta delta")
-    out = coarse_score("alpha beta gamma delta", None, [c], cfg, QUERY_ENC, ChunkCodeStore(TEXT_ENC))
+    out = coarse_score("alpha beta gamma delta", None, one_chunk_docs("beta delta"), cfg,
+                       QUERY_ENC)
     assert len(out) == 1
     assert out[0][1] > 1.0 - 1e-9
 
 
 def test_all_chunks_below_tau_gives_empty_survivors():
     cfg = RerankConfig(tau_coarse=0.99)
-    chunks = [chunk(i, f"unrelated tokens {i}") for i in range(5)]
-    out = coarse_score("completely different question", None, chunks, cfg,
-                       QUERY_ENC, ChunkCodeStore(TEXT_ENC))
+    evidence = one_chunk_docs(*(f"unrelated tokens {i}" for i in range(5)))
+    out = coarse_score("completely different question", None, evidence, cfg, QUERY_ENC)
     assert out == []
 
 
 def test_coarse_top_k1_matches_bruteforce_double_loop():
     rng = np.random.default_rng(5)
     vocab = [f"w{j}" for j in range(40)]
-    chunks = [chunk(i, " ".join(rng.choice(vocab, size=6))) for i in range(30)]
+    evidence = one_chunk_docs(*(" ".join(rng.choice(vocab, size=6)) for _ in range(30)))
+    chunks = list(evidence)
     cfg = RerankConfig(k1=20, tau_coarse=0.0, n_query_tokens=8)
     question = "w1 w2 w3 w4 w5"
 
-    out = coarse_score(question, None, chunks, cfg, QUERY_ENC, ChunkCodeStore(TEXT_ENC))
+    out = coarse_score(question, None, evidence, cfg, QUERY_ENC)
 
     qvecs = QUERY_ENC.encode(question, None, cfg.n_query_tokens)
     oracle_scores = []
