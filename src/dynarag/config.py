@@ -16,6 +16,8 @@ from pathlib import Path
 
 import yaml
 
+from .errors import NUMBER, typed
+
 DEFAULT_TAXONOMY = (
     "books", "food", "shopping", "vehicles", "animal",
     "plant", "math", "text", "other",
@@ -150,9 +152,8 @@ class LimitsConfig:
 
     def __post_init__(self):
         for name in ("turn_deadline_s", "session_budget_s"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
+            value = typed(getattr(self, name), NUMBER, name)
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0")
 
 

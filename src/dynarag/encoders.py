@@ -75,6 +75,14 @@ class HashedTextEncoder:
         return np.array([slot if sign > 0 else slot + dim
                          for slot, sign in zip(slots, signs)], dtype=self.code_dtype)
 
+    def slot_counts(self, tokens: Sequence[str]) -> dict[int, int]:
+        """Each slot's signed token count, zero counts left out: the exact
+        integers ``encode_tokens`` normalizes."""
+        counts: dict[int, int] = {}
+        for slot, sign in zip(*self._hash(tokens)):
+            counts[slot] = counts.get(slot, 0) + (1 if sign > 0 else -1)
+        return {slot: count for slot, count in counts.items() if count}
+
     def embed(self, codes: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
         """Unit rows, one per entry of ``lengths``, from the concatenated
         codes of the rows (zero rows for rows without codes)."""

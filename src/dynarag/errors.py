@@ -54,10 +54,12 @@ NUMBER = (int, float)
 
 def typed(value, kind, name: str):
     """``value`` if it is a ``kind`` (a type or a tuple of types); otherwise
-    ValueError naming the field. The ``from_dict`` parsers check each JSON
+    ValueError naming the field. A bool is not taken for a number, although
+    Python counts it as an int. The ``from_dict`` parsers check each JSON
     value with it, so a wrong-typed field is reported with its line."""
-    if not isinstance(value, kind):
-        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kind) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
         raise ValueError(f"{name}: expected {names}, got {type(value).__name__}")
     return value
 

@@ -87,9 +87,12 @@ class EvalRecord:
                                  "deadline_s"))
         if not (math.isfinite(deadline_s) and deadline_s > 0):
             raise ValueError(f"deadline_s must be finite and > 0, got {deadline_s}")
+        turn_index = typed(raw.get("turn_index", 0), NUMBER, "turn_index")
+        if int(turn_index) != turn_index:  # int() raises on infinity and NaN
+            raise ValueError(f"turn_index must be a whole number, got {turn_index}")
         turn = QueryTurn(
             session_id=typed(raw["session_id"], str, "session_id"),
-            turn_index=int(typed(raw.get("turn_index", 0), NUMBER, "turn_index")),
+            turn_index=int(turn_index),
             question=question,
             image_ref=typed(raw.get("image_ref"), (str, type(None)), "image_ref"),
             deadline_s=deadline_s,

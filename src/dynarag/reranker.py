@@ -260,10 +260,20 @@ def coarse_score(
 
 
 class TokenOverlapScorer:
-    """Mock point-wise relevance: question-token recall inside the chunk."""
+    """Mock point-wise relevance: question-token recall inside the chunk.
+
+    A fine stage scores many chunks against one question, so the question's
+    token set is kept from one call to the next while the question is the same.
+    """
+
+    def __init__(self):
+        self._question: str | None = None
+        self._q_tokens: set[str] = set()
 
     def score(self, question: str, chunk_text: str, instruction: str = "") -> float:
-        q_tokens = set(tokenize(question))
+        if question != self._question:
+            self._question, self._q_tokens = question, set(tokenize(question))
+        q_tokens = self._q_tokens
         if not q_tokens:
             return 0.0
         c_tokens = set(tokenize(chunk_text))

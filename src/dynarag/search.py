@@ -1,17 +1,32 @@
 """Deterministic mock retrieval backends: web-text search and image-KG search.
 
-Both indexes are immutable after ingest and score by exact cosine similarity
-over the full corpus (desk scale; the brute-force scan is the implementation,
-not an approximation). A partial selection of the k-th largest score, then an
-exact sort of the candidates at or above it, orders the top k as a full sort
-would: by score, ties by url ascending. The web index can interleave corpus
-items flagged as hard negatives at a configurable rate to mimic retrieval
-noise.
+Both indexes are immutable after ingest and rank the full corpus exactly
+(desk scale; the brute-force scan is the implementation, not an
+approximation). A partial selection of the k-th largest score, then an exact
+sort of the candidates at or above it, orders the top k as a full sort would:
+by score, ties by url ascending. The web index can interleave corpus items
+flagged as hard negatives at a configurable rate to mimic retrieval noise.
+
+The web index keeps each doc's signed hashed-token counts as integer slot
+postings (an inverted file, Zobel & Moffat, ACM Computing Surveys 2006) and
+ranks by the exact cosine: a query with slot counts ``q`` scores a doc with
+counts ``d`` by ``dot * |dot| / nn``, where ``dot = q . d`` and ``nn = d . d``
+are exact integers, so the key is one correctly rounded division. Docs with
+equal exact cosines get equal keys and fall in url order. The reported score
+is ``sign * sqrt(|key| / nq)`` with ``nq = q . q``, so tied docs carry equal
+scores. Exactness bound: two different ratios ``dot**2 / nn`` differ by at
+least ``1 / nn_max**2`` and are at most ``nq`` (Cauchy-Schwarz), and one
+rounding moves a value by at most ``nq * 2**-53``, so ``nq * nn_max**2 <
+2**52`` keeps different keys apart; ``2**50`` also leaves room for the score's
+three roundings, so different cosines keep different scores, in key order. A
+doc beyond the bound at build, or a query beyond it at search, raises
+ValueError.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -22,6 +37,8 @@ from .encoders import HashedTextEncoder, tokenize
 from .errors import NUMBER, DimensionMismatch, IndexNotBuilt, read_jsonl, typed
 
 WEB_RESULT_CAP = 50  # the web API returns at most 50 pages per query
+# The exactness bound on nq * nn_max**2 (see the module docstring).
+EXACT_LIMIT = 2 ** 50
 
 
 class Source(str, Enum):
@@ -167,33 +184,94 @@ def _top_k(scores: np.ndarray, urls: list[str], k: int) -> list[tuple[int, float
     n = len(urls)
     if k < n:
         kth = np.partition(scores, n - k)[n - k]
-        candidates = np.flatnonzero(scores >= kth).tolist()
-        if len(candidates) > k:
-            above = np.flatnonzero(scores > kth).tolist()
-            ties = np.flatnonzero(scores == kth).tolist()
-            candidates = above + heapq.nsmallest(
-                k - len(above), ties, key=urls.__getitem__)
+        candidates = np.flatnonzero(scores > kth).tolist()
+        ties = np.flatnonzero(scores == kth).tolist()
+        room = k - len(candidates)
+        candidates += (ties if len(ties) <= room
+                       else heapq.nsmallest(room, ties, key=urls.__getitem__))
     else:
-        candidates = range(n)
-    order = sorted(candidates, key=lambda i: (-scores[i], urls[i]))[:k]
-    return [(i, float(scores[i])) for i in order]
+        candidates = list(range(n))
+    pairs = zip(candidates, scores[candidates].tolist())
+    return sorted(pairs, key=lambda p: (-p[1], urls[p[0]]))[:k]
+
+
+@dataclass(frozen=True)
+class SlotPostings:
+    """One partition of the web corpus as signed slot counts, by slot (CSC).
+
+    Slot ``s`` holds the docs ``ids[indptr[s]:indptr[s + 1]]``, ascending,
+    with their non-zero counts ``counts[indptr[s]:indptr[s + 1]]``. ``nn`` is
+    each doc's squared norm, the exact integer sum of its squared counts (1
+    for a doc without tokens, whose dot products are all 0). Every count obeys
+    ``count**2 <= nn < 2**25``, so it fits an int16.
+    """
+
+    docs: list[WebDoc]
+    urls: list[str]
+    indptr: list[int]
+    ids: np.ndarray     # int32
+    counts: np.ndarray  # int16
+    nn: np.ndarray      # float64 holding exact integers
+    max_nq: int         # the largest query squared norm ranked exactly
+
+    @classmethod
+    def build(cls, docs: list[WebDoc], encoder: HashedTextEncoder) -> "SlotPostings":
+        dim, n = encoder.dim, len(docs)
+        parts = [encoder.token_codes(tokenize(f"{d.title} {d.snippet}")) for d in docs]
+        codes = np.concatenate(parts).astype(np.int64) if parts else np.zeros(0, np.int64)
+        negative = codes >= dim
+        # One entry per (slot, doc) pair, slot-major: sorted, they are the CSC.
+        stride = max(n, 1)
+        entries, where = np.unique(
+            (codes - dim * negative) * stride
+            + np.repeat(np.arange(n), [len(p) for p in parts]),
+            return_inverse=True)
+        counts = np.bincount(where, weights=1 - 2 * negative.astype(np.int8))
+        kept = counts != 0
+        slots, ids = np.divmod(entries[kept], stride)
+        counts = counts[kept]
+        nn = np.bincount(ids, weights=counts * counts, minlength=n)
+        nn_max = int(nn.max()) if n else 0
+        if nn_max * nn_max >= EXACT_LIMIT:
+            raise ValueError(f"a doc's squared norm {nn_max} is too large for exact "
+                             f"ranking (at most {math.isqrt(EXACT_LIMIT - 1)})")
+        nn[nn == 0] = 1.0
+        return cls(docs=docs, urls=[d.url for d in docs],
+                   indptr=np.searchsorted(slots, np.arange(dim + 1)).tolist(),
+                   ids=ids.astype(np.int32), counts=counts.astype(np.int16), nn=nn,
+                   max_nq=(EXACT_LIMIT - 1) // max(nn_max, 1) ** 2)
+
+    def top(self, query: dict[int, int], nq: int, k: int) -> list[tuple[WebDoc, float]]:
+        """The k >= 1 best docs for a query's non-zero slot counts ``query``
+        (squared norm ``nq``), by exact cosine, ties by url, with their scores."""
+        if nq > self.max_nq:
+            raise ValueError(f"a query of squared norm {nq} is too long for exact "
+                             f"ranking (at most {self.max_nq})")
+        ids, counts, indptr = self.ids, self.counts, self.indptr
+        hit, weights = [], []
+        for slot, count in query.items():
+            lo, hi = indptr[slot], indptr[slot + 1]
+            hit.append(ids[lo:hi])
+            weights.append(counts[lo:hi] if count == 1 else counts[lo:hi] * float(count))
+        # Every partial sum is at most sqrt(nq * nn) < 2**25: exact in float64.
+        dot = np.bincount(np.concatenate(hit), np.concatenate(weights),
+                          minlength=len(self.urls)) if hit else np.zeros(len(self.urls))
+        keys = dot * np.abs(dot) / self.nn
+        return [(self.docs[i], math.copysign(math.sqrt(abs(key) / nq), key) if nq else 0.0)
+                for i, key in _top_k(keys, self.urls, k)]
 
 
 class WebSearchIndex:
-    """Cosine top-k over web docs embedded from title + snippet."""
+    """Exact cosine top-k over web docs' title + snippet token counts."""
 
     def __init__(self, encoder: HashedTextEncoder | None = None,
                  hard_negative_rate: float = 0.0):
         self.encoder = encoder or HashedTextEncoder()
         self.hard_negative_rate = hard_negative_rate
-        # Positives and hard negatives are ranked apart, each by one GEMV over
-        # its own contiguous matrix of title + snippet embeddings.
-        self._pos_docs: list[WebDoc] = []
-        self._neg_docs: list[WebDoc] = []
-        self._pos_urls: list[str] = []
-        self._neg_urls: list[str] = []
-        self._pos_matrix: np.ndarray | None = None
-        self._neg_matrix: np.ndarray | None = None
+        # Positives and hard negatives are ranked apart, each over its own
+        # postings.
+        self._positives: SlotPostings | None = None
+        self._negatives: SlotPostings | None = None
 
     @classmethod
     def ingest(cls, corpus_path: str | Path, encoder: HashedTextEncoder | None = None,
@@ -204,40 +282,32 @@ class WebSearchIndex:
 
     def build(self, docs: list[WebDoc]) -> "WebSearchIndex":
         _check_unique_urls(docs)
-        self._pos_docs = [d for d in docs if not d.is_hard_negative]
-        self._neg_docs = [d for d in docs if d.is_hard_negative]
-        self._pos_urls = [d.url for d in self._pos_docs]
-        self._neg_urls = [d.url for d in self._neg_docs]
-        self._pos_matrix = self._embed(self._pos_docs)
-        self._neg_matrix = self._embed(self._neg_docs)
+        self._positives = SlotPostings.build(
+            [d for d in docs if not d.is_hard_negative], self.encoder)
+        self._negatives = SlotPostings.build(
+            [d for d in docs if d.is_hard_negative], self.encoder)
         return self
 
-    def _embed(self, docs: list[WebDoc]) -> np.ndarray:
-        encoder = self.encoder
-        parts = [encoder.token_codes(tokenize(f"{d.title} {d.snippet}")) for d in docs]
-        if not parts:
-            return np.zeros((0, encoder.dim))
-        return encoder.embed(np.concatenate(parts), [len(p) for p in parts])
-
     def __len__(self) -> int:
-        return len(self._pos_docs) + len(self._neg_docs)
+        if self._positives is None:
+            return 0
+        return len(self._positives.docs) + len(self._negatives.docs)
 
     def search(self, query: str, k: int) -> list[SearchHit]:
-        if self._pos_matrix is None:
+        if self._positives is None:
             raise IndexNotBuilt("ingest a corpus before searching")
         if k < 0:
             raise ValueError("k must be non-negative")
         k = min(k, WEB_RESULT_CAP)
         if k == 0 or not len(self):
             return []
-        qvec = self.encoder.encode(query)
+        counts = self.encoder.slot_counts(tokenize(query))
+        nq = sum(count * count for count in counts.values())
         # merged[:k] never holds more than k of either partition, so the top k
         # of each is enough.
-        positives = [(self._pos_docs[i], score) for i, score in
-                     _top_k(self._pos_matrix @ qvec, self._pos_urls, k)]
-        negatives = [(self._neg_docs[i], score) for i, score in
-                     _top_k(self._neg_matrix @ qvec, self._neg_urls, k)
-                     ] if self.hard_negative_rate > 0 else []
+        positives = self._positives.top(counts, nq, k)
+        negatives = (self._negatives.top(counts, nq, k)
+                     if self.hard_negative_rate > 0 else [])
         merged = _interleave(positives, negatives, self.hard_negative_rate)
         return [SearchHit(Source.WEB, score, d) for d, score in merged[:k]]
 

@@ -162,7 +162,8 @@ def test_malformed_dataset_line_is_one_error_line(world, tmp_path, capsys, comma
 @pytest.mark.parametrize("command", ["eval", "trace"])
 @pytest.mark.parametrize("field, value, needle", [("deadline_s", float("nan"), "deadline_s"),
                                                   ("deadline_s", 0, "deadline_s"),
-                                                  ("question", " \t", "question")])
+                                                  ("question", " \t", "question"),
+                                                  ("turn_index", 0.7, "turn_index")])
 def test_a_dataset_row_that_disables_its_turn_is_one_error_line(world, tmp_path, capsys,
                                                                 command, field, value,
                                                                 needle):
@@ -198,6 +199,8 @@ COMMANDS = ["ingest", "eval", "trace"]
                                           ("limits:\n  session_budget_s: .nan\n",
                                            "session_budget_s"),
                                           ("limits:\n  turn_deadline_s: 0\n",
+                                           "turn_deadline_s"),
+                                          ("limits:\n  turn_deadline_s: true\n",
                                            "turn_deadline_s")])
 def test_bad_config_is_one_error_line(world, tmp_path, capsys, command, text, needle):
     config = tmp_path / "config.yaml"

@@ -79,6 +79,7 @@ def test_agent_config_validation(key, value):
     ({"turn_deadline_s": -1.0}, "turn_deadline_s"),
     ({"session_budget_s": float("inf")}, "session_budget_s"),
     ({"turn_deadline_s": "5"}, "turn_deadline_s"),
+    ({"turn_deadline_s": True}, "turn_deadline_s"),
 ])
 def test_limits_config_validation(tmp_path, limits, key):
     with pytest.raises(ValueError, match=key):

@@ -25,6 +25,17 @@ def oracle_encode_tokens(tokens, dim=256):
     return vec if norm == 0.0 else vec / norm
 
 
+def oracle_slot_counts(tokens, dim=256) -> dict[int, int]:
+    """Each slot's signed token count from the same per-token loop, zeros
+    left out."""
+    counts: dict[int, int] = {}
+    for token in tokens:
+        digest = hashlib.sha1(token.encode("utf-8")).digest()
+        index = int.from_bytes(digest[:4], "big") % dim
+        counts[index] = counts.get(index, 0) + (1 if digest[4] & 1 else -1)
+    return {index: count for index, count in counts.items() if count}
+
+
 def oracle_multivector(question, image_embedding, n, dim=256):
     whole = oracle_encode_tokens(tokenize(question), dim)
     if image_embedding is not None and image_embedding.shape == whole.shape:
@@ -149,18 +160,31 @@ def test_multivector_matches_the_per_group_oracle_bit_for_bit(n):
                         oracle_multivector(question, embedding, n))
 
 
-def test_web_index_matrices_match_the_per_token_oracle_bit_for_bit():
-    rng = np.random.default_rng(3)
-    docs = [WebDoc(url=f"https://d/{i}", title=f"Doc {i}",
+def test_web_index_postings_match_the_per_token_oracle_bit_for_bit():
+    docs = [WebDoc(url=f"https://d/{i}", title=f"Doc {i}" if i % 7 else "",
                    snippet=" ".join(tokens) or "???",
                    is_hard_negative=bool(i % 4 == 0))
             for i, tokens in enumerate(random_token_lists(seed=3, count=40))]
     index = WebSearchIndex(HashedTextEncoder(), hard_negative_rate=0.5).build(docs)
-    for matrix, part in ((index._pos_matrix, [d for d in docs if not d.is_hard_negative]),
-                         (index._neg_matrix, [d for d in docs if d.is_hard_negative])):
-        want = np.vstack([oracle_encode_tokens(tokenize(f"{d.title} {d.snippet}"))
-                          for d in part])
-        assert_bits(matrix, want)
+    for postings, hard in ((index._positives, False), (index._negatives, True)):
+        part = [d for d in docs if d.is_hard_negative == hard]
+        want = [oracle_slot_counts(tokenize(f"{d.title} {d.snippet}")) for d in part]
+        assert postings.docs == part
+        assert postings.ids.dtype == np.int32 and postings.counts.dtype == np.int16
+        assert postings.indptr[0] == 0 and postings.indptr[-1] == len(postings.ids)
+        got = [{} for _ in part]
+        for slot in range(256):
+            lo, hi = postings.indptr[slot], postings.indptr[slot + 1]
+            ids = postings.ids[lo:hi].tolist()
+            assert ids == sorted(set(ids))
+            for i, count in zip(ids, postings.counts[lo:hi].tolist()):
+                got[i][slot] = count
+        assert got == want
+        nn = np.array([float(sum(c * c for c in counts.values()) or 1) for counts in want])
+        assert_bits(postings.nn, nn)
+    # A snippet without a token gives a doc with no postings and nn 1.
+    assert any(not counts for counts in
+               (oracle_slot_counts(tokenize(f"{d.title} {d.snippet}")) for d in docs))
 
 
 def test_tokenize_lowercases_and_keeps_apostrophes():

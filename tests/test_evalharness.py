@@ -116,6 +116,17 @@ def test_a_blank_question_is_rejected(tmp_path, question):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("turn_index", [0.7, True])
+def test_a_turn_index_that_is_not_an_integer_is_rejected(tmp_path, turn_index):
+    rows = eval_rows()[:2]
+    rows[1] = dict(rows[1], turn_index=turn_index)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ParseError, match="turn_index") as err:
+        load_dataset(path, 10.0)
+    assert err.value.line == 2
+
+
 # --- report construction -----------------------------------------------------------------
 
 

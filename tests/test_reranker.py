@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import dynarag.reranker as reranker
 from dynarag.config import RerankConfig
-from dynarag.encoders import HashedTextEncoder, MultiVectorQueryEncoder
+from dynarag.encoders import HashedTextEncoder, MultiVectorQueryEncoder, tokenize
 from dynarag.errors import ScorerUnavailable
 from dynarag.reranker import (
     AssembledContext,
@@ -238,6 +239,31 @@ def test_token_overlap_scorer_bounds_and_value():
     assert value == pytest.approx(2 / 3)
     assert scorer.score("", "anything") == 0.0
     assert 0.0 <= scorer.score("a b c", "c d e") <= 1.0
+
+
+def test_fine_stage_tokenizes_the_question_once_and_keeps_each_score(monkeypatch):
+    questions = ["red sports car", "", "What's the PRICE of the red car?"]
+    texts = ["a red car parked", "sports news", "", "price: $5 for the red car", "car car"]
+    want = {
+        (q, t): (len(set(tokenize(q)) & set(tokenize(t))) / len(set(tokenize(q)))
+                 if tokenize(q) else 0.0)
+        for q in questions for t in texts
+    }
+    seen = []
+    monkeypatch.setattr(reranker, "tokenize", lambda text: seen.append(text) or tokenize(text))
+    cfg = RerankConfig(k1=20, k2=5, tau_coarse=0.0, tau_fine=0.0)
+    survivors = [(chunk(i, t), 1.0) for i, t in enumerate(texts)]
+    for question in questions:
+        seen.clear()
+        out = fine_score(question, survivors, "", cfg)
+        assert seen.count(question) == 1
+        for c, score in out:
+            assert score.fine.hex() == want[question, c.text].hex()
+    # One scorer asked about several questions in turn still scores each.
+    scorer = TokenOverlapScorer()
+    for question in questions + questions[::-1]:
+        for text in texts:
+            assert scorer.score(question, text).hex() == want[question, text].hex()
 
 
 # --- assembly ---------------------------------------------------------------------------

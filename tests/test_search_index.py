@@ -1,10 +1,16 @@
+import importlib.util
 import json
 import math
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynarag.encoders import HashedTextEncoder
+from dynarag.config import PipelineConfig
+from dynarag.encoders import HashedTextEncoder, tokenize
 from dynarag.errors import DimensionMismatch, IndexNotBuilt, ParseError
 from dynarag.search import (
     ImageKgIndex,
@@ -17,6 +23,11 @@ from dynarag.search import (
     _top_k,
     unit_embedding_for,
 )
+from dynarag.pipeline import build_runtime
+
+from test_encoders import oracle_encode_tokens, oracle_slot_counts
+
+WORLDGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "worldgen.py"
 
 
 def doc(i: int, snippet: str, hard=False) -> WebDoc:
@@ -39,6 +50,72 @@ def brute_force_cosine(query_vec, matrix):
         math.fsum(float(a) * float(b) for a, b in zip(row, query_vec))
         for row in matrix
     ]
+
+
+class ExactWebOracle:
+    """Reference web search from per-token slot counts: each partition ranked
+    by the exact key dot * |dot| / nn (nn = 1 for a doc without tokens), ties
+    by url, then interleaved; each key a Fraction and each score
+    sign * sqrt(|key| / nq). Keys are compared as integer multiples of
+    1 / lcm(nn), which orders them exactly as Fractions, only faster."""
+
+    def __init__(self, docs, rate):
+        self.rate = rate
+        self.parts = []
+        for hard in (False, True):
+            part = [d for d in docs if d.is_hard_negative == hard]
+            counts = [oracle_slot_counts(tokenize(f"{d.title} {d.snippet}")) for d in part]
+            docs_of_slot = {}
+            for i, doc_counts in enumerate(counts):
+                for slot, count in doc_counts.items():
+                    docs_of_slot.setdefault(slot, []).append((i, count))
+            nn = [sum(c * c for c in dc.values()) or 1 for dc in counts]
+            self.parts.append((part, docs_of_slot, nn, math.lcm(*nn),
+                               sorted(range(len(part)), key=lambda i: part[i].url)))
+
+    def ranked(self, part, query, k):
+        """The k best (doc, key) of one partition, in exact order."""
+        docs, docs_of_slot, nn, common, by_url = self.parts[part]
+        dots = {}
+        for slot, c in query.items():
+            for i, count in docs_of_slot.get(slot, ()):
+                dots[i] = dots.get(i, 0) + c * count
+        scaled = {i: dot * abs(dot) * (common // nn[i]) for i, dot in dots.items() if dot}
+        order = sorted(scaled, key=lambda i: (-scaled[i], docs[i].url))
+        # Every other doc has key 0: after the positive keys, before the negative.
+        zeros = [i for i in by_url if i not in scaled][:k]
+        order = ([i for i in order if scaled[i] > 0] + zeros
+                 + [i for i in order if scaled[i] < 0])
+        return [(docs[i], Fraction(scaled.get(i, 0), common)) for i in order[:k]]
+
+    def search(self, text, k):
+        """(url, score, key) of each hit, as ``WebSearchIndex.search`` orders them."""
+        query = oracle_slot_counts(tokenize(text))
+        nq = sum(c * c for c in query.values())
+        k = min(k, 50)
+        positives = self.ranked(0, query, k)
+        negatives = self.ranked(1, query, k) if self.rate > 0 else []
+        return [(doc.url, oracle_score(key, nq), key)
+                for doc, key in _interleave(positives, negatives, self.rate)[:k]]
+
+
+def oracle_score(key, nq) -> float:
+    return math.copysign(math.sqrt(abs(float(key)) / nq), key) if nq else 0.0
+
+
+def fsum_cosine(query, d) -> float:
+    return math.fsum(float(a) * float(b) for a, b in zip(
+        oracle_encode_tokens(tokenize(query)),
+        oracle_encode_tokens(tokenize(f"{d.title} {d.snippet}"))))
+
+
+def assert_exact(index, oracle, query, k):
+    """The index's hits equal the oracle's, urls in order and score bits;
+    returns the oracle's hits."""
+    want = oracle.search(query, k)
+    got = [(h.url, h.score.hex()) for h in index.search(query, k)]
+    assert got == [(url, score.hex()) for url, score, _ in want], (query, k)
+    return want
 
 
 # --- ingest -------------------------------------------------------------------
@@ -275,21 +352,16 @@ def test_web_search_matches_brute_force_scan():
         doc(i, " ".join(rng.choice(vocab, size=12)))
         for i in range(400)
     ]
-    encoder = HashedTextEncoder()
-    index = WebSearchIndex(encoder).build(docs)
+    index = WebSearchIndex(HashedTextEncoder()).build(docs)
     query = "tok1 tok5 tok250 tok42"
     hits = index.search(query, 25)
+    oracle = ExactWebOracle(docs, 0.0).search(query, 25)
 
-    qvec = encoder.encode(query)
-    matrix = [encoder.encode(f"{d.title} {d.snippet}") for d in docs]
-    oracle_scores = brute_force_cosine(qvec, matrix)
-    oracle = sorted(
-        zip(docs, oracle_scores), key=lambda pair: (-pair[1], pair[0].url)
-    )[:25]
-
-    assert [h.url for h in hits] == [d.url for d, _ in oracle]
-    for hit, (_, score) in zip(hits, oracle):
-        assert abs(hit.score - score) < 1e-9
+    assert [h.url for h in hits] == [url for url, _, _ in oracle]
+    by_url = {d.url: d for d in docs}
+    for hit, (url, score, _) in zip(hits, oracle):
+        assert hit.score.hex() == score.hex()
+        assert abs(hit.score - fsum_cosine(query, by_url[url])) < 1e-9
 
 
 def test_kg_search_matches_brute_force_scan():
@@ -353,22 +425,6 @@ def tied_web_docs(rng, n, hard=False, prefix="d"):
     ]
 
 
-def web_oracle(docs, encoder, query, rate, k):
-    qvec = encoder.encode(query)
-
-    def ranked(part):
-        if not part:
-            return []
-        matrix = np.vstack([encoder.encode(f"{d.title} {d.snippet}") for d in part])
-        return [(part[i], s) for i, s in
-                full_sort(matrix @ qvec, [d.url for d in part], len(part))]
-
-    positives = ranked([d for d in docs if not d.is_hard_negative])
-    negatives = ranked([d for d in docs if d.is_hard_negative]) if rate > 0 else []
-    merged = _interleave(positives, negatives, rate)
-    return [(d.url, s) for d, s in merged[:min(k, 50)]]
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_top_k_matches_full_sort_with_straddling_ties(seed):
     rng = np.random.default_rng(seed)
@@ -387,14 +443,13 @@ def test_top_k_matches_full_sort_with_straddling_ties(seed):
 def test_web_search_matches_full_sort(rate, n_neg):
     rng = np.random.default_rng(17)
     docs = tied_web_docs(rng, 80) + tied_web_docs(rng, n_neg, hard=True, prefix="n")
-    encoder = HashedTextEncoder()
-    index = WebSearchIndex(encoder, hard_negative_rate=rate).build(docs)
+    index = WebSearchIndex(HashedTextEncoder(), hard_negative_rate=rate).build(docs)
+    oracle = ExactWebOracle(docs, rate)
     n = len(docs)
     # The last three have no [a-z0-9] token, so they encode to the zero vector.
     for query in ("t1 t2 t3", "Same", "t7", "nothing matches", "", "???", "東京タワー"):
         for k in (1, n - 1, n, n + 5, 50):
-            got = [(h.url, h.score) for h in index.search(query, k)]
-            assert got == web_oracle(docs, encoder, query, rate, k), (query, k)
+            assert_exact(index, oracle, query, k)
 
 
 def test_kg_search_matches_full_sort_with_one_hot_ties():
@@ -414,3 +469,114 @@ def test_kg_search_matches_full_sort_with_one_hot_ties():
             got = [(h.url, h.score) for h in index.search(query, k)]
             want = [(urls[i], s) for i, s in full_sort(matrix @ query, urls, k)]
             assert got == want, k
+
+
+# --- exact ties in the web index -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def web_scale_world(tmp_path_factory):
+    """A seed-1 ``web_scale`` benchmark world at scale 0.1: 1k docs, 10% hard
+    negatives."""
+    spec = importlib.util.spec_from_file_location("perfbench_worldgen", WORLDGEN_PATH)
+    worldgen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = worldgen  # its dataclasses look their module up
+    spec.loader.exec_module(worldgen)
+    config_path = worldgen.generate("web_scale", seed=1,
+                                    out=tmp_path_factory.mktemp("web_scale"), scale=0.1)
+    questions = [json.loads(line)["question"] for line in
+                 (config_path.parent / "dataset.jsonl").read_text().splitlines()]
+    return build_runtime(PipelineConfig.from_file(config_path)).web_index, questions
+
+
+def test_generated_world_top_10_matches_the_fraction_oracle(web_scale_world):
+    index, questions = web_scale_world
+    docs = index._positives.docs + index._negatives.docs
+    assert len(docs) == 1000 and index.hard_negative_rate > 0
+    oracle = ExactWebOracle(docs, index.hard_negative_rate)
+    queries = questions + [d.title for d in docs[:300]]
+    start = time.perf_counter()
+    ties = 0
+    for query in queries:
+        keys = [key for _, _, key in assert_exact(index, oracle, query, 10)]
+        ties += len(keys) - len(set(keys))
+    assert ties > 100  # the probes do exercise exact ties
+    assert time.perf_counter() - start < 2.0
+
+
+def distinct_slot_tokens(count, taken=()):
+    """``count`` tokens whose slots differ from each other and from ``taken``."""
+    tokens, slots = [], set(taken)
+    for j in range(10_000):
+        token = f"w{j}"
+        (slot,) = oracle_slot_counts([token])
+        if slot not in slots:
+            tokens.append(token)
+            slots.add(slot)
+            if len(tokens) == count:
+                return tokens, slots
+    raise AssertionError("not enough distinct slots")
+
+
+def test_exact_ties_between_different_texts_fall_in_url_order_across_the_kth_place():
+    (a, b, c), slots = distinct_slot_tokens(3)
+    fill, _ = distinct_slot_tokens(40, slots)
+    query = f"{a} {b} {c}"
+    # Each tied text has cosine 1 / sqrt(6) to the query (key 1/2), through
+    # different shared tokens, counts and lengths.
+    tied = [f"{a} {fill[0]}", f"{b} {fill[1]}", f"{c} {fill[2]}",
+            f"{a} {a} " + " ".join(fill[3:7]),
+            f"{a} {b} " + " ".join(fill[7:13]),
+            f"{b} {b} {fill[13]} {fill[14]} {fill[15]} {fill[16]}",
+            f"{a} {b} {c} " + " ".join(fill[17:32])]
+    above = [f"{a} {b}", f"{a}", f"{a} {b} {c}"]
+    below = [f"{a} {fill[32]} {fill[33]}", " ".join(fill[34:37]), f"{c} {fill[37]} {fill[38]}"]
+    texts = tied + above + below
+    rng = np.random.default_rng(5)
+    docs = [WebDoc(url=f"https://t/{int(u):02d}", title="", snippet=text)
+            for u, text in zip(rng.permutation(len(texts)), texts)]
+    index = WebSearchIndex().build(docs)
+    oracle = ExactWebOracle(docs, 0.0)
+    want = oracle.search(query, len(docs))
+    tie_keys = [key for url, _, key in want if key == Fraction(1, 2)]
+    assert len(tie_keys) == len(tied)
+    for k in range(1, len(docs) + 1):
+        assert_exact(index, oracle, query, k)
+    scores = {h.score for h in index.search(query, len(docs))
+              if h.payload.snippet in tied}
+    assert len(scores) == 1 and abs(scores.pop() - 1 / math.sqrt(6)) < 1e-15
+
+
+def test_web_index_holds_no_dense_matrix():
+    rng = np.random.default_rng(11)
+    vocab = np.array([f"v{j}" for j in range(5000)])
+    docs = [WebDoc(url=f"https://m/{i:04d}", title=f"Page {i}",
+                   snippet=" ".join(rng.choice(vocab, size=int(rng.integers(5, 40)))),
+                   is_hard_negative=bool(i % 10 == 0))
+            for i in range(2000)]
+    index = WebSearchIndex(hard_negative_rate=0.1).build(docs)
+    parts = (index._positives, index._negatives)
+    arrays = [v for obj in (index, *parts) for v in vars(obj).values()
+              if isinstance(v, np.ndarray)]
+    entries = sum(len(part.ids) for part in parts)
+    dim = index.encoder.dim
+    assert sum(a.nbytes for a in arrays) <= 16 * entries + 16 * (dim + 1) + 16 * len(docs)
+    # The dense float64 matrices this replaces held dim floats per doc.
+    assert sum(a.nbytes for a in arrays) * 5 < 8 * dim * len(docs)
+
+
+def test_web_index_raises_beyond_the_exactness_bound():
+    # A doc of 4096 copies of one token has nn = 2**24, so nq * nn**2 < 2**50
+    # leaves room for queries of squared norm at most 3.
+    long_doc = WebDoc(url="https://b/long", title="", snippet="w " * 4096)
+    index = WebSearchIndex().build([long_doc, doc(1, "other words")])
+    assert [h.url for h in index.search("w", 2)] == ["https://b/long", "https://d/001"]
+    # nq 3; both docs have cosine 1 / sqrt(3), so they tie and keep url order.
+    assert [h.url for h in index.search("w other words", 2)] == ["https://b/long",
+                                                                 "https://d/001"]
+    with pytest.raises(ValueError, match="too long for exact ranking"):
+        index.search("w w", 2)  # one slot counted twice: nq 4
+    with pytest.raises(ValueError, match="too large for exact ranking"):
+        WebSearchIndex().build([WebDoc(url="https://b/longer", title="",
+                                       snippet="w " * 5793)])
+    WebSearchIndex().build([WebDoc(url="https://b/longest", title="", snippet="w " * 5792)])
