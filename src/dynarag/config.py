@@ -99,6 +99,10 @@ class HardNegativeConfig:
     # two positives, 0 disables interleaving.
     rate: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError("rate must be a finite number >= 0")
+
 
 @dataclass
 class AgentConfig:
@@ -230,6 +234,10 @@ class PipelineConfig:
 
 
 def _load_section(defaults, overrides: dict, where: str):
+    """``defaults`` with ``overrides`` applied. A numeric setting must be a
+    finite number of its default's kind: an int setting takes an int, a float
+    one an int or a float, and neither takes a bool (ValueError otherwise)."""
+    typed(overrides, dict, where)
     names = [f.name for f in fields(defaults)]
     unknown = sorted(set(overrides) - set(names))
     if unknown:
@@ -241,6 +249,10 @@ def _load_section(defaults, overrides: dict, where: str):
             override = overrides[name]
             if is_dataclass(value):
                 override = _load_section(value, override, name)
+            elif isinstance(value, NUMBER):
+                typed(override, int if isinstance(value, int) else NUMBER, name)
+                if isinstance(override, float) and not math.isfinite(override):
+                    raise ValueError(f"{name} must be finite")
             elif isinstance(value, tuple) and isinstance(override, list):
                 override = tuple(override)
             elif isinstance(value, dict) and isinstance(override, dict):

@@ -11,9 +11,9 @@ cumulative score (clamped coarse times fine), capped at K2, and only kept
 while cumulative exceeds tau_fine * tau_coarse (strict). Selected chunks are
 assembled into a single provenance-annotated context string.
 
-Sorting is stable everywhere: equal scores preserve input order during the
-cascade, and the final assembly breaks ties by source (web first) then by
-position inside the source document.
+Both stages rank through ``search.top_k``, the rule the indexes use: by
+score, equal scores in input order. The final assembly breaks ties by source
+(web first) then by position inside the source document.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .config import RerankConfig
 from .encoders import HashedTextEncoder, MultiVectorQueryEncoder, tokenize
 from .errors import ScorerUnavailable
-from .search import KgEntry, SearchHit, Source, WebDoc
+from .search import KgEntry, SearchHit, Source, WebDoc, top_k
 
 _TAG_RE = re.compile(r"<[^>]+>")
 _HEADING_RE = re.compile(r"^\s*#{1,6}\s+\S|^[A-Z][A-Za-z0-9 ,&/-]{2,79}$")
@@ -242,18 +242,16 @@ def coarse_score(
     config: RerankConfig,
     query_encoder: MultiVectorQueryEncoder,
 ) -> list[tuple[Chunk, float]]:
-    """Max-over-query-vectors cosine per chunk; threshold then cap at K1.
-    Only the survivors are built as ``Chunk`` objects."""
+    """Max-over-query-vectors cosine per chunk; the K1 best, kept while at or
+    above tau_coarse (the same chunks as thresholding first, since the bar is
+    monotone in score). Only the survivors are built as ``Chunk`` objects."""
     if not len(evidence):
         return []
 
     qvecs = query_encoder.encode(question, image_embedding, config.n_query_tokens)
     scores = (qvecs @ evidence.embed().T).max(axis=0)
 
-    kept = np.flatnonzero(scores >= config.tau_coarse)
-    # stable: ties keep input order
-    kept = kept[np.argsort(-scores[kept], kind="stable")[: config.k1]]
-    return [(evidence[i], float(scores[i])) for i in kept.tolist()]
+    return [(evidence[i], s) for i, s in top_k(scores, config.k1) if s >= config.tau_coarse]
 
 
 # --- fine stage ---------------------------------------------------------------
@@ -300,9 +298,9 @@ def fine_score(
             fine = min(1.0, max(0.0, coarse))
         scored.append((chunk, ChunkScore.of(coarse, fine)))
 
-    scored.sort(key=lambda pair: -pair[1].cumulative)  # stable
     bar = config.tau_fine * config.tau_coarse
-    return [(c, s) for c, s in scored[: config.k2] if s.cumulative > bar]
+    ranked = top_k(np.array([s.cumulative for _, s in scored]), config.k2)
+    return [scored[i] for i, cumulative in ranked if cumulative > bar]
 
 
 # --- assembly -----------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Both indexes are immutable after ingest and rank the full corpus exactly
 (desk scale; the brute-force scan is the implementation, not an
-approximation). A partial selection of the k-th largest score, then an exact
-sort of the candidates at or above it, orders the top k as a full sort would:
-by score, ties by url ascending. The web index can interleave corpus items
+approximation). Each holds its corpus sorted by url, so ties by position are
+ties by url, and one ``top_k`` (a partial selection of the k-th largest score,
+then an exact sort of the candidates at or above it) ranks every list, the
+reranker's two stages included, as a full sort by (-score, position) would.
+A KG score is a per-row reduction (``np.einsum``, no BLAS call), so it depends
+on the query and the entry alone. The web index can interleave corpus items
 flagged as hard negatives at a configurable rate to mimic retrieval noise.
 
 The web index keeps each doc's signed hashed-token counts as integer slot
@@ -25,7 +28,6 @@ ValueError.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -162,37 +164,43 @@ def _bbox(values) -> tuple:
     return tuple(values)
 
 
-def _check_unique_urls(items) -> None:
-    """Results are fused by url, so two corpus items sharing one would hide
-    one of them."""
-    seen: set[str] = set()
-    for item in items:
-        if item.url in seen:
-            raise ValueError(f"duplicate url in corpus: {item.url}")
-        seen.add(item.url)
+def _side(value, name: str) -> int:
+    """An image side in pixels: a whole number > 0, else ValueError."""
+    if not (typed(value, NUMBER, name) > 0 and int(value) == value):  # int(inf) raises
+        raise ValueError(f"{name} must be a whole number > 0, got {value}")
+    return int(value)
 
 
-def _top_k(scores: np.ndarray, urls: list[str], k: int) -> list[tuple[int, float]]:
-    """The k >= 1 best positions by (-score, url), each with its score.
+def _url_ordered(items: list) -> list:
+    """``items`` sorted by url, so ties by position are ties by url. Results
+    are fused by url, so two corpus items sharing one would hide one of them:
+    a duplicate url raises ValueError."""
+    ordered = sorted(items, key=lambda item: item.url)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.url == b.url:
+            raise ValueError(f"duplicate url in corpus: {a.url}")
+    return ordered
+
+
+def top_k(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """The k >= 1 best positions by (-score, position), each with its score.
 
     Exact: the candidates are every position scoring above the k-th largest
-    (finite) score plus, among the positions tied with it, the ones with the
-    smallest urls, as many as the top k has room for. Only those are sorted,
-    so a query that ties most of the corpus (an all-zero query vector scores
-    0.0 everywhere) costs a bounded selection, not a full sort.
+    (finite) score plus, among the positions tied with it, the lowest ones,
+    as many as the top k has room for. Only those are sorted, so a query that
+    ties most of the corpus (an all-zero query vector scores 0.0 everywhere)
+    costs a bounded selection, not a full sort.
     """
-    n = len(urls)
+    n = len(scores)
     if k < n:
         kth = np.partition(scores, n - k)[n - k]
-        candidates = np.flatnonzero(scores > kth).tolist()
-        ties = np.flatnonzero(scores == kth).tolist()
-        room = k - len(candidates)
-        candidates += (ties if len(ties) <= room
-                       else heapq.nsmallest(room, ties, key=urls.__getitem__))
+        above = np.flatnonzero(scores > kth)
+        candidates = np.concatenate(
+            [above, np.flatnonzero(scores == kth)[: k - len(above)]])
     else:
-        candidates = list(range(n))
-    pairs = zip(candidates, scores[candidates].tolist())
-    return sorted(pairs, key=lambda p: (-p[1], urls[p[0]]))[:k]
+        candidates = np.arange(n)
+    order = candidates[np.lexsort((candidates, -scores[candidates]))]
+    return list(zip(order.tolist(), scores[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -203,11 +211,11 @@ class SlotPostings:
     with their non-zero counts ``counts[indptr[s]:indptr[s + 1]]``. ``nn`` is
     each doc's squared norm, the exact integer sum of its squared counts (1
     for a doc without tokens, whose dot products are all 0). Every count obeys
-    ``count**2 <= nn < 2**25``, so it fits an int16.
+    ``count**2 <= nn < 2**25``, so it fits an int16. ``docs`` come in url
+    order, so docs with equal keys fall by url in ``top``.
     """
 
     docs: list[WebDoc]
-    urls: list[str]
     indptr: list[int]
     ids: np.ndarray     # int32
     counts: np.ndarray  # int16
@@ -236,8 +244,7 @@ class SlotPostings:
             raise ValueError(f"a doc's squared norm {nn_max} is too large for exact "
                              f"ranking (at most {math.isqrt(EXACT_LIMIT - 1)})")
         nn[nn == 0] = 1.0
-        return cls(docs=docs, urls=[d.url for d in docs],
-                   indptr=np.searchsorted(slots, np.arange(dim + 1)).tolist(),
+        return cls(docs=docs, indptr=np.searchsorted(slots, np.arange(dim + 1)).tolist(),
                    ids=ids.astype(np.int32), counts=counts.astype(np.int16), nn=nn,
                    max_nq=(EXACT_LIMIT - 1) // max(nn_max, 1) ** 2)
 
@@ -255,10 +262,10 @@ class SlotPostings:
             weights.append(counts[lo:hi] if count == 1 else counts[lo:hi] * float(count))
         # Every partial sum is at most sqrt(nq * nn) < 2**25: exact in float64.
         dot = np.bincount(np.concatenate(hit), np.concatenate(weights),
-                          minlength=len(self.urls)) if hit else np.zeros(len(self.urls))
+                          minlength=len(self.docs)) if hit else np.zeros(len(self.docs))
         keys = dot * np.abs(dot) / self.nn
         return [(self.docs[i], math.copysign(math.sqrt(abs(key) / nq), key) if nq else 0.0)
-                for i, key in _top_k(keys, self.urls, k)]
+                for i, key in top_k(keys, k)]
 
 
 class WebSearchIndex:
@@ -281,7 +288,7 @@ class WebSearchIndex:
         return index
 
     def build(self, docs: list[WebDoc]) -> "WebSearchIndex":
-        _check_unique_urls(docs)
+        docs = _url_ordered(docs)
         self._positives = SlotPostings.build(
             [d for d in docs if not d.is_hard_negative], self.encoder)
         self._negatives = SlotPostings.build(
@@ -338,7 +345,6 @@ class ImageKgIndex:
 
     def __init__(self):
         self._entries: list[KgEntry] | None = None
-        self._urls: list[str] = []
         self._matrix: np.ndarray | None = None
 
     @classmethod
@@ -348,10 +354,8 @@ class ImageKgIndex:
         return index
 
     def build(self, entries: list[KgEntry]) -> "ImageKgIndex":
-        _check_unique_urls(entries)
-        self._entries = list(entries)
-        self._urls = [e.url for e in entries]
-        vectors = [e.image_embedding for e in entries]
+        self._entries = _url_ordered(entries)
+        vectors = [e.image_embedding for e in self._entries]
         dim = vectors[0].shape[0] if vectors else 0
         self._matrix = np.vstack(vectors) if vectors else np.zeros((0, dim))
         return self
@@ -373,7 +377,7 @@ class ImageKgIndex:
             )
         return [
             SearchHit(Source.IMAGE_KG, score, self._entries[i])
-            for i, score in _top_k(self._matrix @ query, self._urls, k)
+            for i, score in top_k(np.einsum("ij,j->i", self._matrix, query), k)
         ]
 
 
@@ -408,8 +412,8 @@ class ImageRecord:
                 }
                 for r in (typed(r, dict, "region") for r in regions)
             ],
-            width=int(typed(raw.get("width", 640), NUMBER, "width")),
-            height=int(typed(raw.get("height", 480), NUMBER, "height")),
+            width=_side(raw.get("width", 640), "width"),
+            height=_side(raw.get("height", 480), "height"),
         )
 
     def to_dict(self) -> dict:

@@ -201,7 +201,20 @@ COMMANDS = ["ingest", "eval", "trace"]
                                           ("limits:\n  turn_deadline_s: 0\n",
                                            "turn_deadline_s"),
                                           ("limits:\n  turn_deadline_s: true\n",
-                                           "turn_deadline_s")])
+                                           "turn_deadline_s"),
+                                          ('hard_negative:\n  rate: "0.5"\n', "rate"),
+                                          ('encoder:\n  dim: "256"\n', "dim"),
+                                          ('verifier:\n  tau_white: "0.7"\n', "tau_white"),
+                                          ("agents:\n  entity_threshold: x\n",
+                                           "entity_threshold"),
+                                          ('agents:\n  k_total: "3"\n', "k_total"),
+                                          ('rerank:\n  k1: "20"\n', "k1"),
+                                          ('rerank:\n  tau_coarse: "0.2"\n', "tau_coarse"),
+                                          ("verifier:\n  w_min: .nan\n", "w_min"),
+                                          ("hard_negative:\n  rate: .nan\n", "rate"),
+                                          ("hard_negative:\n  rate: -1\n", "rate"),
+                                          ("agents:\n  object_num: true\n", "object_num"),
+                                          ("agents: 5\n", "agents")])
 def test_bad_config_is_one_error_line(world, tmp_path, capsys, command, text, needle):
     config = tmp_path / "config.yaml"
     config.write_text(text)

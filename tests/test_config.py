@@ -5,7 +5,13 @@ import pytest
 import yaml
 
 from cases import WRONG_TYPED_FIELDS, with_wrong_type
-from dynarag.config import AgentConfig, LimitsConfig, PipelineConfig, RerankConfig
+from dynarag.config import (
+    AgentConfig,
+    HardNegativeConfig,
+    LimitsConfig,
+    PipelineConfig,
+    RerankConfig,
+)
 from dynarag.errors import ParseError
 from dynarag.evalharness import load_dataset
 from dynarag.fixtures import write_world
@@ -71,6 +77,44 @@ def test_agent_config_validation(key, value):
     with pytest.raises(ValueError, match=key):
         PipelineConfig.from_dict({"agents": {key: value}})
     assert getattr(AgentConfig(**{key: 1}), key) == 1
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"hard_negative": {"rate": "0.5"}}, "rate"),
+    ({"encoder": {"dim": "256"}}, "dim"),
+    ({"verifier": {"tau_white": "0.7"}}, "tau_white"),
+    ({"agents": {"entity_threshold": "x"}}, "entity_threshold"),
+    ({"agents": {"k_total": "3"}}, "k_total"),
+    ({"rerank": {"k1": "20"}}, "k1"),
+    ({"rerank": {"k1": 20.0}}, "k1"),
+    ({"rerank": {"tau_coarse": "0.2"}}, "tau_coarse"),
+    ({"verifier": {"w_min": float("nan")}}, "w_min"),
+    ({"verifier": {"w_mean": float("inf")}}, "w_mean"),
+    ({"hard_negative": {"rate": float("nan")}}, "rate"),
+    ({"hard_negative": {"rate": -1}}, "rate"),
+    ({"agents": {"object_num": True}}, "object_num"),
+    ({"rerank": {"tau_fine": False}}, "tau_fine"),
+    ({"agents": 5}, "agents"),
+    ([1, 2], "config"),
+])
+def test_a_numeric_setting_must_be_a_finite_number_of_its_kind(tmp_path, doc, key):
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_dict(doc)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_file(path)
+
+
+def test_a_float_setting_takes_an_int():
+    config = PipelineConfig.from_dict({"verifier": {"w_min": 1}, "hard_negative": {"rate": 0}})
+    assert config.verifier.w_min == 1 and config.hard_negative.rate == 0
+
+
+@pytest.mark.parametrize("rate", [-0.5, float("nan"), float("inf")])
+def test_hard_negative_rate_is_checked_however_the_config_is_built(rate):
+    with pytest.raises(ValueError, match="rate"):
+        HardNegativeConfig(rate=rate)
 
 
 @pytest.mark.parametrize("limits, key", [
@@ -190,6 +234,15 @@ def test_an_infinite_integer_field_names_its_line(tmp_path, name, field):
     with_wrong_type(path, field, float("inf"))
     with pytest.raises(ParseError, match="line 3: cannot convert float infinity"):
         LOADERS[name](path)
+
+
+@pytest.mark.parametrize("field, value", [("width", 640.7), ("height", -5), ("width", 0),
+                                          ("height", float("nan"))])
+def test_an_image_side_must_be_a_whole_number_above_zero(tmp_path, field, value):
+    path = write_world(tmp_path)["image_fixtures"]
+    with_wrong_type(path, field, value)
+    with pytest.raises(ParseError, match=f"line 3: {field} must be a whole number > 0"):
+        ImageStore.from_jsonl(path)
 
 
 def test_a_fixture_line_without_a_key_names_the_key(tmp_path):

@@ -167,7 +167,7 @@ def test_web_index_postings_match_the_per_token_oracle_bit_for_bit():
             for i, tokens in enumerate(random_token_lists(seed=3, count=40))]
     index = WebSearchIndex(HashedTextEncoder(), hard_negative_rate=0.5).build(docs)
     for postings, hard in ((index._positives, False), (index._negatives, True)):
-        part = [d for d in docs if d.is_hard_negative == hard]
+        part = sorted((d for d in docs if d.is_hard_negative == hard), key=lambda d: d.url)
         want = [oracle_slot_counts(tokenize(f"{d.title} {d.snippet}")) for d in part]
         assert postings.docs == part
         assert postings.ids.dtype == np.int32 and postings.counts.dtype == np.int16

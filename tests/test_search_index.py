@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -20,7 +22,7 @@ from dynarag.search import (
     WebDoc,
     WebSearchIndex,
     _interleave,
-    _top_k,
+    top_k,
     unit_embedding_for,
 )
 from dynarag.pipeline import build_runtime
@@ -152,6 +154,11 @@ def test_ingest_malformed_line_reports_line_number(tmp_path):
 def test_duplicate_url_rejected():
     with pytest.raises(ValueError):
         WebSearchIndex().build([doc(1, "a"), WebDoc("https://d/001", "t", "b")])
+
+
+def test_duplicate_url_across_partitions_rejected():
+    with pytest.raises(ValueError, match="duplicate url"):
+        WebSearchIndex().build([doc(1, "a"), doc(1, "b", hard=True)])
 
 
 def test_kg_duplicate_url_rejected():
@@ -384,6 +391,52 @@ def test_kg_search_matches_brute_force_scan():
         assert abs(hit.score - score) < 1e-9
 
 
+def unit_rows(seed: int, n: int, dim: int = 64) -> np.ndarray:
+    rows = np.random.default_rng(seed).normal(size=(n, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [7, 250])
+def test_kg_score_depends_only_on_the_query_and_the_entry(n):
+    """Each hit's score bits equal that entry's score from an index holding
+    it alone: neither the entry's row nor the corpus size moves them."""
+    vecs = unit_rows(n, n + 20)
+    entries = [kg(i, vecs[i]) for i in range(n)]
+    index = ImageKgIndex().build(entries)
+    alone = {e.url: ImageKgIndex().build([e]) for e in entries}
+    for query in vecs[n:]:
+        hits = index.search(query, n)
+        assert len(hits) == n
+        for hit in hits:
+            assert hit.score.hex() == alone[hit.url].search(query, 1)[0].score.hex()
+
+
+KG_SEARCH_SCRIPT = """
+import numpy as np
+from dynarag.search import ImageKgIndex, KgEntry
+rows = np.random.default_rng(5).normal(size=(2520, 256))
+rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+index = ImageKgIndex().build(
+    [KgEntry(f"e{i}", f"kg://e/{i:04d}", rows[i], {}) for i in range(2500)])
+for query in rows[2500:]:
+    for hit in index.search(query, 2500):
+        print(hit.url, hit.score.hex())
+"""
+
+
+def test_kg_hits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", KG_SEARCH_SCRIPT], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout.splitlines())
+    assert len(outputs[0]) == 20 * 2500
+    assert outputs[0] == outputs[1]
+
+
 def test_topk_prefix_monotonicity():
     rng = np.random.default_rng(3)
     vocab = [f"w{j}" for j in range(100)]
@@ -431,11 +484,10 @@ def test_top_k_matches_full_sort_with_straddling_ties(seed):
     n = 60
     # Few distinct values, so ties straddle every k-th score.
     scores = rng.integers(0, 5, size=n).astype(np.float64) / 4
-    urls = [f"u{int(u):03d}" for u in rng.permutation(n)]
     # An all-zero query vector ties every position at 0.0.
     for values in (scores, np.zeros(n)):
         for k in (1, 2, n - 1, n, n + 5, 50):
-            assert _top_k(values, urls, k) == full_sort(values, urls, k)
+            assert top_k(values, k) == full_sort(values, range(n), k)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
