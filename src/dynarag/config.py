@@ -92,6 +92,10 @@ DEFAULT_EXCLUSION_CATEGORIES: dict[str, tuple[str, ...]] = {
 class EncoderConfig:
     dim: int = 256
 
+    def __post_init__(self):
+        if not (typed(self.dim, int, "dim") >= 1):
+            raise ValueError("dim must be a whole number >= 1")
+
 
 @dataclass
 class HardNegativeConfig:

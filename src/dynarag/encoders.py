@@ -12,6 +12,12 @@ the codes of many rows into unit vectors with one weighted bincount. Every
 count is a sum of +-1 and every squared norm a sum of squared counts, all
 exact integers in float64 (below 2^53, so for texts of fewer than ~9.4e7
 tokens), so the result has the same bits whatever order the sums run in.
+
+Codes come from ``row_codes``, which hashes each distinct token once per call
+(once per corpus partition when the web index is built, once per doc in the
+chunk store) through a dict local to the call, so they equal the codes of
+hashing every occurrence. Nothing outlives the call: the encoder keeps no
+memo, and a second build hashes again.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import hashlib
 import math
 import re
 import struct
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,29 +64,39 @@ class HashedTextEncoder:
         self._slot = codes % dim
         self._sign = np.where(codes < dim, 1.0, -1.0)
 
-    def _hash(self, tokens: Sequence[str]) -> tuple[list[int], list[float]]:
-        """Each token's slot and sign (+1.0 or -1.0)."""
+    def row_codes(self, rows: Iterable[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """The concatenated codes of the token rows (one code per token: its
+        slot, plus ``dim`` when its sign is -1) and each row's length (int32).
+
+        A dict local to the call hashes each distinct token once.
+        """
         dim, sha1, unpack = self.dim, hashlib.sha1, _DIGEST_HEAD.unpack_from
-        slots, signs = [], []
-        for token in tokens:
-            word, flag = unpack(sha1(token.encode("utf-8")).digest())
-            slots.append(word % dim)
-            signs.append(1.0 if flag & 1 else -1.0)
-        return slots, signs
+        memo: dict[str, int] = {}
+        codes: list[int] = []
+        lengths: list[int] = []
+        for tokens in rows:
+            for token in tokens:
+                code = memo.get(token)
+                if code is None:
+                    word, flag = unpack(sha1(token.encode("utf-8")).digest())
+                    code = memo[token] = word % dim if flag & 1 else word % dim + dim
+                codes.append(code)
+            lengths.append(len(tokens))
+        return (np.array(codes, dtype=self.code_dtype),
+                np.array(lengths, dtype=np.int32))
 
     def token_codes(self, tokens: Sequence[str]) -> np.ndarray:
-        """One code per token: its slot, plus ``dim`` when its sign is -1."""
-        dim = self.dim
-        slots, signs = self._hash(tokens)
-        return np.array([slot if sign > 0 else slot + dim
-                         for slot, sign in zip(slots, signs)], dtype=self.code_dtype)
+        """One code per token: ``row_codes`` of one row."""
+        return self.row_codes([tokens])[0]
 
     def slot_counts(self, tokens: Sequence[str]) -> dict[int, int]:
         """Each slot's signed token count, zero counts left out: the exact
         integers ``encode_tokens`` normalizes."""
+        dim = self.dim
         counts: dict[int, int] = {}
-        for slot, sign in zip(*self._hash(tokens)):
-            counts[slot] = counts.get(slot, 0) + (1 if sign > 0 else -1)
+        for code in self.token_codes(tokens).tolist():
+            slot = code % dim
+            counts[slot] = counts.get(slot, 0) + (1 if code < dim else -1)
         return {slot: count for slot, count in counts.items() if count}
 
     def embed(self, codes: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
@@ -103,11 +119,11 @@ class HashedTextEncoder:
 
     def encode_tokens(self, tokens: list[str]) -> np.ndarray:
         """``embed`` of one row, with the same sums, minus its fixed costs
-        (the code array and the two gathers): most calls embed a short query."""
-        slots, signs = self._hash(tokens)
-        if not slots:
+        (the row offsets and the batched norms): most calls embed a short query."""
+        codes = self.token_codes(tokens).astype(np.intp)
+        if not len(codes):
             return np.zeros(self.dim)
-        vec = np.bincount(slots, weights=signs, minlength=self.dim)
+        vec = np.bincount(self._slot[codes], weights=self._sign[codes], minlength=self.dim)
         square = vec @ vec
         if square:
             vec /= math.sqrt(square)

@@ -160,7 +160,7 @@ class ChunkCodeStore:
     """Each evidence doc chunked once per store.
 
     An entry is built the first time a doc reaches the reranker and holds its
-    chunk texts and their token codes (``HashedTextEncoder.token_codes``, 2
+    chunk texts and their token codes (``HashedTextEncoder.row_codes``, 2
     bytes a token at the default dim): no ``Chunk`` objects, no vectors. It is
     keyed by the chunking parameters and (source, url), so a web doc and a KG
     entry sharing a url never collide and one chunking never reads another's
@@ -186,11 +186,8 @@ class ChunkCodeStore:
     def build(self, payload: WebDoc | KgEntry, texts) -> ChunkedDoc:
         """The entry of ``payload`` chunked into ``texts``."""
         texts = tuple(texts)
-        parts = [self.encoder.token_codes(tokenize(text)) for text in texts]
-        codes = (np.concatenate(parts) if parts
-                 else np.zeros(0, dtype=self.encoder.code_dtype))
-        return ChunkedDoc(payload, texts, codes,
-                          np.array([len(p) for p in parts], dtype=np.int32))
+        return ChunkedDoc(payload, texts,
+                          *self.encoder.row_codes(tokenize(text) for text in texts))
 
 
 class Evidence(Sequence):

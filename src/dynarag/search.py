@@ -225,19 +225,19 @@ class SlotPostings:
     @classmethod
     def build(cls, docs: list[WebDoc], encoder: HashedTextEncoder) -> "SlotPostings":
         dim, n = encoder.dim, len(docs)
-        parts = [encoder.token_codes(tokenize(f"{d.title} {d.snippet}")) for d in docs]
-        codes = np.concatenate(parts).astype(np.int64) if parts else np.zeros(0, np.int64)
-        negative = codes >= dim
-        # One entry per (slot, doc) pair, slot-major: sorted, they are the CSC.
-        stride = max(n, 1)
-        entries, where = np.unique(
-            (codes - dim * negative) * stride
-            + np.repeat(np.arange(n), [len(p) for p in parts]),
-            return_inverse=True)
-        counts = np.bincount(where, weights=1 - 2 * negative.astype(np.int8))
-        kept = counts != 0
-        slots, ids = np.divmod(entries[kept], stride)
-        counts = counts[kept]
+        codes, lengths = encoder.row_codes(tokenize(f"{d.title} {d.snippet}") for d in docs)
+        # The codes come doc by doc, so a stable sort by slot keeps each slot's
+        # docs ascending: every (slot, doc) pair is one run of tokens, and the
+        # runs in order are the CSC entries.
+        order = np.argsort(codes % dim, kind="stable")
+        codes, ids = codes[order], np.repeat(np.arange(n, dtype=np.int32), lengths)[order]
+        slots = codes % dim
+        run = np.ones(len(codes), dtype=bool)
+        run[1:] = (slots[1:] != slots[:-1]) | (ids[1:] != ids[:-1])
+        starts = np.flatnonzero(run)
+        counts = np.add.reduceat(np.where(codes < dim, np.int32(1), np.int32(-1)), starts)
+        starts, counts = starts[counts != 0], counts[counts != 0].astype(np.float64)
+        slots, ids = slots[starts], ids[starts]
         nn = np.bincount(ids, weights=counts * counts, minlength=n)
         nn_max = int(nn.max()) if n else 0
         if nn_max * nn_max >= EXACT_LIMIT:
@@ -245,7 +245,7 @@ class SlotPostings:
                              f"ranking (at most {math.isqrt(EXACT_LIMIT - 1)})")
         nn[nn == 0] = 1.0
         return cls(docs=docs, indptr=np.searchsorted(slots, np.arange(dim + 1)).tolist(),
-                   ids=ids.astype(np.int32), counts=counts.astype(np.int16), nn=nn,
+                   ids=ids, counts=counts.astype(np.int16), nn=nn,
                    max_nq=(EXACT_LIMIT - 1) // max(nn_max, 1) ** 2)
 
     def top(self, query: dict[int, int], nq: int, k: int) -> list[tuple[WebDoc, float]]:
@@ -322,21 +322,23 @@ class WebSearchIndex:
 def _interleave(positives: list, negatives: list, rate: float) -> list:
     """Inject one negative after every 1/rate positives (credit accumulator).
 
-    Once the negatives run out, the remaining positives follow uninterrupted.
+    Once the negatives run out, the remaining positives follow uninterrupted,
+    so the loop ends even at a rate where ``credit -= 1.0`` changes nothing.
     """
     if rate <= 0 or not negatives:
         return list(positives)
     out = []
     pool = iter(negatives)
     credit = 0.0
-    for item in positives:
+    for i, item in enumerate(positives):
         out.append(item)
         credit += rate
         while credit >= 1.0:
             credit -= 1.0
             nxt = next(pool, None)
-            if nxt is not None:
-                out.append(nxt)
+            if nxt is None:
+                return out + positives[i + 1:]
+            out.append(nxt)
     return out
 
 

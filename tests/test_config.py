@@ -7,6 +7,7 @@ import yaml
 from cases import WRONG_TYPED_FIELDS, with_wrong_type
 from dynarag.config import (
     AgentConfig,
+    EncoderConfig,
     HardNegativeConfig,
     LimitsConfig,
     PipelineConfig,
@@ -134,6 +135,19 @@ def test_limits_config_validation(tmp_path, limits, key):
     path.write_text(yaml.safe_dump({"limits": limits}))
     with pytest.raises(ValueError, match=key):
         PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize("dim", [0, -3, 2.5, 256.0, True, "256"])
+def test_encoder_dim_must_be_a_whole_number_of_at_least_one(tmp_path, dim):
+    with pytest.raises(ValueError, match="dim"):
+        EncoderConfig(dim=dim)
+    with pytest.raises(ValueError, match="dim"):
+        PipelineConfig.from_dict({"encoder": {"dim": dim}})
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"encoder": {"dim": dim}}))
+    with pytest.raises(ValueError, match="dim"):
+        PipelineConfig.from_file(path)
+    assert PipelineConfig.from_dict({"encoder": {"dim": 1}}).encoder.dim == 1
 
 
 def test_empty_config_file_gives_defaults(tmp_path):

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from dynarag.encoders import (
     normalize,
     tokenize,
 )
-from dynarag.search import WebDoc, WebSearchIndex
+from dynarag.config import RerankConfig
+from dynarag.reranker import ChunkCodeStore
+from dynarag.search import SlotPostings, WebDoc, WebSearchIndex
 
 
 def oracle_encode_tokens(tokens, dim=256):
@@ -185,6 +189,113 @@ def test_web_index_postings_match_the_per_token_oracle_bit_for_bit():
     # A snippet without a token gives a doc with no postings and nn 1.
     assert any(not counts for counts in
                (oracle_slot_counts(tokenize(f"{d.title} {d.snippet}")) for d in docs))
+
+
+def oracle_code(token, dim=256) -> int:
+    """A token's code from its own sha1: the slot, plus ``dim`` for sign -1."""
+    digest = hashlib.sha1(token.encode("utf-8")).digest()
+    slot = int.from_bytes(digest[:4], "big") % dim
+    return slot if digest[4] & 1 else slot + dim
+
+
+@pytest.mark.parametrize("dim", [1, 7, 256, 40000])
+def test_row_codes_match_the_per_token_oracle_row_by_row(dim):
+    encoder = HashedTextEncoder(dim)
+    middle = random_token_lists(seed=dim)
+    token_lists = [[]] + middle[:30] + [[]] + middle[30:] + [["solo"], []]
+    codes, lengths = encoder.row_codes(iter(token_lists))
+    assert codes.dtype == encoder.code_dtype
+    assert lengths.tolist() == [len(tokens) for tokens in token_lists]
+    assert codes.tolist() == [oracle_code(t, dim) for tokens in token_lists for t in tokens]
+    for tokens in token_lists:
+        assert encoder.token_codes(tokens).tolist() == [oracle_code(t, dim) for t in tokens]
+
+
+@pytest.mark.parametrize("rows", [[], iter(()), [[]], [[], []]])
+def test_row_codes_without_tokens_are_empty_code_arrays(rows):
+    encoder = HashedTextEncoder()
+    codes, lengths = encoder.row_codes(rows)
+    assert codes.dtype == encoder.code_dtype and codes.shape == (0,)
+    assert lengths.tolist() == [0] * len(lengths)
+
+
+def count_sha1_inputs(monkeypatch) -> Counter:
+    """Every input hashed through ``hashlib.sha1`` from now on, counted."""
+    seen: Counter = Counter()
+    real = hashlib.sha1
+
+    def counting(data=b"", *args, **kwargs):
+        seen[data] += 1
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha1", counting)
+    return seen
+
+
+def corpus(seed=3, count=80):
+    return [WebDoc(url=f"https://d/{i:03d}", title=f"Doc {i % 5}",
+                   snippet=" ".join(tokens) or "???", is_hard_negative=i % 3 == 0)
+            for i, tokens in enumerate(random_token_lists(seed=seed, count=count))]
+
+
+def test_web_index_build_hashes_each_distinct_token_once_per_partition(monkeypatch):
+    docs = corpus()
+    encoder = HashedTextEncoder()
+    seen = count_sha1_inputs(monkeypatch)
+    WebSearchIndex(encoder, hard_negative_rate=0.5).build(docs)
+    want: Counter = Counter()
+    for hard in (False, True):
+        want.update({token.encode("utf-8"): 1 for d in docs if d.is_hard_negative == hard
+                     for token in tokenize(f"{d.title} {d.snippet}")})
+    assert max(want.values()) == 2  # "doc" is in both partitions
+    assert seen == want
+    assert sum(seen.values()) < sum(len(tokenize(f"{d.title} {d.snippet}")) for d in docs) / 5
+
+
+def encoder_state(encoder) -> dict:
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else copy.deepcopy(value)
+            for name, value in vars(encoder).items()}
+
+
+def test_building_and_chunking_leave_no_state_on_the_encoder():
+    # A memo kept on the encoder would grow with the corpus and make a second
+    # build on the same encoder look free.
+    docs = corpus()
+    encoder = HashedTextEncoder()
+    before = encoder_state(encoder)
+    first = WebSearchIndex(encoder, hard_negative_rate=0.5).build(docs)
+    store, config = ChunkCodeStore(encoder), RerankConfig(max_chunk_chars=40, chunk_overlap=8)
+    hits = first.search("doc 1 " + docs[1].snippet, 10)
+    assert len(hits) == 10
+    for hit in hits:
+        store.chunked(hit, config)
+    assert encoder_state(encoder) == before
+    second = WebSearchIndex(encoder, hard_negative_rate=0.5).build(docs)
+    for a, b in ((first._positives, second._positives), (first._negatives, second._negatives)):
+        assert a.indptr == b.indptr
+        for name in ("ids", "counts", "nn"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("dim", [1, 7, 40000])
+def test_postings_at_any_dim_match_the_per_token_oracle(dim):
+    # dim 1 and 7 cancel many counts to zero; 40000 codes need uint32.
+    docs = corpus(seed=dim, count=30) + [
+        WebDoc(url="https://d/empty", title="", snippet="???"),
+        WebDoc(url="https://d/twice", title="", snippet="a a b b a")]
+    postings = SlotPostings.build(sorted(docs, key=lambda d: d.url), HashedTextEncoder(dim))
+    want = [oracle_slot_counts(tokenize(f"{d.title} {d.snippet}"), dim) for d in postings.docs]
+    got = [{} for _ in postings.docs]
+    for slot in range(dim):
+        lo, hi = postings.indptr[slot], postings.indptr[slot + 1]
+        ids = postings.ids[lo:hi].tolist()
+        assert ids == sorted(set(ids))
+        for i, count in zip(ids, postings.counts[lo:hi].tolist()):
+            got[i][slot] = count
+    assert got == want
+    assert postings.nn.tolist() == [float(sum(c * c for c in w.values()) or 1) for w in want]
+    empty = SlotPostings.build([], HashedTextEncoder(dim))
+    assert empty.indptr == [0] * (dim + 1) and len(empty.ids) == len(empty.nn) == 0
 
 
 def test_tokenize_lowercases_and_keeps_apostrophes():

@@ -227,6 +227,42 @@ def test_interleave_keeps_positives_after_negatives_run_out():
     assert _interleave(["p1", "p2", "p3"], ["n1"], 1.0) == ["p1", "n1", "p2", "p3"]
 
 
+HUGE_RATE_SCRIPT = """
+from dynarag.search import WebDoc, WebSearchIndex, _interleave
+print(_interleave([1, 2], [3], 1e17))
+docs = [WebDoc(f"https://d/{i}", "", f"topic words {i}", is_hard_negative=i < 2)
+        for i in range(6)]
+hits = WebSearchIndex(hard_negative_rate=1e17).build(docs).search("topic words", 10)
+print([hit.payload.is_hard_negative for hit in hits])
+"""
+
+
+def test_interleave_returns_at_a_rate_too_large_to_count_down():
+    # At 1e17, credit - 1.0 == credit: only running out of negatives ends
+    # the loop. A subprocess, so a hang fails the test instead of the run.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", HUGE_RATE_SCRIPT],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[1, 3, 2]", "[False, True, True, False, False, False]"]
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.5, 1.0, 1.5, 3.0])
+def test_interleave_puts_each_negative_where_the_credit_falls_due(rate):
+    positives, negatives = [f"p{i}" for i in range(8)], ["n0", "n1", "n2"]
+    want, pool, credit = [], list(negatives), 0.0
+    for item in positives:
+        want.append(item)
+        credit += rate
+        while credit >= 1.0:
+            credit -= 1.0
+            if pool:
+                want.append(pool.pop(0))
+    assert _interleave(positives, negatives, rate) == want
+
+
 def test_rate_zero_returns_no_negatives():
     docs = [doc(0, "real content"), doc(1, "noise", hard=True)]
     index = WebSearchIndex(hard_negative_rate=0.0).build(docs)
