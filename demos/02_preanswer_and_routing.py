@@ -6,6 +6,7 @@ chooses which search modalities to run.
 """
 
 from dynarag.fixtures import build_world_runtime
+from dynarag.gateway import TurnModel
 from dynarag.routing import Branch, route_search, route_tools
 
 runtime = build_world_runtime()
@@ -23,7 +24,8 @@ for key, question, image in EXEMPLARS:
     domain = pre.classify_domain(question)
     print(f"  domain: {domain.name} ({domain.confidence:.2f})")
 
-    trace = pre.dcot_preanswer(question, image, domain, fixture_key=key)
+    model = TurnModel(runtime.gateway, key, image, question, history="", budget=None)
+    trace = pre.dcot_preanswer(model, domain)
     print(f"  draft:  {trace.draft_answer}")
     flags = trace.flags
     active = [name for name, value in vars(flags).items() if value]

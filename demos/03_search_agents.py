@@ -8,6 +8,7 @@ per-sub-query web results.
 """
 
 from dynarag.fixtures import build_world_runtime
+from dynarag.gateway import TurnModel
 
 runtime = build_world_runtime()
 cfg = runtime.config
@@ -15,13 +16,16 @@ cfg = runtime.config
 QUESTION = "Who founded this cafe?"
 IMAGE = "img-cafe"
 KEY = "cafe-q1:0"
+# Every model call of the turn: its fixture key, image, question, no earlier
+# turns and no deadline.
+model = TurnModel(runtime.gateway, KEY, IMAGE, QUESTION, history="", budget=None)
 
 image_agent = runtime.image_agent
 
 print("== visual grounding ==")
-candidates = image_agent.extract_objects(IMAGE, QUESTION, cfg.agents.object_num, KEY)
+candidates = image_agent.extract_objects(model, cfg.agents.object_num)
 print("candidates:", candidates)
-target = image_agent.select_object(candidates, QUESTION, IMAGE, KEY)
+target = image_agent.select_object(model, candidates)
 print("selected:  ", target)
 regions = image_agent.detect_regions(runtime.image_store.get(IMAGE), target)
 print("regions:   ", [(r.label, r.bbox) for r in regions])
@@ -33,12 +37,11 @@ print("verified:  ", entity.entity_name, f"(match={entity.match_score:.2f})")
 
 print("\n== text retrieval ==")
 pre = runtime.pre_answer
-trace = pre.dcot_preanswer(QUESTION, IMAGE, pre.classify_domain(QUESTION), KEY)
+trace = pre.dcot_preanswer(model, pre.classify_domain(QUESTION))
 
 text_agent = runtime.text_agent
-subqueries = text_agent.rephrase_and_split(
-    QUESTION, trace, visual_context=entity.entity_name, fixture_key=KEY
-)
+subqueries = text_agent.rephrase_and_split(model, trace,
+                                           visual_context=entity.entity_name)
 subqueries.append(text_agent.fuse_object(QUESTION, entity))
 for sub in subqueries:
     print("  sub-query:", sub)

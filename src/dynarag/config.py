@@ -237,10 +237,19 @@ class PipelineConfig:
         return config
 
 
+def _strings(value, name: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{name}: expected a list of strings")
+    return tuple(value)
+
+
 def _load_section(defaults, overrides: dict, where: str):
     """``defaults`` with ``overrides`` applied. A numeric setting must be a
     finite number of its default's kind: an int setting takes an int, a float
-    one an int or a float, and neither takes a bool (ValueError otherwise)."""
+    one an int or a float, and neither takes a bool. A lexicon setting takes a
+    list of strings, and a table of lexicons (``keywords``,
+    ``exclusion_categories``) an object of such lists. Anything else raises
+    ValueError naming the key."""
     typed(overrides, dict, where)
     names = [f.name for f in fields(defaults)]
     unknown = sorted(set(overrides) - set(names))
@@ -257,12 +266,11 @@ def _load_section(defaults, overrides: dict, where: str):
                 typed(override, int if isinstance(value, int) else NUMBER, name)
                 if isinstance(override, float) and not math.isfinite(override):
                     raise ValueError(f"{name} must be finite")
-            elif isinstance(value, tuple) and isinstance(override, list):
-                override = tuple(override)
-            elif isinstance(value, dict) and isinstance(override, dict):
-                override = {
-                    k: tuple(v) if isinstance(v, list) else v for k, v in override.items()
-                }
+            elif isinstance(value, tuple):
+                override = _strings(override, name)
+            elif isinstance(value, dict):
+                override = {k: _strings(v, f"{name}.{k}")
+                            for k, v in typed(override, dict, name).items()}
             value = override
         kwargs[name] = value
     return type(defaults)(**kwargs)

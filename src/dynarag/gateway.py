@@ -4,6 +4,14 @@ A ``ModelRequest`` names a template in ``prompts.TEMPLATES``, its slot values
 and the fixture key a scripted backend looks the reply up by.
 ``ModelGateway(backend)`` needs no further set-up.
 
+Every model call of a turn shares the turn's context: the fixture key, the
+image, the question, the dialogue history and the time budget.
+``TurnModel`` binds the gateway to that context once per turn; its
+``generate(template_id, **slots)`` and ``try_generate(template_id, decode,
+**slots)`` fill the ``query`` and ``history`` slots, build the
+``ModelRequest`` and call the gateway's method of the same name. The modules
+that prompt the model take a ``TurnModel`` and hold no gateway of their own.
+
 Backends:
   - ScriptedBackend: deterministic responses loaded from a JSONL fixture file,
     keyed by (template_id, fixture_key). Doubles as the replay backend for
@@ -25,6 +33,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import math
 import threading
 import urllib.error
 import urllib.request
@@ -74,6 +83,11 @@ class FixtureEntry:
     text: str
     token_probs: tuple[float, ...]
     latency_ms: float = 0.0
+
+    def __post_init__(self):
+        # json reads NaN and Infinity: a NaN latency would stop the clock
+        if not (math.isfinite(self.latency_ms) and self.latency_ms >= 0):
+            raise ValueError(f"latency_ms must be finite and >= 0, got {self.latency_ms}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FixtureEntry":
@@ -234,6 +248,33 @@ class ModelGateway:
             raise
         except (GatewayError, ValueError, KeyError, IndexError):
             return None
+
+
+@dataclass(frozen=True)
+class TurnModel:
+    """The gateway bound to one turn: every call is keyed by the turn's
+    fixture key, shows the turn's image, gets the turn's question and history
+    as its ``query`` and ``history`` slots, and draws on the turn's budget."""
+
+    gateway: ModelGateway
+    fixture_key: str
+    image_ref: str | None
+    query: str
+    history: str
+    budget: TimeBudget | None
+
+    def _request(self, template_id: str, slots: dict[str, str]) -> ModelRequest:
+        return ModelRequest(template_id,
+                            {"query": self.query, "history": self.history, **slots},
+                            self.fixture_key, self.image_ref)
+
+    def generate(self, template_id: str, **slots: str) -> ModelResponse:
+        return self.gateway.generate(self._request(template_id, slots), self.budget)
+
+    def try_generate(self, template_id: str, decode, **slots: str):
+        """``ModelGateway.try_generate`` of the bound request."""
+        return self.gateway.try_generate(self._request(template_id, slots), decode,
+                                         self.budget)
 
 
 def last_line_json(response: ModelResponse) -> dict:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gateway import ModelGateway, ModelRequest, last_line_json
+from .gateway import TurnModel, last_line_json
 from .search import ImageKgIndex, ImageRecord, ImageStore, KgEntry, SearchHit, fuse_hits
-from .timing import TimeBudget
 
 logger = logging.getLogger(__name__)
 
@@ -92,25 +91,17 @@ def _whole_image(record: ImageRecord) -> Region:
 
 @dataclass
 class ImageSearchAgent:
-    gateway: ModelGateway
     kg_index: ImageKgIndex
     image_store: ImageStore
     entity_threshold: float = 0.5
 
     # -- object extraction ---------------------------------------------------
 
-    def extract_objects(self, image_ref: str | None, query: str, object_num: int,
-                        fixture_key: str = "",
-                        budget: TimeBudget | None = None) -> list[str]:
+    def extract_objects(self, model: TurnModel, object_num: int) -> list[str]:
         if object_num < 1:
             raise ValueError("object_num must be >= 1")
-        request = ModelRequest(
-            template_id="object_list",
-            slots={"query": query, "object_num": str(object_num)},
-            fixture_key=fixture_key,
-            image_ref=image_ref,
-        )
-        names = self.gateway.try_generate(request, _object_list, budget)
+        names = model.try_generate("object_list", _object_list,
+                                   object_num=str(object_num))
         if names is None:
             logger.warning("object extraction failed; falling back to whole image")
             return []
@@ -125,22 +116,15 @@ class ImageSearchAgent:
                 break
         return candidates
 
-    def select_object(self, candidates: list[str], query: str,
-                      image_ref: str | None, fixture_key: str = "",
-                      budget: TimeBudget | None = None) -> str:
+    def select_object(self, model: TurnModel, candidates: list[str]) -> str:
         if not candidates:
             raise ValueError("candidates must be non-empty")
         if len(candidates) == 1:
             return candidates[0]
 
-        request = ModelRequest(
-            template_id="object_select",
-            slots={"query": query, "object_list": json.dumps(candidates)},
-            fixture_key=fixture_key,
-            image_ref=image_ref,
-        )
-        chosen = self.gateway.try_generate(
-            request, lambda r: _normalize_name(str(last_line_json(r)["object"])), budget)
+        chosen = model.try_generate(
+            "object_select", lambda r: _normalize_name(str(last_line_json(r)["object"])),
+            object_list=json.dumps(candidates))
         if chosen is None:
             return candidates[0]
         if chosen in candidates:
@@ -208,18 +192,15 @@ class ImageSearchAgent:
 
     # -- full sub-pipeline -----------------------------------------------------
 
-    def ground(self, image_ref: str | None, query: str, object_num: int, k: int,
-               fixture_key: str = "",
-               budget: TimeBudget | None = None) -> tuple[list[SearchHit], VerifiedEntity | None]:
-        """Run the whole visual toolchain; with no candidate object the whole
-        image is searched. Without an image fixture there is no region to
-        search: no hits, no entity.
+    def ground(self, model: TurnModel, object_num: int,
+               k: int) -> tuple[list[SearchHit], VerifiedEntity | None]:
+        """Run the whole visual toolchain on the turn's image; with no
+        candidate object the whole image is searched. Without an image
+        fixture there is no region to search: no hits, no entity.
         """
-        candidates = self.extract_objects(image_ref, query, object_num,
-                                          fixture_key, budget)
-        target = self.select_object(candidates, query, image_ref,
-                                    fixture_key, budget) if candidates else None
-        record = self.image_store.get(image_ref) if image_ref else None
+        candidates = self.extract_objects(model, object_num)
+        target = self.select_object(model, candidates) if candidates else None
+        record = self.image_store.get(model.image_ref) if model.image_ref else None
         if record is None:
             return [], None
         regions = ([_whole_image(record)] if target is None

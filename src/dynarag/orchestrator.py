@@ -8,7 +8,10 @@ A turn flows pre-answer -> search router -> branch chain:
                   text toolchain -> rerank -> generation -> dual verification.
 
 The modules a turn runs belong to the ``PipelineRuntime``; an orchestrator
-is that runtime plus the clock its turns are timed on.
+is that runtime plus the clock its turns are timed on. Each turn binds the
+runtime's gateway to the turn's fixture key, image, question, dialogue history
+and budget once (a ``TurnModel``); every module that prompts the model gets
+that binding.
 
 Every stage draws on one shared TimeBudget; a breach anywhere, a model call
 inside an agent included, converts the turn into an "I don't know" fallback
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import BackendTimeout, DynaragError
+from .gateway import TurnModel
 from .postanswer import (
     FALLBACK_ANSWER,
     TokenStats,
@@ -163,8 +167,9 @@ class Orchestrator:
             finally:
                 timings[name] = self.clock.now() - t0
 
-        history = session.history_text()
         key = turn.fixture_key
+        model = TurnModel(self.runtime.gateway, key, turn.image_ref, turn.question,
+                          session.history_text(), budget)
         route: RouteDecision | None = None
         tools: ToolDecision | None = None
         evidence: AssembledContext | None = None
@@ -173,19 +178,17 @@ class Orchestrator:
         try:
             with stage("pre_answer"):
                 domain = self.runtime.pre_answer.classify_domain(turn.question)
-                trace = self.runtime.pre_answer.dcot_preanswer(
-                    turn.question, turn.image_ref, domain, key, history, budget
-                )
+                trace = self.runtime.pre_answer.dcot_preanswer(model, domain)
             with stage("route_search"):
                 route = route_search(trace)
 
             if route.branch is Branch.DIRECT_OUTPUT:
                 answer = self._direct_answer(trace)
             elif route.branch is Branch.SEARCH_VERIFY:
-                answer, evidence = self._run_verify(turn, session, trace, stage, budget)
+                answer, evidence = self._run_verify(model, session, trace, stage)
             else:
                 answer, evidence, tools, entity_name = self._run_rag(
-                    turn, session, trace, stage, budget
+                    model, session, trace, stage
                 )
         except DynaragError as exc:
             logger.info("turn %s fell back: %s", key, exc)
@@ -214,28 +217,26 @@ class Orchestrator:
         return finalize(" ".join(trace.steps), trace.draft_answer, stats, True,
                         Verdict.CORRECT)
 
-    def _run_verify(self, turn, session, trace, stage, budget):
+    def _run_verify(self, model, session, trace, stage):
         cfg = self.runtime.config
         with stage("text_search"):
-            hits = self._text_hits(turn, session, trace, None, budget)
-        evidence = self._rerank_stage(turn, hits, stage)
+            hits = self._text_hits(model, session, trace, None)
+        evidence = self._rerank_stage(model, hits, stage)
         with stage("verify"):
             stats = TokenStats.from_probs(trace.token_probs or (1.0,))
             passed = white_box_verify(stats, cfg.verifier)
             draft_blob = "\n".join(trace.steps + [trace.draft_answer])
-            verdict = self.runtime.post_answer.model_verify(
-                turn.question, turn.image_ref, evidence.text, draft_blob,
-                turn.fixture_key, budget,
-            )
+            verdict = self.runtime.post_answer.model_verify(model, evidence.text,
+                                                            draft_blob)
             answer = finalize(
                 " ".join(trace.steps), trace.draft_answer, stats, passed, verdict
             )
         return answer, evidence
 
-    def _run_rag(self, turn, session, trace, stage, budget):
+    def _run_rag(self, model, session, trace, stage):
         cfg = self.runtime.config
         with stage("route_tools"):
-            tools = route_tools(turn.question, trace, turn.image_ref, cfg.routing)
+            tools = route_tools(model.query, trace, model.image_ref, cfg.routing)
             tools = self._apply_session_image_rule(tools, trace, session)
 
         hits: list[SearchHit] = []
@@ -243,47 +244,42 @@ class Orchestrator:
         if tools.need_image_search:
             with stage("image_search"):
                 image_hits, entity = self.runtime.image_agent.ground(
-                    turn.image_ref, turn.question,
-                    cfg.agents.object_num, cfg.agents.k_per_query,
-                    turn.fixture_key, budget,
+                    model, cfg.agents.object_num, cfg.agents.k_per_query
                 )
                 hits.extend(image_hits)
 
         if tools.need_text_search:
             with stage("text_search"):
-                hits.extend(self._text_hits(turn, session, trace, entity, budget))
+                hits.extend(self._text_hits(model, session, trace, entity))
 
-        evidence = self._rerank_stage(turn, hits, stage)
+        evidence = self._rerank_stage(model, hits, stage)
         with stage("generate"):
             reason, answer_text, stats = self.runtime.post_answer.generate_answer(
-                turn.question, turn.image_ref, evidence.text,
-                turn.fixture_key, session.history_text(), budget,
+                model, evidence.text
             )
         with stage("verify"):
             answer = self.runtime.post_answer.verify_and_finalize(
-                turn.question, turn.image_ref, evidence.text,
-                reason, answer_text, stats, turn.fixture_key, budget,
+                model, evidence.text, reason, answer_text, stats
             )
         return answer, evidence, tools, (entity.entity_name if entity else None)
 
-    def _text_hits(self, turn, session, trace, entity, budget) -> list[SearchHit]:
+    def _text_hits(self, model, session, trace, entity) -> list[SearchHit]:
         """Decomposed (and, with a verified entity, object-fused) web search."""
         agent = self.runtime.text_agent
         subqueries = agent.rephrase_and_split(
-            turn.question, trace, self._visual_context(entity, trace, session),
-            turn.fixture_key, session.history_text(), budget,
+            model, trace, self._visual_context(entity, trace, session)
         )
         if entity is not None:
-            subqueries.append(agent.fuse_object(turn.question, entity))
+            subqueries.append(agent.fuse_object(model.query, entity))
         return agent.text_search(subqueries)
 
-    def _rerank_stage(self, turn, hits, stage) -> AssembledContext:
+    def _rerank_stage(self, model, hits, stage) -> AssembledContext:
         runtime = self.runtime
         with stage("rerank"):
-            image_embedding = runtime.image_store.embedding(turn.image_ref) \
-                if turn.image_ref else None
+            image_embedding = runtime.image_store.embedding(model.image_ref) \
+                if model.image_ref else None
             return rerank(
-                turn.question,
+                model.query,
                 image_embedding,
                 hits,
                 runtime.config.rerank,

@@ -3,7 +3,9 @@
 The runtime is the one place that knows the object graph. It holds everything
 a turn reads: indexes, fixtures, gateway, config, and the modules wired over
 them (domain classifier, pre-answer, both search agents, post-answer), each
-built once. The modules are stateless, so every session shares them. The one
+built once. The modules are stateless, so every session shares them. None of
+them holds the gateway: the orchestrator binds it to each turn's context (a
+``gateway.TurnModel``) and hands that binding to the modules it runs. The one
 thing a turn writes is the reranker's chunk store: each evidence doc's chunk
 texts and token codes, built the first time the doc reaches the reranker from
 the immutable indexes' payloads, so no turn's result depends on which turns
@@ -46,16 +48,13 @@ class PipelineRuntime:
         cfg = self.config
         self.query_encoder = MultiVectorQueryEncoder(self.text_encoder)
         self.chunk_store = ChunkCodeStore(self.text_encoder)
-        self.pre_answer = PreAnswerModule(
-            self.gateway, KeywordCentroidClassifier(cfg.domains), cfg.routing
-        )
-        self.image_agent = ImageSearchAgent(
-            self.gateway, self.kg_index, self.image_store, cfg.agents.entity_threshold
-        )
-        self.text_agent = TextSearchAgent(
-            self.gateway, self.web_index, cfg.agents.k_per_query, cfg.agents.k_total
-        )
-        self.post_answer = PostAnswerModule(self.gateway, cfg.verifier)
+        self.pre_answer = PreAnswerModule(KeywordCentroidClassifier(cfg.domains),
+                                          cfg.routing)
+        self.image_agent = ImageSearchAgent(self.kg_index, self.image_store,
+                                            cfg.agents.entity_threshold)
+        self.text_agent = TextSearchAgent(self.web_index, cfg.agents.k_per_query,
+                                          cfg.agents.k_total)
+        self.post_answer = PostAnswerModule(cfg.verifier)
 
     @property
     def text_encoder(self) -> HashedTextEncoder:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import VerifierConfig
-from .gateway import ModelGateway, ModelRequest
-from .timing import TimeBudget
+from .gateway import TurnModel
 
 FALLBACK_ANSWER = "I don't know"
 
@@ -105,69 +104,21 @@ def finalize(reason: str, answer: str, stats: TokenStats,
 
 @dataclass
 class PostAnswerModule:
-    gateway: ModelGateway
     verifier_cfg: VerifierConfig
 
-    def generate_answer(
-        self,
-        question: str,
-        image_ref: str | None,
-        context_text: str,
-        fixture_key: str = "",
-        history: str = "",
-        budget: TimeBudget | None = None,
-    ) -> tuple[str, str, TokenStats]:
-        request = ModelRequest(
-            template_id="post_answer",
-            slots={
-                "question": question,
-                "evidence": context_text,
-                "history": history,
-            },
-            fixture_key=fixture_key,
-            image_ref=image_ref,
-        )
-        response = self.gateway.generate(request, budget)
+    def generate_answer(self, model: TurnModel,
+                        evidence: str) -> tuple[str, str, TokenStats]:
+        response = model.generate("post_answer", evidence=evidence)
         reason, answer = parse_generation(response.text)
         return reason, answer, TokenStats.from_probs(response.token_probs)
 
-    def model_verify(
-        self,
-        question: str,
-        image_ref: str | None,
-        context_text: str,
-        reason_and_answer: str,
-        fixture_key: str = "",
-        budget: TimeBudget | None = None,
-    ) -> Verdict:
-        request = ModelRequest(
-            template_id="verifier",
-            slots={
-                "question": question,
-                "evidence": context_text,
-                "answer": reason_and_answer,
-            },
-            fixture_key=fixture_key,
-            image_ref=image_ref,
-        )
-        verdict = self.gateway.try_generate(
-            request, lambda r: parse_verdict(r.text), budget)
+    def model_verify(self, model: TurnModel, evidence: str, answer_text: str) -> Verdict:
+        verdict = model.try_generate("verifier", lambda r: parse_verdict(r.text),
+                                     evidence=evidence, answer=answer_text)
         return Verdict.INCORRECT if verdict is None else verdict
 
-    def verify_and_finalize(
-        self,
-        question: str,
-        image_ref: str | None,
-        context_text: str,
-        reason: str,
-        answer: str,
-        stats: TokenStats,
-        fixture_key: str = "",
-        budget: TimeBudget | None = None,
-    ) -> VerifiedAnswer:
+    def verify_and_finalize(self, model: TurnModel, evidence: str, reason: str,
+                            answer: str, stats: TokenStats) -> VerifiedAnswer:
         passed = white_box_verify(stats, self.verifier_cfg)
-        verdict = self.model_verify(
-            question, image_ref, context_text,
-            f"{reason}\n{answer}".strip(), fixture_key, budget,
-        )
+        verdict = self.model_verify(model, evidence, f"{reason}\n{answer}".strip())
         return finalize(reason, answer, stats, passed, verdict)

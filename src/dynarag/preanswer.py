@@ -18,9 +18,8 @@ import numpy as np
 
 from .config import DomainConfig, RoutingConfig
 from .encoders import HashedTextEncoder, tokenize
-from .gateway import ModelGateway, ModelRequest
+from .gateway import TurnModel
 from .prompts import CANNOT_DETERMINE, examples_for_domain
-from .timing import TimeBudget
 
 logger = logging.getLogger(__name__)
 
@@ -262,32 +261,13 @@ def _conservative_trace(text: str, routing: RoutingConfig,
 class PreAnswerModule:
     """Domain routing plus the chain-of-thought draft answer."""
 
-    gateway: ModelGateway
     classifier: KeywordCentroidClassifier
     routing: RoutingConfig
 
     def classify_domain(self, query: str) -> DomainLabel:
         return self.classifier.classify(query)
 
-    def dcot_preanswer(
-        self,
-        query: str,
-        image_ref: str | None,
-        domain: DomainLabel,
-        fixture_key: str = "",
-        history: str = "",
-        budget: TimeBudget | None = None,
-    ) -> ReasoningTrace:
-        request = ModelRequest(
-            template_id="evaluator",
-            slots={
-                "query": query,
-                "domain": domain.name,
-                "examples": examples_for_domain(domain.name),
-                "history": history,
-            },
-            fixture_key=fixture_key,
-            image_ref=image_ref,
-        )
-        response = self.gateway.generate(request, budget)
+    def dcot_preanswer(self, model: TurnModel, domain: DomainLabel) -> ReasoningTrace:
+        response = model.generate("evaluator", domain=domain.name,
+                                  examples=examples_for_domain(domain.name))
         return parse_trace(response.text, self.routing, response.token_probs)

@@ -98,7 +98,7 @@ Evidence:
 Conversation so far:
 {history}
 
-Question: {question}"""
+Question: {query}"""
 
 VERIFIER = """You evaluate whether the agent's answer to an image question is reasonable given the evidence.
 
@@ -112,7 +112,7 @@ Respond as:
 **Reason:** <1-2 sentences>
 **Response:** Correct Answer | Incorrect Answer
 
-Question: {question}
+Question: {query}
 Evidence: {evidence}
 Answer: {answer}"""
 

@@ -65,7 +65,8 @@ class WebDoc:
             snippet=raw["snippet"],
             html=raw.get("html", ""),
             timestamp=raw.get("timestamp", ""),
-            is_hard_negative=bool(raw.get("is_hard_negative", False)),
+            is_hard_negative=typed(raw.get("is_hard_negative", False), bool,
+                                   "is_hard_negative"),
         )
         for name in ("url", "title", "snippet", "html", "timestamp"):
             typed(getattr(doc, name), str, name)

@@ -1,7 +1,7 @@
 """Web-query construction and fused textual retrieval.
 
-Multi-hop questions are decomposed into self-contained sub-queries through
-the gateway (falling back to the original question keeps the pipeline
+Multi-hop questions are decomposed into self-contained sub-queries by the
+turn's model (falling back to the original question keeps the pipeline
 total), deictic referents are rewritten using the visual context, and a
 verified entity name can be fused into the original question to produce an
 object-aware query. Sub-queries are plain strings: the web search reads
@@ -18,11 +18,10 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .gateway import ModelGateway, ModelRequest, last_line_json
+from .gateway import TurnModel, last_line_json
 from .image_agent import VerifiedEntity
 from .preanswer import ReasoningTrace
 from .search import SearchHit, WebSearchIndex, fuse_hits
-from .timing import TimeBudget
 
 logger = logging.getLogger(__name__)
 
@@ -56,35 +55,18 @@ def enhance(text: str, visual_context: str | None) -> tuple[str, bool]:
 
 @dataclass
 class TextSearchAgent:
-    gateway: ModelGateway
     web_index: WebSearchIndex
     k_per_query: int = 10
     k_total: int = 10
 
-    def rephrase_and_split(
-        self,
-        query: str,
-        trace: ReasoningTrace,
-        visual_context: str | None = None,
-        fixture_key: str = "",
-        history: str = "",
-        budget: TimeBudget | None = None,
-    ) -> list[str]:
-        request = ModelRequest(
-            template_id="decompose",
-            slots={
-                "query": query,
-                "reasoning": "\n".join(trace.steps),
-                "visual_context": visual_context or "",
-                "history": history,
-            },
-            fixture_key=fixture_key,
-        )
-        subs = self.gateway.try_generate(
-            request, lambda r: self._parse_subqueries(last_line_json(r)), budget)
+    def rephrase_and_split(self, model: TurnModel, trace: ReasoningTrace,
+                           visual_context: str | None) -> list[str]:
+        subs = model.try_generate(
+            "decompose", lambda r: self._parse_subqueries(last_line_json(r)),
+            reasoning="\n".join(trace.steps), visual_context=visual_context or "")
         if subs is None:
             logger.warning("decomposition failed; using the original query")
-            subs = [query]
+            subs = [model.query]
         return [enhance(sub, visual_context)[0] for sub in subs]
 
     @staticmethod

@@ -19,6 +19,7 @@ WRONG_TYPED_FIELDS = [
     ("dataset", "taxonomy", []),
     ("dataset", "turn_index", [0]),
     ("web_corpus", "snippet", ["a"]),
+    ("web_corpus", "is_hard_negative", "false"),
 ]
 
 

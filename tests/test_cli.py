@@ -214,7 +214,9 @@ COMMANDS = ["ingest", "eval", "trace"]
                                           ("hard_negative:\n  rate: .nan\n", "rate"),
                                           ("hard_negative:\n  rate: -1\n", "rate"),
                                           ("agents:\n  object_num: true\n", "object_num"),
-                                          ("agents: 5\n", "agents")])
+                                          ("agents: 5\n", "agents"),
+                                          ("routing:\n  open_world_cues: price\n",
+                                           "open_world_cues")])
 def test_bad_config_is_one_error_line(world, tmp_path, capsys, command, text, needle):
     config = tmp_path / "config.yaml"
     config.write_text(text)
@@ -252,6 +254,16 @@ def test_model_fixture_line_without_a_key_is_one_error_line(world, tmp_path, cap
     broken["model_fixtures"].write_text('{"template_id": "evaluator"}\n')
     assert main(command_args("eval", broken["config"], world, tmp_path)) == 2
     one_error_line(capsys, str(broken["model_fixtures"]), "line 1", "'fixture_key'")
+
+
+@pytest.mark.parametrize("latency_ms", [-5, float("nan"), float("inf")])
+def test_a_model_fixture_latency_that_breaks_the_clock_is_one_error_line(
+        world, tmp_path, capsys, latency_ms):
+    broken = write_world(tmp_path / "broken")
+    with_wrong_type(broken["model_fixtures"], "latency_ms", latency_ms)
+    assert main(command_args("eval", broken["config"], world, tmp_path)) == 2
+    one_error_line(capsys, str(broken["model_fixtures"]), "line 3", "latency_ms")
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("name, field, value", WRONG_TYPED_FIELDS)

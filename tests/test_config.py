@@ -97,8 +97,19 @@ def test_agent_config_validation(key, value):
     ({"rerank": {"tau_fine": False}}, "tau_fine"),
     ({"agents": 5}, "agents"),
     ([1, 2], "config"),
+    ({"routing": {"open_world_cues": "price"}}, "open_world_cues"),
+    ({"routing": {"open_world_cues": [1]}}, "open_world_cues"),
+    ({"routing": {"generic_labels": None}}, "generic_labels"),
+    ({"domains": {"taxonomy": "other"}}, "taxonomy"),
+    ({"domains": {"keywords": {"food": "dish"}}}, "keywords.food"),
+    ({"domains": {"keywords": ["food"]}}, "keywords"),
+    ({"routing": {"exclusion_categories": {"book": [["novel"]]}}},
+     "exclusion_categories.book"),
 ])
 def test_a_numeric_setting_must_be_a_finite_number_of_its_kind(tmp_path, doc, key):
+    """Every setting must be a value of its default's kind: a finite number
+    of the right kind, a list of strings for a lexicon, an object of such
+    lists for a table of lexicons."""
     with pytest.raises(ValueError, match=key):
         PipelineConfig.from_dict(doc)
     path = tmp_path / "config.yaml"

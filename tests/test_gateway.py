@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import socket
 import struct
@@ -24,7 +25,8 @@ from dynarag.gateway import (
     ScriptedBackend,
     last_line_json,
 )
-from dynarag.fixtures import model_entries
+from dynarag.evalharness import EvalRecord, evaluate, group_sessions
+from dynarag.fixtures import eval_rows, model_entries
 from dynarag.orchestrator import STAGE_ERROR_FALLBACK, QueryTurn, SessionState
 from dynarag.postanswer import FALLBACK_ANSWER
 from dynarag.prompts import TEMPLATES, PromptTemplate
@@ -49,15 +51,15 @@ def request(key="umbrella-q1") -> ModelRequest:
     )
 
 
-# The table each gateway used to be given at runtime, copied literally:
+# Every template written out by hand; each names the turn's question ``query``:
 # template id -> (required slots, requires an image).
 REGISTERED = {
     "evaluator": ({"query", "domain", "examples", "history"}, True),
     "object_list": ({"query", "object_num"}, True),
     "object_select": ({"query", "object_list"}, True),
     "decompose": ({"query", "reasoning", "visual_context", "history"}, False),
-    "post_answer": ({"question", "evidence", "history"}, True),
-    "verifier": ({"question", "evidence", "answer"}, True),
+    "post_answer": ({"query", "evidence", "history"}, True),
+    "verifier": ({"query", "evidence", "answer"}, True),
 }
 
 
@@ -75,6 +77,34 @@ class CapturingBackend:
         self.calls.append((template_id, fixture_key, prompt))
         return ScriptedBackend([entry(template_id, fixture_key)]).complete(
             template_id, fixture_key, prompt, budget)
+
+
+DEMO_PROMPTS_SHA256 = "286db9387ae1655ab6271bd12bf44a4bf177d0ed16297d05de1155396a232a87"
+
+
+def test_demo_eval_sends_the_pinned_prompts(world_runtime):
+    """Every prompt a demo-world eval sends, in order, byte for byte.
+
+    The digest is the sha256 of ``json.dumps`` of the (template_id,
+    fixture_key, prompt) list. It was computed at commit 6be90cc, before the
+    modules took one per-turn ``TurnModel`` in place of the gateway and the
+    turn's key, image, question, history and budget as separate arguments.
+    """
+    calls = []
+
+    class Capturing:
+        inner = ScriptedBackend(model_entries())
+
+        def complete(self, template_id, fixture_key, prompt, budget=None):
+            calls.append((template_id, fixture_key, prompt))
+            return self.inner.complete(template_id, fixture_key, prompt, budget)
+
+    runtime = dataclasses.replace(world_runtime, gateway=ModelGateway(Capturing()))
+    deadline = runtime.config.limits.turn_deadline_s
+    evaluate(group_sessions([EvalRecord.from_dict(row, deadline) for row in eval_rows()]),
+             runtime)
+    assert len(calls) == 78
+    assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == DEMO_PROMPTS_SHA256
 
 
 def oracle_render(body: str, slots: dict[str, str]) -> str:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dynarag.errors import BackendTimeout
-from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
+from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend, TurnModel
 from dynarag.image_agent import (
     ImageSearchAgent,
     Region,
@@ -54,12 +54,18 @@ IMAGE = ImageRecord(
 )
 
 
-def make_agent(entries=None) -> ImageSearchAgent:
+def make_agent() -> ImageSearchAgent:
     return ImageSearchAgent(
-        gateway=ModelGateway(ScriptedBackend(entries or [])),
         kg_index=ImageKgIndex().build(KG_ENTRIES),
         image_store=ImageStore([IMAGE]),
     )
+
+
+def turn_model(entries=(), query="q", image_ref="img-street",
+               budget=None) -> TurnModel:
+    """Turn "k" over the scripted ``entries``."""
+    return TurnModel(ModelGateway(ScriptedBackend(list(entries))), "k", image_ref,
+                     query, "", budget)
 
 
 def fe(template, key, text, latency_ms=0.0):
@@ -70,73 +76,73 @@ def fe(template, key, text, latency_ms=0.0):
 
 
 def test_extract_scripted_three_objects():
-    agent = make_agent([fe("object_list", "k",
+    model = turn_model([fe("object_list", "k",
                            json.dumps({"object_list": ["car", "building", "tree"]}))])
-    out = agent.extract_objects("img-street", "q", 5, "k")
+    out = make_agent().extract_objects(model, 5)
     assert out == ["car", "building", "tree"]
 
 
 def test_extract_filters_actions():
-    agent = make_agent([fe("object_list", "k",
+    model = turn_model([fe("object_list", "k",
                            json.dumps({"object_list": ["car", "running", "tree"]}))])
-    out = agent.extract_objects("img-street", "q", 5, "k")
+    out = make_agent().extract_objects(model, 5)
     assert out == ["car", "tree"]
 
 
 def test_extract_truncates_to_object_num():
     names = [f"thing{i}" for i in range(8)]
-    agent = make_agent([fe("object_list", "k", json.dumps({"object_list": names}))])
-    out = agent.extract_objects("img-street", "q", 5, "k")
+    model = turn_model([fe("object_list", "k", json.dumps({"object_list": names}))])
+    out = make_agent().extract_objects(model, 5)
     assert len(out) == 5
 
 
 def test_extract_caps_names_at_three_words():
-    agent = make_agent([fe("object_list", "k",
+    model = turn_model([fe("object_list", "k",
                            json.dumps({"object_list": ["very long object name here"]}))])
-    out = agent.extract_objects("img-street", "q", 5, "k")
+    out = make_agent().extract_objects(model, 5)
     assert out[0] == "very long object"
 
 
 def test_extract_parse_failure_gives_empty_list():
-    agent = make_agent([fe("object_list", "k", "not json at all")])
-    assert agent.extract_objects("img-street", "q", 5, "k") == []
+    model = turn_model([fe("object_list", "k", "not json at all")])
+    assert make_agent().extract_objects(model, 5) == []
 
 
 def test_extract_rejects_nonpositive_object_num():
     with pytest.raises(ValueError):
-        make_agent().extract_objects("img-street", "q", 0)
+        make_agent().extract_objects(turn_model(), 0)
 
 
 # --- object selection -------------------------------------------------------------
 
 
 def test_select_single_candidate_passthrough():
-    agent = make_agent()
-    assert agent.select_object(["car"], "q", "img-street") == "car"
+    assert make_agent().select_object(turn_model(), ["car"]) == "car"
 
 
 def test_select_duplicates_get_the_model_choice():
-    agent = make_agent([fe("object_select", "k", json.dumps({"object": "car"}))])
-    out = agent.select_object(["car", "car"], "the car on the right", "img-street", "k")
+    model = turn_model([fe("object_select", "k", json.dumps({"object": "car"}))],
+                       query="the car on the right")
+    out = make_agent().select_object(model, ["car", "car"])
     assert out == "car"
 
 
 def test_select_model_attribute_preserved():
-    agent = make_agent([fe("object_select", "k", json.dumps({"object": "red car"}))])
+    model = turn_model([fe("object_select", "k", json.dumps({"object": "red car"}))])
     # the head word wins over the closer spelling "red cart"
-    out = agent.select_object(["red cart", "car"], "q", "img-street", "k")
+    out = make_agent().select_object(model, ["red cart", "car"])
     assert out == "car"
 
 
 def test_select_unknown_name_repaired_to_nearest():
-    agent = make_agent([fe("object_select", "k", json.dumps({"object": "vehicle"}))])
-    out = agent.select_object(["car", "tree"], "q", "img-street", "k")
+    model = turn_model([fe("object_select", "k", json.dumps({"object": "vehicle"}))])
+    out = make_agent().select_object(model, ["car", "tree"])
     assert out in ("car", "tree")
 
 
 def test_select_empty_candidates_raises():
     with pytest.raises(ValueError):
-        make_agent().select_object([], "q", "img-street")
+        make_agent().select_object(turn_model(), [])
 
 
 # --- region detection ----------------------------------------------------------------
@@ -262,30 +268,29 @@ def test_low_similarity_without_flag_does_not_verify():
 
 
 def test_ground_happy_path():
-    agent = make_agent([
+    model = turn_model([
         fe("object_list", "k", json.dumps({"object_list": ["car", "tree"]})),
         fe("object_select", "k", json.dumps({"object": "car"})),
-    ])
-    hits, entity = agent.ground("img-street", "What car is this?", 5, 5, "k")
+    ], query="What car is this?")
+    hits, entity = make_agent().ground(model, 5, 5)
     assert entity is not None and entity.entity_name == "Porsche 911"
     assert hits
 
 
 def test_ground_extraction_failure_uses_whole_image():
-    agent = make_agent([fe("object_list", "k", "garbage")])
-    hits, entity = agent.ground("img-street", "q", 5, 5, "k")
+    model = turn_model([fe("object_list", "k", "garbage")])
+    hits, entity = make_agent().ground(model, 5, 5)
     # whole-image embedding is unrelated to the KG: hits exist, none verified
     assert entity is None
 
 
 def test_ground_without_image_fixture_finds_nothing():
-    agent = make_agent([
-        fe("object_list", "k", json.dumps({"object_list": ["car"]})),
-    ])
-    assert agent.ground("img-nope", "q", 5, 5, "k") == ([], None)
-    assert make_agent([fe("object_list", "k", "garbage")]).ground(
-        "img-nope", "q", 5, 5, "k") == ([], None)
-    assert agent.ground(None, "q", 5, 5, "k") == ([], None)
+    agent = make_agent()
+    listed = [fe("object_list", "k", json.dumps({"object_list": ["car"]}))]
+    assert agent.ground(turn_model(listed, image_ref="img-nope"), 5, 5) == ([], None)
+    assert agent.ground(turn_model([fe("object_list", "k", "garbage")],
+                                   image_ref="img-nope"), 5, 5) == ([], None)
+    assert agent.ground(turn_model(listed, image_ref=None), 5, 5) == ([], None)
 
 
 @pytest.mark.parametrize("raw, score", [
@@ -318,30 +323,31 @@ def spy_kg_searches(agent, monkeypatch) -> list:
 
 
 def test_slow_object_list_raises_timeout_and_searches_nothing(monkeypatch):
-    agent = make_agent([
+    agent = make_agent()
+    model = turn_model([
         fe("object_list", "k", json.dumps({"object_list": ["car"]}), 20_000.0),
-    ])
+    ], query="What car is this?", budget=ten_second_budget())
     searches = spy_kg_searches(agent, monkeypatch)
     with pytest.raises(BackendTimeout):
-        agent.ground("img-street", "What car is this?", 5, 5, "k", ten_second_budget())
+        agent.ground(model, 5, 5)
     assert searches == []
 
 
 def test_slow_object_select_raises_timeout_and_searches_nothing(monkeypatch):
-    agent = make_agent([
+    agent = make_agent()
+    model = turn_model([
         fe("object_list", "k", json.dumps({"object_list": ["car", "tree"]})),
         fe("object_select", "k", json.dumps({"object": "car"}), 20_000.0),
-    ])
+    ], query="What car is this?", budget=ten_second_budget())
     searches = spy_kg_searches(agent, monkeypatch)
     with pytest.raises(BackendTimeout):
-        agent.ground("img-street", "What car is this?", 5, 5, "k", ten_second_budget())
+        agent.ground(model, 5, 5)
     assert searches == []
 
 
 def test_failed_object_select_still_falls_back_to_first_candidate():
-    agent = make_agent([
+    model = turn_model([
         fe("object_list", "k", json.dumps({"object_list": ["car", "tree"]})),
-    ])
-    hits, entity = agent.ground("img-street", "What car is this?", 5, 5, "k",
-                                ten_second_budget())
+    ], query="What car is this?", budget=ten_second_budget())
+    hits, entity = make_agent().ground(model, 5, 5)
     assert entity is not None and entity.entity_name == "Porsche 911"

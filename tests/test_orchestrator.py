@@ -246,10 +246,9 @@ def test_dialog_threads_entity_across_turns(world_runtime, monkeypatch):
     recorded = []
     original = TextSearchAgent.rephrase_and_split
 
-    def spy(self, query, trace, visual_context=None, fixture_key="", history="",
-            budget=None):
-        subs = original(self, query, trace, visual_context, fixture_key, history, budget)
-        recorded.append((fixture_key, list(subs)))
+    def spy(self, model, trace, visual_context):
+        subs = original(self, model, trace, visual_context)
+        recorded.append((model.fixture_key, list(subs)))
         return subs
 
     # The runtime's modules are shared with other tests: patch the class for

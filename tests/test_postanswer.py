@@ -5,7 +5,7 @@ import pytest
 
 from dynarag.config import VerifierConfig
 from dynarag.errors import BackendTimeout
-from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
+from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend, TurnModel
 from dynarag.postanswer import (
     FALLBACK_ANSWER,
     PostAnswerModule,
@@ -19,8 +19,13 @@ from dynarag.postanswer import (
 from dynarag.timing import SimulatedClock, TimeBudget
 
 
-def make_module(entries) -> PostAnswerModule:
-    return PostAnswerModule(ModelGateway(ScriptedBackend(entries)), VerifierConfig())
+def make_module() -> PostAnswerModule:
+    return PostAnswerModule(VerifierConfig())
+
+
+def turn_model(entries, key="k", budget=None) -> TurnModel:
+    """Turn ``key`` asking "q" about image "img" over the scripted ``entries``."""
+    return TurnModel(ModelGateway(ScriptedBackend(entries)), key, "img", "q", "", budget)
 
 
 # --- token statistics ---------------------------------------------------------
@@ -152,33 +157,33 @@ def test_finalize_truth_table():
 
 
 def test_generate_answer_round_trip():
-    module = make_module([FixtureEntry(
+    model = turn_model([FixtureEntry(
         "post_answer", "k",
         "reason: Evidence says so.\nanswer: The kettle costs $179.",
         (0.9, 0.8, 1.0), 0.0,
     )])
-    reason, answer, stats = module.generate_answer("q", "img", "evidence", "k")
+    reason, answer, stats = make_module().generate_answer(model, "evidence")
     assert answer == "The kettle costs $179."
     assert stats.s_min == pytest.approx(0.8)
     assert stats.s_mean == pytest.approx((0.9 + 0.8 + 1.0) / 3)
 
 
 def test_model_verify_round_trip():
-    module = make_module([FixtureEntry(
+    model = turn_model([FixtureEntry(
         "verifier", "k", "**Response:** Correct Answer", (1.0,), 0.0,
     )])
-    assert module.model_verify("q", "img", "ctx", "ra", "k") is Verdict.CORRECT
+    assert make_module().model_verify(model, "ctx", "ra") is Verdict.CORRECT
 
 
 def test_model_verify_missing_fixture_is_incorrect():
-    module = make_module([])
-    assert module.model_verify("q", "img", "ctx", "ra", "nope") is Verdict.INCORRECT
+    model = turn_model([], key="nope")
+    assert make_module().model_verify(model, "ctx", "ra") is Verdict.INCORRECT
 
 
 def test_model_verify_past_the_deadline_raises_timeout():
-    module = make_module([FixtureEntry(
-        "verifier", "k", "**Response:** Correct Answer", (1.0,), 20_000.0,
-    )])
     budget = TimeBudget(SimulatedClock(), deadline_at=10.0)
+    model = turn_model([FixtureEntry(
+        "verifier", "k", "**Response:** Correct Answer", (1.0,), 20_000.0,
+    )], budget=budget)
     with pytest.raises(BackendTimeout):
-        module.model_verify("q", "img", "ctx", "ra", "k", budget)
+        make_module().model_verify(model, "ctx", "ra")

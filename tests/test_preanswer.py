@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dynarag.config import DomainConfig, RoutingConfig
-from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
+from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend, TurnModel
 from dynarag.preanswer import (
     KeywordCentroidClassifier,
     PreAnswerModule,
@@ -17,9 +17,13 @@ ROUTING = RoutingConfig()
 DOMAINS = DomainConfig()
 
 
-def make_module(entries) -> PreAnswerModule:
-    return PreAnswerModule(ModelGateway(ScriptedBackend(entries)),
-                           KeywordCentroidClassifier(DOMAINS), ROUTING)
+def make_module() -> PreAnswerModule:
+    return PreAnswerModule(KeywordCentroidClassifier(DOMAINS), ROUTING)
+
+
+def turn_model(entries, query, image_ref, key) -> TurnModel:
+    return TurnModel(ModelGateway(ScriptedBackend(entries)), key, image_ref, query,
+                     "", None)
 
 
 def evaluator_entry(key, text, probs=(0.9, 0.9)):
@@ -73,10 +77,12 @@ def ocr_trace():
 
 
 def test_scripted_ocr_fixture_parses_to_draft_and_flags():
-    module = make_module([evaluator_entry("umbrella-q1", ocr_trace())])
+    module = make_module()
     domain = module.classify_domain("What is written on these umbrellas?")
     trace = module.dcot_preanswer(
-        "What is written on these umbrellas?", "img-1", domain, "umbrella-q1"
+        turn_model([evaluator_entry("umbrella-q1", ocr_trace())],
+                   "What is written on these umbrellas?", "img-1", "umbrella-q1"),
+        domain,
     )
     assert trace.draft_answer == 'The umbrellas say "Sunny Days".'
     assert not trace.unanswerable
@@ -113,9 +119,10 @@ def test_unparseable_output_yields_conservative_trace():
 
 
 def test_parse_failure_inside_module_is_conservative():
-    module = make_module([evaluator_entry("bad", "garbage blob")])
+    module = make_module()
     domain = module.classify_domain("q")
-    trace = module.dcot_preanswer("q", "img", domain, "bad")
+    trace = module.dcot_preanswer(
+        turn_model([evaluator_entry("bad", "garbage blob")], "q", "img", "bad"), domain)
     assert trace.unanswerable and trace.flags.has_idk
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from dynarag.config import RoutingConfig
 from dynarag.errors import BackendTimeout
-from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
+from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend, TurnModel
 from dynarag.image_agent import VerifiedEntity
 from dynarag.preanswer import parse_trace
 from dynarag.search import KgEntry, WebDoc, WebSearchIndex, unit_embedding_for
@@ -37,13 +37,17 @@ BMW_TRACE = trace("\n".join([
 ]))
 
 
-def make_agent(entries=None, docs=DOCS, k_total=10) -> TextSearchAgent:
+def make_agent(docs=DOCS, k_total=10) -> TextSearchAgent:
     return TextSearchAgent(
-        gateway=ModelGateway(ScriptedBackend(entries or [])),
         web_index=WebSearchIndex().build(docs),
         k_per_query=10,
         k_total=k_total,
     )
+
+
+def turn_model(entries, query, key, budget=None) -> TurnModel:
+    """Turn ``key`` asking ``query`` over the scripted ``entries``."""
+    return TurnModel(ModelGateway(ScriptedBackend(entries)), key, None, query, "", budget)
 
 
 def decompose_entry(key, subs):
@@ -58,14 +62,11 @@ def decompose_entry(key, subs):
 
 
 def test_scripted_multi_hop_decomposition_golden():
-    agent = make_agent([decompose_entry("bmw", [
+    model = turn_model([decompose_entry("bmw", [
         ("Which company makes the BMW M4?", 0),
         ("In which year did BMW go public?", 1),
-    ])])
-    subs = agent.rephrase_and_split(
-        "In which year did the company that makes this car go public?",
-        BMW_TRACE, visual_context="BMW M4", fixture_key="bmw",
-    )
+    ])], "In which year did the company that makes this car go public?", "bmw")
+    subs = make_agent().rephrase_and_split(model, BMW_TRACE, visual_context="BMW M4")
     assert subs == [
         "Which company makes the BMW M4?",
         "In which year did BMW go public?",
@@ -73,57 +74,58 @@ def test_scripted_multi_hop_decomposition_golden():
 
 
 def test_single_hop_yields_one_subquery():
-    agent = make_agent([decompose_entry("one", [("When was X built?", 0)])])
-    subs = agent.rephrase_and_split("When was X built?", BMW_TRACE, None, "one")
+    model = turn_model([decompose_entry("one", [("When was X built?", 0)])],
+                       "When was X built?", "one")
+    subs = make_agent().rephrase_and_split(model, BMW_TRACE, None)
     assert subs == ["When was X built?"]
 
 
 def test_pronoun_resolved_from_visual_context():
-    agent = make_agent([decompose_entry("kettle", [("How much does it cost?", 0)])])
-    subs = agent.rephrase_and_split(
-        "How much does it cost?", BMW_TRACE, visual_context="red kettle",
-        fixture_key="kettle",
-    )
+    model = turn_model([decompose_entry("kettle", [("How much does it cost?", 0)])],
+                       "How much does it cost?", "kettle")
+    subs = make_agent().rephrase_and_split(model, BMW_TRACE, visual_context="red kettle")
     assert "red kettle" in subs[0]
     assert "it" not in subs[0].split()
 
 
 def test_parse_failure_falls_back_to_original_query():
-    agent = make_agent([FixtureEntry("decompose", "bad", "garbage", (0.9,), 0.0)])
-    subs = agent.rephrase_and_split("Original question?", BMW_TRACE, None, "bad")
+    model = turn_model([FixtureEntry("decompose", "bad", "garbage", (0.9,), 0.0)],
+                       "Original question?", "bad")
+    subs = make_agent().rephrase_and_split(model, BMW_TRACE, None)
     assert subs == ["Original question?"]
 
 
 def test_missing_fixture_falls_back_to_original_query():
-    agent = make_agent([])
-    subs = agent.rephrase_and_split("Original question?", BMW_TRACE, None, "nope")
+    model = turn_model([], "Original question?", "nope")
+    subs = make_agent().rephrase_and_split(model, BMW_TRACE, None)
     assert subs == ["Original question?"]
 
 
 def test_slow_decomposition_raises_timeout_and_searches_nothing(monkeypatch):
-    agent = make_agent([FixtureEntry(
+    agent = make_agent()
+    model = turn_model([FixtureEntry(
         "decompose", "k", json.dumps({"sub_queries": [{"text": "a?"}]}),
         (0.9,), 20_000.0,
-    )])
+    )], "Original question?", "k", TimeBudget(SimulatedClock(), deadline_at=10.0))
     searches = []
     monkeypatch.setattr(agent.web_index, "search",
                         lambda query, k: searches.append(query) or [])
     with pytest.raises(BackendTimeout):
-        agent.rephrase_and_split("Original question?", BMW_TRACE, None, "k", "",
-                                 TimeBudget(SimulatedClock(), deadline_at=10.0))
+        agent.rephrase_and_split(model, BMW_TRACE, None)
     assert searches == []
 
 
 def test_decomposition_steps_map_into_trace():
-    agent = make_agent([decompose_entry("k", [("a?", 0), ("b?", 7)])])
-    subs = agent.rephrase_and_split("a? b?", BMW_TRACE, None, "k")
+    model = turn_model([decompose_entry("k", [("a?", 0), ("b?", 7)])], "a? b?", "k")
+    subs = make_agent().rephrase_and_split(model, BMW_TRACE, None)
     # step 7 is out of range for a 2-step trace; the sub-query still counts
     assert subs == ["a?", "b?"]
 
 
 def test_blank_subquery_text_falls_back_to_original_query():
-    agent = make_agent([decompose_entry("k", [("a?", 0), ("   ", 1)])])
-    subs = agent.rephrase_and_split("Original question?", BMW_TRACE, None, "k")
+    model = turn_model([decompose_entry("k", [("a?", 0), ("   ", 1)])],
+                       "Original question?", "k")
+    subs = make_agent().rephrase_and_split(model, BMW_TRACE, None)
     assert subs == ["Original question?"]
 
 
