@@ -197,6 +197,12 @@ class PathsConfig:
     image_fixtures: str | None = None
     model_fixtures: str | None = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                typed(value, str, f.name)
+
 
 @dataclass
 class PipelineConfig:

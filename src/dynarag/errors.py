@@ -33,10 +33,6 @@ class BackendTimeout(GatewayError):
     """Backend could not answer within the remaining time budget."""
 
 
-class BackendError(GatewayError):
-    """Backend transport failed or its response could not be decoded."""
-
-
 # --- input files -----------------------------------------------------------
 
 class ParseError(DynaragError):

@@ -18,10 +18,6 @@ Backends:
     recordings made with Recorder.
   - Recorder: wraps any backend and appends each response to a JSONL file in
     the same fixture format, so a run recorded once replays bit-identically.
-  - RemoteBackend: minimal JSON-over-HTTP client mirroring the request and
-    response shapes. Socket timeouts raise BackendTimeout; any other transport
-    failure or undecodable body raises BackendError. Optional; nothing in the
-    pipeline requires it.
 
 Fixture file format (one JSON object per line):
   {"template_id": ..., "fixture_key": ..., "text": ..., "token_probs": [...],
@@ -30,19 +26,14 @@ Fixture file format (one JSON object per line):
 
 from __future__ import annotations
 
-import http.client
 import json
-import logging
 import math
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
     NUMBER,
-    BackendError,
     BackendTimeout,
     GatewayError,
     MissingSlot,
@@ -54,7 +45,6 @@ from .errors import (
 from .prompts import TEMPLATES
 from .timing import TimeBudget
 
-logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ModelRequest:
@@ -70,14 +60,12 @@ class ModelResponse:
     token_probs: tuple[float, ...]
     latency: float  # seconds
 
-    def __post_init__(self):
-        for p in self.token_probs:
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"token probability {p} outside (0, 1]")
-
 
 @dataclass(frozen=True)
 class FixtureEntry:
+    """One scripted reply. Its token probabilities and latency are checked
+    here, where it is made, so every response built from it holds them."""
+
     template_id: str
     fixture_key: str
     text: str
@@ -88,6 +76,11 @@ class FixtureEntry:
         # json reads NaN and Infinity: a NaN latency would stop the clock
         if not (math.isfinite(self.latency_ms) and self.latency_ms >= 0):
             raise ValueError(f"latency_ms must be finite and >= 0, got {self.latency_ms}")
+        if not self.token_probs:
+            raise ValueError("token_probs is empty")
+        for p in self.token_probs:
+            if not (0.0 < p <= 1.0):  # False for NaN too
+                raise ValueError(f"token probability {p} outside (0, 1]")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FixtureEntry":
@@ -114,28 +107,12 @@ class ScriptedBackend:
     """Immutable fixture-keyed backend. Safe for concurrent reads."""
 
     def __init__(self, entries: list[FixtureEntry] | None = None):
-        self._entries: dict[tuple[str, str], FixtureEntry] = {}
-        for entry in entries or []:
-            self.add(entry)
-
-    def add(self, entry: FixtureEntry) -> None:
-        if not entry.token_probs:
-            raise ValueError(
-                f"fixture ({entry.template_id}, {entry.fixture_key}) has no token probabilities"
-            )
-        for p in entry.token_probs:
-            if not (0.0 < p <= 1.0):
-                raise ValueError(
-                    f"fixture ({entry.template_id}, {entry.fixture_key}) "
-                    f"probability {p} outside (0, 1]"
-                )
-        self._entries[(entry.template_id, entry.fixture_key)] = entry
+        # A later entry for a key wins: a Recorder log repeats keys.
+        self._entries = {(e.template_id, e.fixture_key): e for e in entries or []}
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
-        backend = cls()
-        read_jsonl(path, lambda raw: backend.add(FixtureEntry.from_dict(raw)))
-        return backend
+        return cls(read_jsonl(path, FixtureEntry.from_dict))
 
     def complete(self, template_id: str, fixture_key: str, prompt: str,
                  budget: TimeBudget | None = None) -> ModelResponse:
@@ -173,58 +150,12 @@ class Recorder:
         return response
 
 
-class RemoteBackend:
-    """JSON-over-HTTP client mirroring the request/response shapes.
-
-    POSTs {"template_id", "fixture_key", "prompt"} and expects
-    {"text", "token_probs", "latency_ms"} back.
-    """
-
-    def __init__(self, endpoint: str, timeout_s: float = 10.0):
-        self.endpoint = endpoint
-        self.timeout_s = timeout_s
-
-    def complete(self, template_id: str, fixture_key: str, prompt: str,
-                 budget: TimeBudget | None = None) -> ModelResponse:
-        payload = json.dumps(
-            {"template_id": template_id, "fixture_key": fixture_key, "prompt": prompt}
-        ).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint, data=payload, headers={"Content-Type": "application/json"}
-        )
-        timeout = self.timeout_s
-        if budget is not None:
-            timeout = min(timeout, max(budget.remaining(), 0.0))
-            if timeout <= 0:
-                raise BackendTimeout("no time left for remote call")
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as raw:
-                data = raw.read()
-        except TimeoutError as exc:
-            raise BackendTimeout(str(exc)) from exc
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, TimeoutError):
-                raise BackendTimeout(str(exc)) from exc
-            raise BackendError(f"remote call failed: {exc}") from exc
-        except (OSError, http.client.HTTPException) as exc:
-            raise BackendError(f"remote call failed: {exc!r}") from exc
-        try:
-            body = json.loads(data.decode("utf-8"))
-            return ModelResponse(
-                text=body["text"],
-                token_probs=tuple(float(p) for p in body["token_probs"]),
-                latency=float(body.get("latency_ms", 0.0)) / 1000.0,
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendError(f"bad response body: {exc!r}") from exc
-
-
 @dataclass
 class ModelGateway:
     """The pipeline's prompt templates (``prompts.TEMPLATES``) over a
     pluggable completion backend."""
 
-    backend: ScriptedBackend | Recorder | RemoteBackend
+    backend: ScriptedBackend | Recorder
 
     def generate(self, request: ModelRequest, budget: TimeBudget | None = None) -> ModelResponse:
         template = TEMPLATES.get(request.template_id)

@@ -48,8 +48,8 @@ class PipelineRuntime:
         cfg = self.config
         self.query_encoder = MultiVectorQueryEncoder(self.text_encoder)
         self.chunk_store = ChunkCodeStore(self.text_encoder)
-        self.pre_answer = PreAnswerModule(KeywordCentroidClassifier(cfg.domains),
-                                          cfg.routing)
+        self.pre_answer = PreAnswerModule(
+            KeywordCentroidClassifier(cfg.domains, self.text_encoder), cfg.routing)
         self.image_agent = ImageSearchAgent(self.kg_index, self.image_store,
                                             cfg.agents.entity_threshold)
         self.text_agent = TextSearchAgent(self.web_index, cfg.agents.k_per_query,
@@ -66,15 +66,13 @@ class PipelineRuntime:
         return Orchestrator(self, clock)
 
 
-def build_runtime(config: PipelineConfig, backend=None) -> PipelineRuntime:
+def build_runtime(config: PipelineConfig) -> PipelineRuntime:
     """Load corpora and fixtures named in the config and wire the stack."""
     encoder = HashedTextEncoder(config.encoder.dim)
     paths = config.paths
-
-    if backend is None:
-        if paths.model_fixtures is None:
-            raise ValueError("config.paths.model_fixtures is required for the mock stack")
-        backend = ScriptedBackend.from_jsonl(paths.model_fixtures)
+    if paths.model_fixtures is None:
+        raise ValueError("config.paths.model_fixtures is required for the mock stack")
+    backend = ScriptedBackend.from_jsonl(paths.model_fixtures)
 
     web_index = (
         WebSearchIndex.ingest(paths.web_corpus, encoder, config.hard_negative.rate)

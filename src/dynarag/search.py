@@ -438,10 +438,15 @@ class ImageRecord:
 
 
 class ImageStore:
-    """In-memory lookup of image fixtures by image_id."""
+    """In-memory lookup of image fixtures by image_id. Two records sharing
+    an id would hide one of them: a duplicate id raises ValueError."""
 
     def __init__(self, records: list[ImageRecord] | None = None):
-        self._records = {r.image_id: r for r in (records or [])}
+        self._records: dict[str, ImageRecord] = {}
+        for record in records or []:
+            if record.image_id in self._records:
+                raise ValueError(f"duplicate image_id in image fixtures: {record.image_id}")
+            self._records[record.image_id] = record
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ImageStore":

@@ -216,7 +216,8 @@ COMMANDS = ["ingest", "eval", "trace"]
                                           ("agents:\n  object_num: true\n", "object_num"),
                                           ("agents: 5\n", "agents"),
                                           ("routing:\n  open_world_cues: price\n",
-                                           "open_world_cues")])
+                                           "open_world_cues"),
+                                          ("paths:\n  web_corpus: 5\n", "web_corpus")])
 def test_bad_config_is_one_error_line(world, tmp_path, capsys, command, text, needle):
     config = tmp_path / "config.yaml"
     config.write_text(text)
@@ -239,6 +240,16 @@ def test_non_json_corpus_line_is_one_error_line(world, tmp_path, capsys, command
     assert main(command_args(command, broken["config"], world, tmp_path)) == 2
     one_error_line(capsys, str(broken["web_corpus"]), "line 2")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_duplicate_image_id_is_one_error_line(world, tmp_path, capsys, command):
+    broken = write_world(tmp_path / "broken")
+    lines = broken["image_fixtures"].read_text().splitlines()
+    broken["image_fixtures"].write_text("\n".join([*lines, lines[0]]) + "\n")
+    image_id = json.loads(lines[0])["image_id"]
+    assert main(command_args(command, broken["config"], world, tmp_path)) == 2
+    one_error_line(capsys, str(broken["config"]), f"duplicate image_id in image fixtures: {image_id}")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

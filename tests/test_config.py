@@ -105,6 +105,8 @@ def test_agent_config_validation(key, value):
     ({"domains": {"keywords": ["food"]}}, "keywords"),
     ({"routing": {"exclusion_categories": {"book": [["novel"]]}}},
      "exclusion_categories.book"),
+    ({"paths": {"web_corpus": 5}}, "web_corpus"),
+    ({"paths": {"model_fixtures": ["fixtures.jsonl"]}}, "model_fixtures"),
 ])
 def test_a_numeric_setting_must_be_a_finite_number_of_its_kind(tmp_path, doc, key):
     """Every setting must be a value of its default's kind: a finite number
@@ -159,6 +161,15 @@ def test_encoder_dim_must_be_a_whole_number_of_at_least_one(tmp_path, dim):
     with pytest.raises(ValueError, match="dim"):
         PipelineConfig.from_file(path)
     assert PipelineConfig.from_dict({"encoder": {"dim": 1}}).encoder.dim == 1
+
+
+def test_the_domain_classifier_embeds_with_the_runtime_encoder(tmp_path):
+    world = write_world(tmp_path / "world")
+    doc = yaml.safe_load(world["config"].read_text())
+    world["config"].write_text(yaml.safe_dump({**doc, "encoder": {"dim": 512}}))
+    runtime = build_runtime(PipelineConfig.from_file(world["config"]))
+    assert runtime.text_encoder.dim == 512
+    assert runtime.pre_answer.classifier.encoder is runtime.text_encoder
 
 
 def test_empty_config_file_gives_defaults(tmp_path):

@@ -1,17 +1,17 @@
 import dataclasses
 import hashlib
 import json
-import socket
-import struct
+import os
+import subprocess
+import sys
 import threading
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import dynarag
 from dynarag.errors import (
     BackendTimeout,
-    GatewayError,
     MissingSlot,
     UnknownFixture,
     UnknownTemplate,
@@ -21,14 +21,11 @@ from dynarag.gateway import (
     ModelGateway,
     ModelRequest,
     Recorder,
-    RemoteBackend,
     ScriptedBackend,
     last_line_json,
 )
 from dynarag.evalharness import EvalRecord, evaluate, group_sessions
 from dynarag.fixtures import eval_rows, model_entries
-from dynarag.orchestrator import STAGE_ERROR_FALLBACK, QueryTurn, SessionState
-from dynarag.postanswer import FALLBACK_ANSWER
 from dynarag.prompts import TEMPLATES, PromptTemplate
 from dynarag.timing import SimulatedClock, TimeBudget
 
@@ -226,6 +223,18 @@ def test_fixture_probabilities_validated_at_load():
         ScriptedBackend([entry(probs=())])
 
 
+@pytest.mark.parametrize("probs", [(), (float("nan"),), (0.0,), (-0.5,), (1.5,),
+                                   (float("inf"),), (0.5, float("nan"))])
+def test_a_fixture_entry_checks_its_probabilities_when_made(probs):
+    with pytest.raises(ValueError, match="token"):
+        entry(probs=probs)
+
+
+def test_a_later_fixture_entry_for_a_key_wins():
+    backend = ScriptedBackend([entry(text="first"), entry(key="other"), entry(text="last")])
+    assert backend.complete("decompose", "umbrella-q1", "prompt").text == "last"
+
+
 def test_response_probability_bounds_hold():
     gateway = make_gateway([entry(probs=(0.001, 0.5, 1.0))])
     response = gateway.generate(request())
@@ -292,101 +301,17 @@ def test_concurrent_reads_are_consistent():
     assert set(results) == {"scripted trace"}
 
 
-class _Handler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        body = json.dumps(
-            {"text": f"echo:{payload['fixture_key']}", "token_probs": [0.8], "latency_ms": 3.0}
-        ).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@contextmanager
-def _serving(handler):
-    server = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/"
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-def test_remote_backend_round_trip():
-    with _serving(_Handler) as endpoint:
-        response = ModelGateway(RemoteBackend(endpoint)).generate(request("abc"))
-        assert response.text == "echo:abc"
-        assert response.token_probs == (0.8,)
-
-
-def _reply(body: bytes, status: bytes = b"200 OK") -> bytes:
-    return b"HTTP/1.0 " + status + b"\r\n\r\n" + body
-
-
-# Raw replies served per fixture key by _BrokenHandler.
-_BROKEN_REPLIES = {
-    "not-json": _reply(b"<html>gateway error</html>"),
-    "missing-text": _reply(json.dumps({"token_probs": [0.8]}).encode("utf-8")),
-    "not-an-object": _reply(json.dumps(["echo", [0.8]]).encode("utf-8")),
-    "prob-out-of-range": _reply(
-        json.dumps({"text": "x", "token_probs": [1.5]}).encode("utf-8")),
-    "http-500": _reply(b"{}", b"500 Internal Server Error"),
-    "no-reply": b"",
-    "not-http": b"garbage\r\n\r\n",
-    "reset": None,  # abortive close: the client reads ECONNRESET
-}
-
-
-class _BrokenHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        reply = _BROKEN_REPLIES[payload["fixture_key"]]
-        if reply is None:
-            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                                       struct.pack("ii", 1, 0))
-            self.connection.close()
-        else:
-            self.wfile.write(reply)
-
-    def log_message(self, *args):
-        pass
-
-
-def _closed_port_url() -> str:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-    return f"http://127.0.0.1:{port}/"
-
-
-def test_remote_backend_closed_port_raises_gateway_error():
-    with pytest.raises(GatewayError):
-        ModelGateway(RemoteBackend(_closed_port_url())).generate(request("k"))
-
-
-@pytest.mark.parametrize("key", sorted(_BROKEN_REPLIES))
-def test_remote_backend_broken_reply_raises_gateway_error(key):
-    with _serving(_BrokenHandler) as endpoint:
-        with pytest.raises(GatewayError):
-            ModelGateway(RemoteBackend(endpoint)).generate(request(key))
-
-
-def test_answer_turn_over_closed_port_falls_back(world_runtime):
-    runtime = dataclasses.replace(
-        world_runtime, gateway=ModelGateway(RemoteBackend(_closed_port_url())))
-    turn = QueryTurn("cafe-q1", 0, "Who founded this cafe?", "img-cafe", 10.0)
-    answer, trace = runtime.orchestrator(clock=SimulatedClock()).answer_turn(
-        turn, SessionState("cafe-q1", 30.0)
-    )
-    assert answer == FALLBACK_ANSWER
-    assert trace.answer.fallback
-    assert STAGE_ERROR_FALLBACK in trace.stages
+def test_importing_the_package_loads_no_network_client():
+    """The pipeline runs on scripted backends only: no module of the package
+    pulls in an HTTP client, whose imports cost every run a few MB of RSS."""
+    modules = ["dynarag", "dynarag.cli", "dynarag.pipeline", "dynarag.evalharness",
+               "dynarag.fixtures"]
+    network = ["http.client", "urllib.request", "ssl", "email"]
+    code = (f"import sys\nimport {', '.join(modules)}\n"
+            f"print([m for m in {network!r} if m in sys.modules])")
+    src = str(Path(dynarag.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

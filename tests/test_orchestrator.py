@@ -131,9 +131,9 @@ def test_slow_object_extraction_ends_the_turn_before_any_search(world_runtime,
     from dynarag.fixtures import model_entries
     from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 
-    backend = ScriptedBackend(model_entries())
-    backend.add(FixtureEntry("object_list", "cafe-q1:0",
-                             '{"object_list": ["cafe"]}', (0.9,), 20_000.0))
+    backend = ScriptedBackend([*model_entries(),
+                               FixtureEntry("object_list", "cafe-q1:0",
+                                            '{"object_list": ["cafe"]}', (0.9,), 20_000.0)])
     runtime = dataclasses.replace(world_runtime, gateway=ModelGateway(backend))
     searches = []
     for index_class in (ImageKgIndex, WebSearchIndex):
@@ -153,9 +153,9 @@ def scripted(runtime, *overrides: tuple[str, str]):
     from dynarag.fixtures import model_entries
     from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend
 
-    backend = ScriptedBackend(model_entries())
-    for template, text in overrides:
-        backend.add(FixtureEntry(template, "cafe-q1:0", text, (0.9,), 40.0))
+    backend = ScriptedBackend([*model_entries(),
+                               *(FixtureEntry(template, "cafe-q1:0", text, (0.9,), 40.0)
+                                 for template, text in overrides)])
     return dataclasses.replace(runtime, gateway=ModelGateway(backend))
 
 
