@@ -202,6 +202,8 @@ class PathsConfig:
             value = getattr(self, f.name)
             if value is not None:
                 typed(value, str, f.name)
+                if not value:
+                    raise ValueError(f"{f.name}: expected a file path, got an empty string")
 
 
 @dataclass

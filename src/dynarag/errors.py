@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import orjson
+
 
 class DynaragError(Exception):
     """Base class for all library errors."""
@@ -64,14 +66,23 @@ def read_jsonl(path: str | Path, parse) -> list:
     """``parse`` of each non-blank line's JSON object, in file order. A line
     that is not a JSON object, or that ``parse`` rejects with KeyError,
     ValueError or OverflowError (``Infinity`` where an integer belongs),
-    raises ParseError naming the path and the line."""
+    raises ParseError naming the path and the line.
+
+    orjson decodes each line. A line it rejects goes to ``json.loads``, which
+    reads Python's extensions (``NaN``, ``Infinity``, ``1e309``, a lone
+    surrogate escape) and words the error of a malformed line. The two agree
+    on every line orjson accepts but one with an integer outside
+    [-2**63, 2**64), which orjson reads as the nearest float."""
     items = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                raw = json.loads(line)
+                try:
+                    raw = orjson.loads(line)
+                except orjson.JSONDecodeError:
+                    raw = json.loads(line)
                 if not isinstance(raw, dict):
                     raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
                 items.append(parse(raw))

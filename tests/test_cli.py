@@ -217,7 +217,8 @@ COMMANDS = ["ingest", "eval", "trace"]
                                           ("agents: 5\n", "agents"),
                                           ("routing:\n  open_world_cues: price\n",
                                            "open_world_cues"),
-                                          ("paths:\n  web_corpus: 5\n", "web_corpus")])
+                                          ("paths:\n  web_corpus: 5\n", "web_corpus"),
+                                          ('paths:\n  web_corpus: ""\n', "web_corpus")])
 def test_bad_config_is_one_error_line(world, tmp_path, capsys, command, text, needle):
     config = tmp_path / "config.yaml"
     config.write_text(text)

@@ -107,6 +107,7 @@ def test_agent_config_validation(key, value):
      "exclusion_categories.book"),
     ({"paths": {"web_corpus": 5}}, "web_corpus"),
     ({"paths": {"model_fixtures": ["fixtures.jsonl"]}}, "model_fixtures"),
+    ({"paths": {"kg_corpus": ""}}, "kg_corpus"),
 ])
 def test_a_numeric_setting_must_be_a_finite_number_of_its_kind(tmp_path, doc, key):
     """Every setting must be a value of its default's kind: a finite number
