@@ -18,6 +18,11 @@ Codes come from ``row_codes``, which hashes each distinct token once per call
 chunk store) through a dict local to the call, so they equal the codes of
 hashing every occurrence. Nothing outlives the call: the encoder keeps no
 memo, and a second build hashes again.
+
+Evidence chunks are embedded once per doc, by the reranker's chunk store,
+the first time the doc reaches the reranker: one ``embed`` call, of which the
+store keeps each row's non-zero slots and values. Coarse scoring reads those
+and embeds only the query.
 """
 
 from __future__ import annotations

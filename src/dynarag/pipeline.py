@@ -7,9 +7,9 @@ built once. The modules are stateless, so every session shares them. None of
 them holds the gateway: the orchestrator binds it to each turn's context (a
 ``gateway.TurnModel``) and hands that binding to the modules it runs. The one
 thing a turn writes is the reranker's chunk store: each evidence doc's chunk
-texts and token codes, built the first time the doc reaches the reranker from
-the immutable indexes' payloads, so no turn's result depends on which turns
-ran before it.
+texts, token sets and sparse unit rows, built the first time the doc reaches
+the reranker from the immutable indexes' payloads, so no turn's result
+depends on which turns ran before it.
 ``orchestrator(clock)`` pairs the runtime with a session's own clock so
 sessions never share a simulated clock.
 """

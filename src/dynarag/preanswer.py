@@ -81,22 +81,19 @@ class KeywordCentroidClassifier:
     def __init__(self, domains: DomainConfig, encoder: HashedTextEncoder | None = None):
         self.domains = domains
         self.encoder = encoder or HashedTextEncoder()
-        self._centroids = {
-            name: self.encoder.encode(" ".join((name,) + tuple(words)))
-            for name, words in domains.keywords.items()
-            if name in domains.taxonomy
-        }
+        labelled = [(name, words) for name, words in domains.keywords.items()
+                    if name in domains.taxonomy]
+        self._keywords = {name: frozenset(w.lower() for w in words)
+                          for name, words in labelled}
+        self._centroids = {name: self.encoder.encode(" ".join((name,) + tuple(words)))
+                           for name, words in labelled}
 
     def classify(self, query: str) -> DomainLabel:
         tokens = set(tokenize(query))
         if not tokens:
             return DomainLabel("other", 0.0)
 
-        hits = {
-            name: len(tokens & {w.lower() for w in words})
-            for name, words in self.domains.keywords.items()
-            if name in self.domains.taxonomy
-        }
+        hits = {name: len(tokens & words) for name, words in self._keywords.items()}
         best = max(hits, key=lambda name: (hits[name], name), default=None)
         if best is not None and hits[best] > 0:
             confidence = min(1.0, hits[best] / max(len(tokens), 1) + 0.5)

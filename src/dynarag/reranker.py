@@ -1,15 +1,18 @@
 """Two-stage coarse-to-fine evidence filtering.
 
-Each evidence doc is chunked once per runtime: the ``ChunkCodeStore`` keeps
-a doc's chunk texts and their token codes, and ``chunk_evidence`` hands the
-turn its hits' entries as ``Evidence``. Stage one scores every chunk by the
-maximum cosine similarity between the multi-vector query encoding and the
-chunk embedding (taken from the codes alone), keeps candidates at or above
-tau_coarse, then caps at the K1 best; only those become ``Chunk`` objects.
-Stage two applies a point-wise relevance scorer; chunks are ranked by the
-cumulative score (clamped coarse times fine), capped at K2, and only kept
-while cumulative exceeds tau_fine * tau_coarse (strict). Selected chunks are
-assembled into a single provenance-annotated context string.
+Each evidence doc is chunked and embedded once per runtime: the
+``ChunkCodeStore`` keeps a doc's chunk texts, each chunk's distinct tokens
+and its unit row as sparse (slot, value) entries, and ``chunk_evidence``
+hands the turn its hits' entries as ``Evidence``. Stage one scores every
+chunk by the maximum cosine similarity between the multi-vector query
+encoding and the chunk's unit row, over the chunk's own entries, so a score
+depends on the question and the chunk alone; it keeps candidates at or above
+tau_coarse, then caps at the K1 best, and only those become ``Chunk``
+objects. Stage two applies a point-wise relevance scorer to the stored
+tokens; chunks are ranked by the cumulative score (clamped coarse times
+fine), capped at K2, and only kept while cumulative exceeds
+tau_fine * tau_coarse (strict). Selected chunks are assembled into a single
+provenance-annotated context string.
 
 Both stages rank through ``search.top_k``, the rule the indexes use: by
 score, equal scores in input order. The final assembly breaks ties by source
@@ -20,8 +23,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -47,6 +51,9 @@ class Chunk:
     doc_url: str
     position: int
     chunk_id: str
+    # The text's distinct tokens, space-joined, as the chunk store keeps them;
+    # None for a chunk built elsewhere, whose text the fine stage tokenizes.
+    tokens: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -146,31 +153,40 @@ def _spans(hit: SearchHit, config: RerankConfig):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ChunkedDoc:
-    """One evidence doc, chunked and hashed: the payload it was built from,
-    each chunk's text, and the chunks' concatenated token codes with one
-    length per chunk."""
+    """One evidence doc, chunked and embedded: the payload it was built from,
+    each chunk's text and its distinct tokens (space-joined, in order of first
+    occurrence: one string a chunk), and the chunks' unit rows, sparse.
+
+    Row ``i`` holds the ``sizes[i]`` entries after the ``sizes[:i]`` ones in
+    ``slots`` and ``values``: its non-zero slots, ascending, and the float64
+    values ``HashedTextEncoder.embed`` gives them. A chunk without tokens
+    keeps slot 0 with value 0.0, so every chunk owns at least one entry."""
 
     payload: WebDoc | KgEntry
     texts: tuple[str, ...]
-    codes: np.ndarray
-    lengths: np.ndarray
+    tokens: tuple[str, ...]
+    slots: np.ndarray
+    values: np.ndarray
+    sizes: np.ndarray
 
 
 class ChunkCodeStore:
     """Each evidence doc chunked once per store.
 
     An entry is built the first time a doc reaches the reranker and holds its
-    chunk texts and their token codes (``HashedTextEncoder.row_codes``, 2
-    bytes a token at the default dim): no ``Chunk`` objects, no vectors. It is
-    keyed by the chunking parameters and (source, url), so a web doc and a KG
-    entry sharing a url never collide and one chunking never reads another's
-    chunks. A url must name one payload per source for the store's lifetime,
-    as it does in the runtime's immutable indexes; a hit carrying another
-    payload raises ValueError.
+    chunk texts, each chunk's distinct tokens and its unit row as non-zero
+    slots and values (``HashedTextEncoder.embed``, one call per doc): no
+    ``Chunk`` objects, no dense rows. It is keyed by the chunking parameters
+    and (source, url), so a web doc and a KG entry sharing a url never collide
+    and one chunking never reads another's chunks. A url must name one
+    payload per source for the store's lifetime, as it does in the runtime's
+    immutable indexes; a hit carrying another payload raises ValueError.
     """
 
     def __init__(self, encoder: HashedTextEncoder):
         self.encoder = encoder
+        # Slots lie in [0, dim): the smallest unsigned type that holds them.
+        self._slot_dtype = np.min_scalar_type(encoder.dim - 1)
         self._docs: dict[tuple, ChunkedDoc] = {}
 
     def chunked(self, hit: SearchHit, config: RerankConfig) -> ChunkedDoc:
@@ -186,14 +202,21 @@ class ChunkCodeStore:
     def build(self, payload: WebDoc | KgEntry, texts) -> ChunkedDoc:
         """The entry of ``payload`` chunked into ``texts``."""
         texts = tuple(texts)
-        return ChunkedDoc(payload, texts,
-                          *self.encoder.row_codes(tokenize(text) for text in texts))
+        token_rows = [tokenize(text) for text in texts]
+        rows = self.encoder.embed(*self.encoder.row_codes(token_rows))
+        kept = rows != 0.0
+        kept[:, 0] |= ~kept.any(axis=1)  # a zero row keeps its slot 0
+        chunk, slots = np.nonzero(kept)  # row-major: each row's slots ascending
+        distinct = tuple(" ".join(dict.fromkeys(tokens)) for tokens in token_rows)
+        return ChunkedDoc(payload, texts, distinct,
+                          slots.astype(self._slot_dtype), rows[chunk, slots],
+                          np.bincount(chunk, minlength=len(texts)))
 
 
 class Evidence(Sequence):
     """One turn's chunked hits, in hit order: ``len`` is their chunk count and
-    ``evidence[i]`` builds the i-th ``Chunk``, so a turn builds only the
-    chunks it keeps."""
+    ``evidence[i]`` (``evidence.chunks(indices)`` for several) builds the i-th
+    ``Chunk``, so a turn builds only the chunks it keeps."""
 
     def __init__(self, docs: list[tuple[Source, str, ChunkedDoc]],
                  encoder: HashedTextEncoder):
@@ -208,17 +231,27 @@ class Evidence(Sequence):
     def __getitem__(self, i: int) -> Chunk:
         if not 0 <= i < len(self):
             raise IndexError(f"chunk {i} of {len(self)}")
-        d = bisect_right(self._starts, i) - 1
-        source, url, doc = self.docs[d]
-        position = i - self._starts[d]
-        return Chunk(text=doc.texts[position], source=source, doc_url=url,
-                     position=position, chunk_id=f"{source.value}:{url}#{position}")
+        return self.chunks([i])[0]
 
-    def embed(self) -> np.ndarray:
-        """Unit embeddings, one row per chunk, with one ``embed`` call."""
+    def chunks(self, indices: Iterable[int]) -> list[Chunk]:
+        """The chunks at ``indices``, each in range, in that order."""
+        starts, docs = self._starts, self.docs
+        out = []
+        for i in indices:
+            d = bisect_right(starts, i) - 1
+            source, url, doc = docs[d]
+            position = i - starts[d]
+            out.append(Chunk(doc.texts[position], source, url, position,
+                             f"{source.value}:{url}#{position}", doc.tokens[position]))
+        return out
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every chunk's unit-row entries, chunk by chunk: their slots, their
+        values, and bounds such that chunk i's are ``bounds[i]:bounds[i + 1]``."""
         docs = [doc for _, _, doc in self.docs]
-        return self.encoder.embed(np.concatenate([doc.codes for doc in docs]),
-                                  np.concatenate([doc.lengths for doc in docs]))
+        return (np.concatenate([doc.slots for doc in docs]),
+                np.concatenate([doc.values for doc in docs]),
+                np.concatenate([[0]] + [doc.sizes for doc in docs]).cumsum())
 
 
 def chunk_evidence(hits: list[SearchHit], config: RerankConfig,
@@ -241,14 +274,46 @@ def coarse_score(
 ) -> list[tuple[Chunk, float]]:
     """Max-over-query-vectors cosine per chunk; the K1 best, kept while at or
     above tau_coarse (the same chunks as thresholding first, since the bar is
-    monotone in score). Only the survivors are built as ``Chunk`` objects."""
-    if not len(evidence):
+    monotone in score). Only the survivors are built as ``Chunk`` objects.
+
+    A cosine sums the products ``qvec[s] * row[s]`` over the chunk's own
+    non-zero slots, in slot order, so its bits depend on the query vector and
+    the chunk alone, never on the other chunks of the turn. Query vectors
+    without the image touch only the question's few slots: their products
+    are gathered at those slots and added one by one (a weighted bincount).
+    The image-blended vector touches every slot: its products are summed
+    chunk by chunk with one ``np.add.reduceat`` (numpy's pairwise sum)."""
+    n = len(evidence)
+    if not n:
         return []
 
     qvecs = query_encoder.encode(question, image_embedding, config.n_query_tokens)
-    scores = (qvecs @ evidence.embed().T).max(axis=0)
+    slots, values, bounds = evidence.entries()
+    # As ``MultiVectorQueryEncoder`` lays them out, rows 1..groups embed the
+    # question's token groups and the rest repeat row 0.
+    groups = min(len(qvecs) - 1, len(tokenize(question)))
+    if image_embedding is None:
+        plain = qvecs[:1 + groups]
+    else:
+        blended, plain = qvecs[0], qvecs[1:1 + groups]
 
-    return [(evidence[i], s) for i, s in top_k(scores, config.k1) if s >= config.tau_coarse]
+    # ndarray methods rather than their numpy functions, which cost more a
+    # call: many turns score only a few dozen chunks.
+    hit = plain.any(axis=0).take(slots).nonzero()[0]
+    products = plain.take(slots[hit], axis=1) * values[hit]
+    index = bounds[1:].searchsorted(hit, "right") + np.arange(0, len(plain) * n, n)[:, None]
+    # An empty weighted bincount comes back int64.
+    scores = np.bincount(index.ravel(), products.ravel(), minlength=len(plain) * n)
+    scores = scores.astype(np.float64, copy=False).reshape(len(plain), n)
+    scores = scores.max(axis=0, initial=-np.inf)
+    if image_embedding is not None:
+        sums = np.add.reduceat(blended.take(slots) * values, bounds[:-1])
+        sums += 0.0  # a sum of -0.0 products reads 0.0, as a sum from 0.0 would
+        scores = np.maximum(scores, sums)
+
+    ranked = top_k(scores, config.k1)  # by score, so those kept lead
+    kept = [i for i, s in ranked if s >= config.tau_coarse]
+    return list(zip(evidence.chunks(kept), (s for _, s in ranked)))
 
 
 # --- fine stage ---------------------------------------------------------------
@@ -266,13 +331,20 @@ class TokenOverlapScorer:
         self._q_tokens: set[str] = set()
 
     def score(self, question: str, chunk_text: str, instruction: str = "") -> float:
+        return self._recall(question, chunk_text, None)
+
+    def score_chunk(self, question: str, chunk: Chunk) -> float:
+        """``score`` of the chunk's text, read from its stored tokens."""
+        return self._recall(question, chunk.text, chunk.tokens)
+
+    def _recall(self, question: str, text: str, tokens) -> float:
         if question != self._question:
             self._question, self._q_tokens = question, set(tokenize(question))
         q_tokens = self._q_tokens
         if not q_tokens:
             return 0.0
-        c_tokens = set(tokenize(chunk_text))
-        return len(q_tokens & c_tokens) / len(q_tokens)
+        return len(q_tokens.intersection(tokenize(text) if tokens is None
+                                         else tokens.split())) / len(q_tokens)
 
 
 def fine_score(
@@ -285,12 +357,16 @@ def fine_score(
     """Point-wise rescoring; top-K2 by cumulative above the product bar."""
     if not survivors:
         return []
-    scorer = scorer or TokenOverlapScorer()
+    if scorer is None:
+        score = partial(TokenOverlapScorer().score_chunk, question)
+    else:
+        def score(chunk: Chunk) -> float:
+            return scorer.score(question, chunk.text, instruction)
 
     scored: list[tuple[Chunk, ChunkScore]] = []
     for chunk, coarse in survivors:
         try:
-            fine = float(scorer.score(question, chunk.text, instruction))
+            fine = float(score(chunk))
         except ScorerUnavailable:
             fine = min(1.0, max(0.0, coarse))
         scored.append((chunk, ChunkScore.of(coarse, fine)))

@@ -1,5 +1,6 @@
 """The reranker's chunk store: a per-runtime cache of each evidence doc's chunk
-texts and token codes that must never change a chunk, a score or a trace."""
+texts, token sets and sparse unit rows, whose chunks and traces must equal
+those of encoding every chunk on every turn."""
 
 import importlib.util
 import json
@@ -86,13 +87,23 @@ def use_reference(monkeypatch):
     monkeypatch.setattr(reranker, "coarse_score", reference_coarse_score)
 
 
+def stored_rows(evidence) -> np.ndarray:
+    """The evidence's unit rows, made dense from the entries it keeps."""
+    slots, values, bounds = evidence.entries()
+    rows = np.zeros((len(evidence), ENCODER.dim))
+    rows[np.repeat(np.arange(len(evidence)), np.diff(bounds)), slots] = values
+    return rows
+
+
 def assert_matches_reference(store, hits, config):
     evidence = chunk_evidence(hits, config, store)
     want = reference_chunks(hits, config)
     assert list(evidence) == want
     assert len(evidence) == len(want)
+    assert [c.tokens for c in evidence] == \
+        [" ".join(dict.fromkeys(tokenize(c.text))) for c in want]
     if want:
-        assert evidence.embed().tobytes() == encoded(want).tobytes()
+        assert stored_rows(evidence).tobytes() == encoded(want).tobytes()
 
 
 LONG_HTML = "<h1>History</h1>" + "".join(
@@ -240,26 +251,35 @@ def test_a_doc_without_chunks_takes_no_row():
 # --- contents -------------------------------------------------------------------
 
 
-def test_an_entry_holds_its_payload_texts_and_integer_codes_only():
+def test_an_entry_holds_its_payload_texts_token_sets_and_sparse_unit_rows_only():
     store = ChunkCodeStore(ENCODER)
     config = RerankConfig()
     hits = [web_hit("https://long", LONG_HTML, "Title"),
             kg_hit("K", "kg://k", {"brand": "Acme", "price": "$5"})]
     chunks = reference_chunks(hits, config)
     chunk_evidence(hits, config, store)
-    tokens = sum(len(tokenize(c.text)) for c in chunks)
-    stored = 0
-    for hit, entry in zip(hits, store._docs.values()):
+    no_tokens = WebDoc("https://none", "", "")
+    entries = [*zip(hits, store._docs.values()),
+               (SearchHit(Source.WEB, 0.5, no_tokens), store.build(no_tokens, ["?!", "a b"]))]
+    texts = []
+    for hit, entry in entries:
         assert entry.payload is hit.payload
-        assert set(vars(type(entry))["__slots__"]) == {"payload", "texts", "codes",
-                                                       "lengths"}
-        assert type(entry.texts) is tuple
+        assert set(vars(type(entry))["__slots__"]) == {"payload", "texts", "tokens",
+                                                       "slots", "values", "sizes"}
+        assert type(entry.texts) is tuple and type(entry.tokens) is tuple
         assert all(type(text) is str for text in entry.texts)
-        assert entry.codes.dtype == np.uint16  # 2 bytes a token at the default dim
-        assert np.issubdtype(entry.lengths.dtype, np.integer)
-        assert entry.codes.size == entry.lengths.sum()
-        assert len(entry.lengths) == len(entry.texts)
-        stored += entry.codes.size
-    assert stored == tokens
-    assert [t for entry in store._docs.values() for t in entry.texts] == \
-        [c.text for c in chunks]
+        assert entry.slots.dtype == np.uint8  # 1 byte a slot at the default dim
+        assert entry.values.dtype == np.float64
+        assert len(entry.sizes) == len(entry.tokens) == len(entry.texts)
+        assert entry.slots.size == entry.values.size == entry.sizes.sum()
+        ends = np.cumsum(entry.sizes)
+        for text, tokens, end, size in zip(entry.texts, entry.tokens, ends, entry.sizes):
+            want = oracle_encode_tokens(tokenize(text))
+            slots = entry.slots[end - size:end]
+            # Non-zero slots ascending; a row without any keeps slot 0.
+            assert slots.tolist() == (np.flatnonzero(want).tolist() or [0])
+            assert entry.values[end - size:end].tobytes() == want[slots].tobytes()
+            assert type(tokens) is str
+            assert tokens.split() == list(dict.fromkeys(tokenize(text)))  # distinct
+        texts += entry.texts
+    assert texts == [c.text for c in chunks] + ["?!", "a b"]

@@ -1,10 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
-from dynarag.config import DomainConfig, RoutingConfig
+from dynarag.config import DomainConfig, PipelineConfig, RoutingConfig
+from dynarag.encoders import HashedTextEncoder, tokenize
+from dynarag.evalharness import load_dataset
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend, TurnModel
 from dynarag.preanswer import (
+    DomainLabel,
     KeywordCentroidClassifier,
     PreAnswerModule,
     extract_flags,
@@ -56,6 +60,40 @@ def test_classifier_is_total():
     for query in ("zzzz qqqq xxxx", "42", "?!", "the of and", "ünïcode tæxt"):
         label = clf.classify(query)
         assert label.name in DOMAINS.taxonomy
+
+
+def reference_label(domains: DomainConfig, encoder, query: str) -> DomainLabel:
+    """The classifier as it ran when it built every keyword set on each call."""
+    tokens = set(tokenize(query))
+    if not tokens:
+        return DomainLabel("other", 0.0)
+    hits = {name: len(tokens & {w.lower() for w in words})
+            for name, words in domains.keywords.items() if name in domains.taxonomy}
+    best = max(hits, key=lambda name: (hits[name], name), default=None)
+    if best is not None and hits[best] > 0:
+        return DomainLabel(best, min(1.0, hits[best] / max(len(tokens), 1) + 0.5))
+    qvec = encoder.encode(query)
+    scored = {name: float(np.dot(qvec, encoder.encode(" ".join((name,) + tuple(words)))))
+              for name, words in domains.keywords.items() if name in domains.taxonomy}
+    best = max(scored, key=lambda name: (scored[name], name), default=None)
+    if best is None or scored[best] <= 0.0:
+        return DomainLabel("other", 0.0)
+    return DomainLabel(best, max(0.0, min(1.0, scored[best])))
+
+
+@pytest.mark.parametrize("world", ["demo", "web_scale", "long_docs"])
+def test_every_world_question_keeps_its_label_and_confidence(input_worlds, world):
+    config = PipelineConfig.from_file(input_worlds[world])
+    records = load_dataset(input_worlds[world].parent / "dataset.jsonl",
+                           config.limits.turn_deadline_s)
+    encoder = HashedTextEncoder()
+    classifier = KeywordCentroidClassifier(config.domains, encoder)
+    questions = [record.turn.question for record in records]
+    assert questions
+    for question in questions:
+        got = classifier.classify(question)
+        want = reference_label(config.domains, encoder, question)
+        assert (got.name, got.confidence.hex()) == (want.name, want.confidence.hex())
 
 
 def test_taxonomy_requires_other():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +170,166 @@ def test_coarse_top_k1_matches_bruteforce_double_loop():
     for (_, got), (_, want) in zip(out, expected):
         assert abs(got - want) < 1e-9
 
+
+
+def slot_order_scores(question, image_embedding, evidence, n_query_tokens=8):
+    """Each chunk's coarse score by a python loop: per query vector, the
+    products over the chunk's non-zero slots added in slot order; the max."""
+    qvecs = QUERY_ENC.encode(question, image_embedding, n_query_tokens)
+    scores = []
+    for c in evidence:
+        row = TEXT_ENC.encode(c.text)
+        best = -math.inf
+        for qv in qvecs:
+            total = 0.0
+            for slot in np.flatnonzero(row):
+                total += float(qv[slot]) * float(row[slot])
+            best = max(best, total)
+        scores.append(best)
+    return scores
+
+
+def all_scores(question, image_embedding, evidence) -> list[tuple[str, float]]:
+    cfg = RerankConfig(k1=len(evidence), k2=1, tau_coarse=0.0)
+    return [(c.chunk_id, s)
+            for c, s in coarse_score(question, image_embedding, evidence, cfg, QUERY_ENC)]
+
+
+def test_chunks_sharing_no_slot_with_the_question_score_float_zero():
+    question = "alpha beta"
+    taken = set(TEXT_ENC.slot_counts(tokenize(question)))
+    words = [w for w in (f"w{j}" for j in range(200))
+             if TEXT_ENC.token_codes([w])[0] % TEXT_ENC.dim not in taken]
+    evidence = one_chunk_docs(" ".join(words[:10]), " ".join(words[10:13]), "?!")
+    scores = all_scores(question, None, evidence)
+    assert len(scores) == 3
+    assert all(type(s) is float and s.hex() == "0x0.0p+0" for _, s in scores)
+
+
+@pytest.mark.parametrize("image", [None, unit_embedding_for("some object")])
+def test_a_chunk_without_tokens_scores_zero(image):
+    evidence = one_chunk_docs("?!", "red car parked", "--", "")
+    scores = dict(all_scores("red sports car", image, evidence))
+    assert [scores[f"web:https://c/{i}#0"] for i in (0, 2, 3)] == [0.0] * 3
+    assert scores["web:https://c/1#0"] == slot_order_scores("red sports car", image,
+                                                            evidence)[1] > 0.0
+
+
+@pytest.mark.parametrize("image", [None, np.zeros(TEXT_ENC.dim)])
+def test_an_all_zero_query_scores_zero(image):
+    evidence = one_chunk_docs("red car parked", "blue bike", "?!")
+    scores = all_scores("?!", image, evidence)
+    assert len(scores) == 3
+    assert all(type(s) is float and s.hex() == "0x0.0p+0" for _, s in scores)
+
+
+def test_a_blended_query_without_plain_rows_scores_through_the_image():
+    # No question tokens: every query vector is the image alone.
+    image = unit_embedding_for("red car parked")
+    evidence = one_chunk_docs("red car parked", "blue bike", "red bike car", "?!")
+    got = dict(all_scores("?!", image, evidence))
+    want = slot_order_scores("?!", image, evidence)
+    assert got["web:https://c/0#0"] > 1.0 - 1e-12
+    for i, score in enumerate(want):
+        if score >= 0.0:
+            assert got[f"web:https://c/{i}#0"].hex() == score.hex()
+
+
+def random_one_chunk_docs(seed, n=40) -> Evidence:
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{j}" for j in range(30)]
+    return one_chunk_docs(*(" ".join(rng.choice(vocab, size=int(rng.integers(1, 40))))
+                            for _ in range(n)))
+
+
+def test_plain_query_vectors_add_their_products_in_slot_order():
+    evidence = random_one_chunk_docs(11)
+    question = "w1 w2 w3 w5 w8 w13"
+    got = {chunk_id: score.hex() for chunk_id, score in all_scores(question, None, evidence)}
+    assert got == {c.chunk_id: score.hex()
+                   for c, score in zip(evidence, slot_order_scores(question, None, evidence))
+                   if score >= 0.0}
+
+
+def test_an_image_blended_query_scores_the_exact_cosines():
+    rng = np.random.default_rng(12)
+    image = rng.standard_normal(TEXT_ENC.dim)
+    image /= np.linalg.norm(image)
+    evidence = random_one_chunk_docs(13)
+    question = "w1 w2 w3 w5 w8 w13"
+    qvecs = QUERY_ENC.encode(question, image)
+    got = dict(all_scores(question, image, evidence))
+    assert len(got) > 20
+    for c in evidence:
+        row = TEXT_ENC.encode(c.text)
+        want = max(math.fsum(float(a) * float(b) for a, b in zip(qv, row)) for qv in qvecs)
+        if c.chunk_id in got:
+            assert abs(got[c.chunk_id] - want) < 1e-15
+        else:
+            assert want < 1e-15
+
+
+# --- a chunk's coarse score depends on the question and the chunk alone ----------
+
+
+def batch_case():
+    """500 random 60-token chunks in docs of 1-5 chunks, and 10 questions, every
+    other one with a dense random image embedding."""
+    rng = np.random.default_rng(1234)
+    vocab = [f"v{j}" for j in range(150)]
+    texts = [" ".join(rng.choice(vocab, size=60)) for _ in range(500)]
+    store = ChunkCodeStore(TEXT_ENC)
+    docs, left = [], list(texts)
+    while left:
+        size = min(len(left), int(rng.integers(1, 6)))
+        url = f"https://b/{len(docs)}"
+        docs.append((Source.WEB, url, store.build(WebDoc(url, "", ""), left[:size])))
+        left = left[size:]
+    questions = []
+    for q in range(10):
+        image = None
+        if q % 2:
+            image = rng.standard_normal(TEXT_ENC.dim)
+            image /= np.linalg.norm(image)
+        questions.append((" ".join(rng.choice(vocab, size=8)), image))
+    return texts, Evidence(docs, TEXT_ENC), questions
+
+
+def batch_bits() -> list[str]:
+    """Every chunk's score bits (or "-" below 0) for every question, in the batch."""
+    texts, evidence, questions = batch_case()
+    out = []
+    for question, image in questions:
+        got = dict(all_scores(question, image, evidence))
+        out.extend(got[c.chunk_id].hex() if c.chunk_id in got else "-" for c in evidence)
+    return out
+
+
+def test_a_chunk_scores_the_same_bits_alone_and_in_a_batch():
+    texts, evidence, questions = batch_case()
+    chunks = list(evidence)
+    assert len(chunks) == 500 and len(evidence.docs) < 500
+    store = ChunkCodeStore(TEXT_ENC)
+    alone = [Evidence([(Source.WEB, "https://a", store.build(WebDoc("https://a", "", ""),
+                                                             [text]))], TEXT_ENC)
+             for text in texts]
+    differ = 0
+    for (question, image), batch in zip(questions, np.split(np.array(batch_bits()), 10)):
+        for bits, single in zip(batch, alone):
+            differ += [bits] != ([s.hex() for _, s in all_scores(question, image, single)]
+                                 or ["-"])
+    assert differ == 0, f"{differ} of 5000 scores depend on the batch"
+
+
+def test_batch_scores_do_not_depend_on_the_blas_thread_count():
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"),
+                                                       str(tests)])}
+    code = "import test_reranker; print(' '.join(test_reranker.batch_bits()))"
+    runs = [subprocess.run([sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": n},
+                           capture_output=True, text=True, check=True, timeout=120).stdout
+            for n in ("1", "2")]
+    assert runs[0].split() == runs[1].split() == batch_bits()
 
 
 # --- fine stage -----------------------------------------------------------------------
