@@ -7,11 +7,14 @@ processes, which is what the search-index and reranker contracts need. Real
 encoders can be plugged in behind the same ``encode`` surface.
 
 Encoding is split in two so hashing can be paid once and reused: a token's
-code is its slot, plus ``dim`` when its sign is negative, and ``embed`` turns
-the codes of many rows into unit vectors with one weighted bincount. Every
-count is a sum of +-1 and every squared norm a sum of squared counts, all
-exact integers in float64 (below 2^53, so for texts of fewer than ~9.4e7
-tokens), so the result has the same bits whatever order the sums run in.
+code is its slot, plus ``dim`` when its sign is negative, and ``count_rows``
+turns the codes of many rows into their signed slot counts and squared norms
+with one weighted bincount, the one counting rule every path shares:
+``embed`` divides the counts by the norms, and a web query is ranked by its
+counts themselves. Every count is a sum of +-1 and every squared norm a sum
+of squared counts, all exact integers in float64 (below 2^53, so for texts
+of fewer than ~9.4e7 tokens), so the result has the same bits whatever order
+the sums run in.
 
 Codes come from ``row_codes``, which hashes each distinct token once per call
 (once per corpus partition when the web index is built, once per doc in the
@@ -28,7 +31,6 @@ and embeds only the query.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 import struct
 from typing import Iterable, Sequence
@@ -90,31 +92,24 @@ class HashedTextEncoder:
         return (np.array(codes, dtype=self.code_dtype),
                 np.array(lengths, dtype=np.int32))
 
-    def token_codes(self, tokens: Sequence[str]) -> np.ndarray:
-        """One code per token: ``row_codes`` of one row."""
-        return self.row_codes([tokens])[0]
-
-    def slot_counts(self, tokens: Sequence[str]) -> dict[int, int]:
-        """Each slot's signed token count, zero counts left out: the exact
-        integers ``encode_tokens`` normalizes."""
-        dim = self.dim
-        counts: dict[int, int] = {}
-        for code in self.token_codes(tokens).tolist():
-            slot = code % dim
-            counts[slot] = counts.get(slot, 0) + (1 if code < dim else -1)
-        return {slot: count for slot, count in counts.items() if count}
-
-    def embed(self, codes: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-        """Unit rows, one per entry of ``lengths``, from the concatenated
-        codes of the rows (zero rows for rows without codes)."""
+    def count_rows(self, codes: np.ndarray,
+                   lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's signed slot counts and its squared norm, one row per
+        entry of ``lengths``, from the concatenated codes of the rows (zeros
+        for rows without codes): exact integers in float64."""
         dim, rows = self.dim, len(lengths)
         if not len(codes):  # an empty weighted bincount would come back int64
-            return np.zeros((rows, dim))
+            return np.zeros((rows, dim)), np.zeros(rows)
         codes = codes.astype(np.intp, copy=False)  # intp gathers run fastest
         index = self._slot[codes] + np.repeat(np.arange(0, rows * dim, dim), lengths)
-        out = np.bincount(index, weights=self._sign[codes],
-                          minlength=rows * dim).reshape(rows, dim)
-        norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+        counts = np.bincount(index, weights=self._sign[codes],
+                             minlength=rows * dim).reshape(rows, dim)
+        return counts, np.einsum("ij,ij->i", counts, counts)
+
+    def embed(self, codes: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+        """Unit rows: ``count_rows`` divided by their norms (zero rows stay zero)."""
+        out, squares = self.count_rows(codes, lengths)
+        norms = np.sqrt(squares)
         norms[norms == 0.0] = 1.0
         out /= norms[:, None]
         return out
@@ -123,16 +118,8 @@ class HashedTextEncoder:
         return self.encode_tokens(tokenize(text))
 
     def encode_tokens(self, tokens: list[str]) -> np.ndarray:
-        """``embed`` of one row, with the same sums, minus its fixed costs
-        (the row offsets and the batched norms): most calls embed a short query."""
-        codes = self.token_codes(tokens).astype(np.intp)
-        if not len(codes):
-            return np.zeros(self.dim)
-        vec = np.bincount(self._slot[codes], weights=self._sign[codes], minlength=self.dim)
-        square = vec @ vec
-        if square:
-            vec /= math.sqrt(square)
-        return vec
+        """``embed`` of one row (the benchmark's tracer wraps it by name)."""
+        return self.embed(*self.row_codes([tokens]))[0]
 
 
 class MultiVectorQueryEncoder:
@@ -157,7 +144,7 @@ class MultiVectorQueryEncoder:
             raise ValueError("n must be >= 1")
         encoder = self.text_encoder
         tokens = tokenize(question)
-        codes = encoder.token_codes(tokens)
+        codes = encoder.row_codes([tokens])[0]
         # The whole question and every non-empty group, hashed once, one embed.
         groups = n - 1
         rows = [codes] + [codes[j::groups] for j in range(min(groups, len(tokens)))]

@@ -101,9 +101,3 @@ class IndexNotBuilt(DynaragError):
 
 class DimensionMismatch(DynaragError):
     pass
-
-
-# --- reranker --------------------------------------------------------------
-
-class ScorerUnavailable(DynaragError):
-    pass

@@ -44,7 +44,6 @@ from .postanswer import (
     white_box_verify,
 )
 from .preanswer import FeatureFlags, ReasoningTrace
-from .prompts import RERANK_INSTRUCTION
 from .reranker import AssembledContext, rerank
 from .routing import Branch, RouteDecision, ToolDecision, route_search, route_tools
 from .search import SearchHit
@@ -285,7 +284,6 @@ class Orchestrator:
                 runtime.config.rerank,
                 runtime.query_encoder,
                 runtime.chunk_store,
-                RERANK_INSTRUCTION,
             )
 
     @staticmethod

@@ -142,11 +142,6 @@ DOMAIN_EXAMPLES: dict[str, str] = {
     "other": "",
 }
 
-RERANK_INSTRUCTION = (
-    "Judge how useful the passage is for answering the question; "
-    "score 1 for directly answering evidence, 0 for unrelated text."
-)
-
 
 def examples_for_domain(domain: str) -> str:
     return DOMAIN_EXAMPLES.get(domain, DOMAIN_EXAMPLES["other"])

@@ -8,7 +8,8 @@ chunk by the maximum cosine similarity between the multi-vector query
 encoding and the chunk's unit row, over the chunk's own entries, so a score
 depends on the question and the chunk alone; it keeps candidates at or above
 tau_coarse, then caps at the K1 best, and only those become ``Chunk``
-objects. Stage two applies a point-wise relevance scorer to the stored
+objects. Stage two scores each survivor point-wise by question-token
+recall, the share of the question's distinct tokens among the chunk's stored
 tokens; chunks are ranked by the cumulative score (clamped coarse times
 fine), capped at K2, and only kept while cumulative exceeds
 tau_fine * tau_coarse (strict). Selected chunks are assembled into a single
@@ -25,14 +26,12 @@ import re
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
 from .config import RerankConfig
 from .encoders import HashedTextEncoder, MultiVectorQueryEncoder, tokenize
-from .errors import ScorerUnavailable
 from .search import KgEntry, SearchHit, Source, WebDoc, top_k
 
 _TAG_RE = re.compile(r"<[^>]+>")
@@ -319,56 +318,26 @@ def coarse_score(
 # --- fine stage ---------------------------------------------------------------
 
 
-class TokenOverlapScorer:
-    """Mock point-wise relevance: question-token recall inside the chunk.
-
-    A fine stage scores many chunks against one question, so the question's
-    token set is kept from one call to the next while the question is the same.
-    """
-
-    def __init__(self):
-        self._question: str | None = None
-        self._q_tokens: set[str] = set()
-
-    def score(self, question: str, chunk_text: str, instruction: str = "") -> float:
-        return self._recall(question, chunk_text, None)
-
-    def score_chunk(self, question: str, chunk: Chunk) -> float:
-        """``score`` of the chunk's text, read from its stored tokens."""
-        return self._recall(question, chunk.text, chunk.tokens)
-
-    def _recall(self, question: str, text: str, tokens) -> float:
-        if question != self._question:
-            self._question, self._q_tokens = question, set(tokenize(question))
-        q_tokens = self._q_tokens
-        if not q_tokens:
-            return 0.0
-        return len(q_tokens.intersection(tokenize(text) if tokens is None
-                                         else tokens.split())) / len(q_tokens)
-
-
 def fine_score(
     question: str,
     survivors: list[tuple[Chunk, float]],
     instruction: str,
     config: RerankConfig,
-    scorer=None,
 ) -> list[tuple[Chunk, ChunkScore]]:
-    """Point-wise rescoring; top-K2 by cumulative above the product bar."""
+    """Point-wise rescoring by question-token recall over each chunk's stored
+    tokens (its tokenized text when it has none); top-K2 by cumulative above
+    the product bar. Recall reads no ``instruction``: the parameter keeps the
+    place of a model scorer's prompt."""
     if not survivors:
         return []
-    if scorer is None:
-        score = partial(TokenOverlapScorer().score_chunk, question)
-    else:
-        def score(chunk: Chunk) -> float:
-            return scorer.score(question, chunk.text, instruction)
-
+    q_tokens = set(tokenize(question))
     scored: list[tuple[Chunk, ChunkScore]] = []
     for chunk, coarse in survivors:
-        try:
-            fine = float(score(chunk))
-        except ScorerUnavailable:
-            fine = min(1.0, max(0.0, coarse))
+        if q_tokens:
+            tokens = tokenize(chunk.text) if chunk.tokens is None else chunk.tokens.split()
+            fine = len(q_tokens.intersection(tokens)) / len(q_tokens)
+        else:
+            fine = 0.0
         scored.append((chunk, ChunkScore.of(coarse, fine)))
 
     bar = config.tau_fine * config.tau_coarse
@@ -407,11 +376,9 @@ def rerank(
     config: RerankConfig,
     query_encoder: MultiVectorQueryEncoder,
     chunk_store: ChunkCodeStore,
-    instruction: str = "",
-    scorer=None,
 ) -> AssembledContext:
     """Full cascade from raw hits to the assembled evidence string."""
     evidence = chunk_evidence(hits, config, chunk_store)
     survivors = coarse_score(question, image_embedding, evidence, config, query_encoder)
-    selected = fine_score(question, survivors, instruction, config, scorer)
+    selected = fine_score(question, survivors, "", config)
     return assemble_context(selected)

@@ -309,8 +309,10 @@ class WebSearchIndex:
         k = min(k, WEB_RESULT_CAP)
         if k == 0 or not len(self):
             return []
-        counts = self.encoder.slot_counts(tokenize(query))
-        nq = sum(count * count for count in counts.values())
+        rows, squares = self.encoder.count_rows(*self.encoder.row_codes([tokenize(query)]))
+        slots = rows[0].nonzero()[0]
+        counts = dict(zip(slots.tolist(), rows[0, slots].astype(np.int64).tolist()))
+        nq = int(squares[0])
         # merged[:k] never holds more than k of either partition, so the top k
         # of each is enough.
         positives = self._positives.top(counts, nq, k)

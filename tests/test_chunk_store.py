@@ -2,10 +2,7 @@
 texts, token sets and sparse unit rows, whose chunks and traces must equal
 those of encoding every chunk on every turn."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +19,9 @@ from dynarag.search import KgEntry, SearchHit, Source, WebDoc, unit_embedding_fo
 from dynarag.timing import SimulatedClock
 
 from test_encoders import oracle_encode_tokens
+from worlds import load_worldgen
 
 ENCODER = HashedTextEncoder()
-WORLDGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "worldgen.py"
 
 
 def web_hit(url, html, title="") -> SearchHit:
@@ -136,11 +133,7 @@ def demo_sessions() -> list[list[QueryTurn]]:
 @pytest.fixture(scope="module")
 def long_docs_world(tmp_path_factory):
     """A small ``long_docs`` benchmark world: 100 html docs of 10-15 KB, 30 turns."""
-    spec = importlib.util.spec_from_file_location("perfbench_worldgen", WORLDGEN_PATH)
-    worldgen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = worldgen  # its dataclasses look their module up
-    spec.loader.exec_module(worldgen)
-    config_path = worldgen.generate("long_docs", seed=3,
+    config_path = load_worldgen().generate("long_docs", seed=3,
                                     out=tmp_path_factory.mktemp("long_docs"), scale=0.05)
     config = PipelineConfig.from_file(config_path)
     records = load_dataset(config_path.parent / "dataset.jsonl",

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -63,7 +64,7 @@ def random_token_lists(seed, count=60, max_len=80):
 
 
 def embed_all(encoder, token_lists):
-    parts = [encoder.token_codes(tokens) for tokens in token_lists]
+    parts = [encoder.row_codes([tokens])[0] for tokens in token_lists]
     return encoder.embed(np.concatenate(parts), [len(p) for p in parts])
 
 
@@ -91,7 +92,7 @@ def test_text_without_tokens_is_the_zero_vector_on_every_path(text):
     assert tokenize(text) == []
     assert_bits(encoder.encode(text), zero)
     assert_bits(encoder.encode_tokens([]), zero)
-    codes = encoder.token_codes(tokenize(text))
+    codes = encoder.row_codes([tokenize(text)])[0]
     assert_bits(encoder.embed(codes, [0])[0], zero)
 
 
@@ -105,22 +106,29 @@ def test_rows_without_codes_are_zero_between_rows_with_codes():
 
 def test_all_rows_empty_is_float_zero_not_an_integer_bincount():
     encoder = HashedTextEncoder()
-    out = encoder.embed(np.zeros(0, dtype=encoder.code_dtype), [0, 0, 0])
-    assert_bits(out, np.zeros((3, 256)))
+    codes = np.zeros(0, dtype=encoder.code_dtype)
+    assert_bits(encoder.embed(codes, [0, 0, 0]), np.zeros((3, 256)))
+    counts, squares = encoder.count_rows(codes, [0, 0, 0])
+    assert_bits(counts, np.zeros((3, 256)))
+    assert_bits(squares, np.zeros(3))
+
+
+def cancelling_pair(encoder) -> list[str]:
+    """Two tokens in one slot with opposite signs."""
+    dim, seen = encoder.dim, {}
+    for i in itertools.count():
+        token = f"t{i}"
+        [code] = encoder.row_codes([[token]])[0].tolist()
+        partner = seen.get((code + dim) % (2 * dim))
+        if partner is not None:
+            return [partner, token]
+        seen[code] = token
 
 
 def test_tokens_that_cancel_in_one_slot_give_the_zero_vector():
     dim = 8
     encoder = HashedTextEncoder(dim)
-    codes = {}
-    for i in range(1000):
-        token = f"t{i}"
-        [code] = encoder.token_codes([token]).tolist()
-        partner = codes.get((code + dim) % (2 * dim))
-        if partner is not None:
-            break
-        codes[code] = token
-    tokens = [partner, token]  # one slot, opposite signs
+    tokens = cancelling_pair(encoder)
     zero = oracle_encode_tokens(tokens, dim)
     assert not zero.any()
     assert_bits(encoder.encode_tokens(tokens), zero)
@@ -144,7 +152,7 @@ def test_code_dtype_holds_every_code_of_its_dim(dim, dtype):
     assert encoder.code_dtype == dtype
     assert np.iinfo(encoder.code_dtype).max >= 2 * dim - 1
     tokens = [f"w{i}" for i in range(2000)]
-    codes = encoder.token_codes(tokens)
+    codes = encoder.row_codes([tokens])[0]
     expected = []
     for token in tokens:
         digest = hashlib.sha1(token.encode("utf-8")).digest()
@@ -208,7 +216,7 @@ def test_row_codes_match_the_per_token_oracle_row_by_row(dim):
     assert lengths.tolist() == [len(tokens) for tokens in token_lists]
     assert codes.tolist() == [oracle_code(t, dim) for tokens in token_lists for t in tokens]
     for tokens in token_lists:
-        assert encoder.token_codes(tokens).tolist() == [oracle_code(t, dim) for t in tokens]
+        assert encoder.row_codes([tokens])[0].tolist() == [oracle_code(t, dim) for t in tokens]
 
 
 @pytest.mark.parametrize("rows", [[], iter(()), [[]], [[], []]])
@@ -217,6 +225,24 @@ def test_row_codes_without_tokens_are_empty_code_arrays(rows):
     codes, lengths = encoder.row_codes(rows)
     assert codes.dtype == encoder.code_dtype and codes.shape == (0,)
     assert lengths.tolist() == [0] * len(lengths)
+
+
+@pytest.mark.parametrize("dim", [1, 7, 256, 40000])
+def test_count_rows_match_the_per_token_oracle_bit_for_bit(dim):
+    encoder = HashedTextEncoder(dim)
+    middle = random_token_lists(seed=dim)
+    pair = cancelling_pair(encoder)
+    token_lists = ([[]] + middle[:30] + [[], pair] + middle[30:]
+                   + [[], pair + ["solo"], []])
+    counts, squares = encoder.count_rows(*encoder.row_codes(token_lists))
+    assert counts.shape == (len(token_lists), dim) and squares.shape == (len(token_lists),)
+    for row, square, tokens in zip(counts, squares, token_lists):
+        want = np.zeros(dim)
+        for slot, count in oracle_slot_counts(tokens, dim).items():
+            want[slot] = count
+        assert_bits(row, want)
+        assert_bits(square, np.float64(sum(c * c for c in want.tolist())))
+    assert not counts[token_lists.index(pair)].any()
 
 
 def count_sha1_inputs(monkeypatch) -> Counter:

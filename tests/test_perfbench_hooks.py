@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dynarag.reranker
+from dynarag.encoders import HashedTextEncoder
 from dynarag.orchestrator import QueryTurn
 from dynarag.reranker import chunk_evidence
 from dynarag.timing import SimulatedClock
@@ -35,6 +36,12 @@ def test_every_traced_target_is_in_its_owner_dict(tracer_module):
         if attr not in vars(owner)
     ]
     assert not missing, missing
+
+
+def test_the_encoder_methods_the_tracer_wraps_are_in_the_class_dict():
+    # ``Tracer.install`` patches these two by name outside ``TRACED``, so a
+    # missing one would show up only as a KeyError inside ``install``.
+    assert {"encode", "encode_tokens"} <= set(vars(HashedTextEncoder))
 
 
 def test_tracer_installs_spans_a_turn_and_uninstalls(tracer_module, world_runtime):

@@ -10,14 +10,12 @@ import pytest
 import dynarag.reranker as reranker
 from dynarag.config import RerankConfig
 from dynarag.encoders import HashedTextEncoder, MultiVectorQueryEncoder, tokenize
-from dynarag.errors import ScorerUnavailable
 from dynarag.reranker import (
     AssembledContext,
     Chunk,
     ChunkCodeStore,
     ChunkScore,
     Evidence,
-    TokenOverlapScorer,
     assemble_context,
     chunk_evidence,
     coarse_score,
@@ -25,6 +23,8 @@ from dynarag.reranker import (
     rerank,
 )
 from dynarag.search import KgEntry, SearchHit, Source, WebDoc, unit_embedding_for
+
+from test_encoders import oracle_slot_counts
 
 TEXT_ENC = HashedTextEncoder()
 QUERY_ENC = MultiVectorQueryEncoder(TEXT_ENC)
@@ -197,9 +197,9 @@ def all_scores(question, image_embedding, evidence) -> list[tuple[str, float]]:
 
 def test_chunks_sharing_no_slot_with_the_question_score_float_zero():
     question = "alpha beta"
-    taken = set(TEXT_ENC.slot_counts(tokenize(question)))
+    taken = set(oracle_slot_counts(tokenize(question)))
     words = [w for w in (f"w{j}" for j in range(200))
-             if TEXT_ENC.token_codes([w])[0] % TEXT_ENC.dim not in taken]
+             if TEXT_ENC.row_codes([[w]])[0][0] % TEXT_ENC.dim not in taken]
     evidence = one_chunk_docs(" ".join(words[:10]), " ".join(words[10:13]), "?!")
     scores = all_scores(question, None, evidence)
     assert len(scores) == 3
@@ -335,14 +335,6 @@ def test_batch_scores_do_not_depend_on_the_blas_thread_count():
 # --- fine stage -----------------------------------------------------------------------
 
 
-class PresetScorer:
-    def __init__(self, table):
-        self.table = table
-
-    def score(self, question, chunk_text, instruction=""):
-        return self.table[chunk_text]
-
-
 def test_cumulative_is_product():
     score = ChunkScore.of(coarse=0.5, fine=0.8)
     assert score.cumulative == pytest.approx(0.4)
@@ -362,21 +354,26 @@ def test_fine_out_of_bounds_rejected():
 
 def test_retention_bar_is_strict():
     # tau_coarse 0.3, tau_fine 0.5: bar = 0.15; cumulative exactly 0.15 drops
+    # Of the question's ten tokens, "at bar" holds three (fine 0.3) and
+    # "above bar" five (fine 0.5).
     cfg = RerankConfig(tau_coarse=0.3, tau_fine=0.5, k2=5)
-    at_bar = chunk(0, "at bar")
-    above = chunk(1, "above bar")
-    scorer = PresetScorer({"at bar": 0.3, "above bar": 0.5})
-    out = fine_score("q", [(at_bar, 0.5), (above, 0.5)], "", cfg, scorer)
+    question = " ".join(f"w{j}" for j in range(10))
+    at_bar = chunk(0, "at bar w0 w1 w2")
+    above = chunk(1, "above bar w0 w1 w2 w3 w4")
+    out = fine_score(question, [(at_bar, 0.5), (above, 0.5)], "", cfg)
     assert [c.chunk_id for c, _ in out] == ["c1"]
     assert out[0][1].cumulative == pytest.approx(0.25)
 
 
 def test_fine_top_k2_matches_bruteforce_sort():
     rng = np.random.default_rng(9)
-    survivors = [(chunk(i, f"text {i}"), float(rng.uniform(0.2, 1.0))) for i in range(10)]
-    fines = {f"text {i}": float(rng.uniform(0.0, 1.0)) for i in range(10)}
+    words = [f"w{j}" for j in range(10)]
+    texts = [" ".join(rng.choice(words + ["other", "noise"], size=int(rng.integers(0, 12))))
+             for _ in range(10)]
+    fines = {text: len(set(words) & set(text.split())) / len(words) for text in texts}
+    survivors = [(chunk(i, text), float(rng.uniform(0.2, 1.0))) for i, text in enumerate(texts)]
     cfg = RerankConfig(k1=20, k2=3, tau_coarse=0.0, tau_fine=0.0)
-    out = fine_score("q", survivors, "", cfg, PresetScorer(fines))
+    out = fine_score(" ".join(words), survivors, "", cfg)
 
     cumulative = [
         (c, min(1.0, max(0.0, s)) * fines[c.text]) for c, s in survivors
@@ -386,23 +383,22 @@ def test_fine_top_k2_matches_bruteforce_sort():
     assert [c.chunk_id for c, _ in out] == expected
 
 
-def test_scorer_unavailable_degenerates_to_coarse():
-    class Broken:
-        def score(self, *args, **kwargs):
-            raise ScorerUnavailable("down")
+def test_fine_score_is_question_token_recall():
+    cfg = RerankConfig(k1=20, k2=5, tau_coarse=0.0, tau_fine=0.0)
 
-    cfg = RerankConfig(tau_coarse=0.0, tau_fine=0.0)
-    out = fine_score("q", [(chunk(0, "t"), 0.7)], "", cfg, Broken())
-    assert out[0][1].fine == pytest.approx(0.7)
-    assert out[0][1].cumulative == pytest.approx(0.49)
+    def fine(question, c):
+        [(_, score)] = fine_score(question, [(c, 1.0)], "", cfg)
+        return score.fine
 
-
-def test_token_overlap_scorer_bounds_and_value():
-    scorer = TokenOverlapScorer()
-    value = scorer.score("red sports car", "a red car parked")
-    assert value == pytest.approx(2 / 3)
-    assert scorer.score("", "anything") == 0.0
-    assert 0.0 <= scorer.score("a b c", "c d e") <= 1.0
+    assert fine("red sports car", chunk(0, "a red car parked")) == 2 / 3
+    assert fine("a b c", chunk(0, "c d e")) == 1 / 3
+    assert fine("red red car", chunk(0, "car")) == 1 / 2  # distinct question tokens
+    # A chunk's stored tokens are read in place of its text.
+    stored = Chunk("unrelated", Source.WEB, "https://c/0", 0, "c0", tokens="car red")
+    assert fine("red sports car", stored) == 2 / 3
+    # A question without tokens recalls nothing: every fine score is 0.0,
+    # and no cumulative clears a bar of 0.0.
+    assert fine_score("", [(chunk(0, "anything"), 1.0)], "", cfg) == []
 
 
 def test_fine_stage_tokenizes_the_question_once_and_keeps_each_score(monkeypatch):
@@ -423,11 +419,6 @@ def test_fine_stage_tokenizes_the_question_once_and_keeps_each_score(monkeypatch
         assert seen.count(question) == 1
         for c, score in out:
             assert score.fine.hex() == want[question, c.text].hex()
-    # One scorer asked about several questions in turn still scores each.
-    scorer = TokenOverlapScorer()
-    for question in questions + questions[::-1]:
-        for text in texts:
-            assert scorer.score(question, text).hex() == want[question, text].hex()
 
 
 # --- assembly ---------------------------------------------------------------------------

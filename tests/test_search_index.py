@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -28,8 +27,7 @@ from dynarag.search import (
 from dynarag.pipeline import build_runtime
 
 from test_encoders import oracle_encode_tokens, oracle_slot_counts
-
-WORLDGEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "worldgen.py"
+from worlds import load_worldgen
 
 
 def doc(i: int, snippet: str, hard=False) -> WebDoc:
@@ -562,15 +560,20 @@ def test_kg_search_matches_full_sort_with_one_hot_ties():
 # --- exact ties in the web index -----------------------------------------------------
 
 
+def test_loading_worldgen_leaves_sys_path_as_it_was():
+    # worldgen puts its checkout's src first on sys.path; left there, it would
+    # pick the dynarag that later imports find, whatever PYTHONPATH says.
+    before = list(sys.path)
+    worldgen = load_worldgen()
+    assert sys.path == before
+    assert callable(worldgen.generate)
+
+
 @pytest.fixture(scope="module")
 def web_scale_world(tmp_path_factory):
     """A seed-1 ``web_scale`` benchmark world at scale 0.1: 1k docs, 10% hard
     negatives."""
-    spec = importlib.util.spec_from_file_location("perfbench_worldgen", WORLDGEN_PATH)
-    worldgen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = worldgen  # its dataclasses look their module up
-    spec.loader.exec_module(worldgen)
-    config_path = worldgen.generate("web_scale", seed=1,
+    config_path = load_worldgen().generate("web_scale", seed=1,
                                     out=tmp_path_factory.mktemp("web_scale"), scale=0.1)
     questions = [json.loads(line)["question"] for line in
                  (config_path.parent / "dataset.jsonl").read_text().splitlines()]
