@@ -74,6 +74,8 @@ class QueryTurn:
     def __post_init__(self):
         if self.turn_index < 0:
             raise ValueError("turn_index must be non-negative")
+        if self.image_ref == "":  # the image agent would read it as no image
+            raise ValueError("image_ref: expected a non-empty str or None, got ''")
 
     @property
     def fixture_key(self) -> str:

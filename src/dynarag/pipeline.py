@@ -46,6 +46,8 @@ class PipelineRuntime:
 
     def __post_init__(self):
         cfg = self.config
+        if len(self.kg_index):
+            self._check_image_dims()
         self.query_encoder = MultiVectorQueryEncoder(self.text_encoder)
         self.chunk_store = ChunkCodeStore(self.text_encoder)
         self.pre_answer = PreAnswerModule(
@@ -55,6 +57,16 @@ class PipelineRuntime:
         self.text_agent = TextSearchAgent(self.web_index, cfg.agents.k_per_query,
                                           cfg.agents.k_total)
         self.post_answer = PostAnswerModule(cfg.verifier)
+
+    def _check_image_dims(self):
+        """Every image embedding, whole and per region, is searched against
+        the KG: a different dimension raises ValueError naming the image."""
+        dim = self.kg_index.dim
+        for record in self.image_store:
+            for vector in (record.whole_embedding, *(r["embedding"] for r in record.regions)):
+                if vector.shape[0] != dim:
+                    raise ValueError(f"image {record.image_id}: embedding has dim "
+                                     f"{vector.shape[0]}, not the KG's {dim}")
 
     @property
     def text_encoder(self) -> HashedTextEncoder:

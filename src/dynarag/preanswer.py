@@ -5,6 +5,11 @@ numbered reasoning steps (at most 5) and a set of feature flags extracted
 deterministically from the trace text. Flag extraction is a pure function of
 that text: the first reasoning step embeds the original question verbatim, so
 every cue the router needs is recoverable from the trace alone.
+
+A reply is read in one pass over its lines. A numbered line is a step; a
+``{...}`` line is a summary line, and the last one that decodes as JSON gives
+both the draft answer and the numeric-answer flag. The object name is read
+from every step, also past the ``MAX_STEPS`` cut.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ class FeatureFlags:
 class ReasoningTrace:
     steps: list[str]
     draft_answer: str
-    unanswerable: bool
     flags: FeatureFlags
     raw_text: str = ""
     token_probs: tuple[float, ...] = ()
@@ -79,7 +83,6 @@ class KeywordCentroidClassifier:
     """
 
     def __init__(self, domains: DomainConfig, encoder: HashedTextEncoder | None = None):
-        self.domains = domains
         self.encoder = encoder or HashedTextEncoder()
         labelled = [(name, words) for name, words in domains.keywords.items()
                     if name in domains.taxonomy]
@@ -110,32 +113,48 @@ class KeywordCentroidClassifier:
         return DomainLabel(best, max(0.0, min(1.0, scored[best])))
 
 
-def _strip_quoted(text: str) -> str:
-    return _QUOTED_RE.sub(" ", text)
-
-
-def _without_json_lines(text: str) -> str:
-    # The structured summary line escapes its quotes, which defeats the
-    # quote-stripping pass; named-entity detection reads the steps only.
-    return "\n".join(
-        line for line in text.splitlines() if not _JSON_LINE_RE.match(line)
-    )
-
-
-def extract_object_name(trace_text: str) -> str | None:
-    """Object named by the lead-in step, None when it could not be determined."""
-    for line in trace_text.splitlines():
-        match = _STEP_RE.match(line)
-        if not match:
-            continue
-        body = match.group(2)
+def _object_name(steps: list[str]) -> str | None:
+    """Name from the first step that names the object or says it cannot."""
+    for body in steps:
         if CANNOT_DETERMINE.lower() in body.lower():
             return None
         found = _OBJECT_NAME_RE.search(body)
         if found:
-            name = found.group("name").strip().strip('"\'')
-            return name or None
+            return found.group("name").strip().strip('"\'') or None
     return None
+
+
+@dataclass(frozen=True)
+class _Reply:
+    """One pass over a reply's lines; a summary line is a ``{...}`` line."""
+
+    steps: list[str]  # every numbered-step body, before the MAX_STEPS cut
+    prose: str  # the lines that are not summary lines, joined
+    answer: str | None  # answer of the last summary line that decodes
+    object_name: str | None
+
+
+def _read(text: str) -> _Reply:
+    steps: list[str] = []
+    prose: list[str] = []
+    answer = None
+    for line in text.splitlines():
+        if _JSON_LINE_RE.match(line):
+            try:
+                answer = str(json.loads(line).get("answer", "")).strip()
+            except ValueError:
+                pass
+            continue
+        prose.append(line)
+        match = _STEP_RE.match(line)
+        if match:
+            steps.append(match.group(2))
+    return _Reply(steps, "\n".join(prose), answer, _object_name(steps))
+
+
+def extract_object_name(trace_text: str) -> str | None:
+    """Object named by the lead-in step, None when it could not be determined."""
+    return _read(trace_text).object_name
 
 
 def is_specific_identity(name: str | None, routing: RoutingConfig) -> bool:
@@ -153,104 +172,55 @@ def is_specific_identity(name: str | None, routing: RoutingConfig) -> bool:
 
 def extract_flags(trace_text: str, routing: RoutingConfig) -> FeatureFlags:
     """Deterministic flag extraction from the raw trace text."""
-    lowered = trace_text.lower()
+    return _flags(trace_text, _read(trace_text), routing)
 
-    has_idk = any(p in lowered for p in routing.unanswerable_phrases)
-    speculative = any(p in lowered for p in routing.speculative_patterns)
-    is_ocr = any(p in lowered for p in routing.ocr_patterns)
 
-    object_name = extract_object_name(trace_text)
-    named = is_specific_identity(object_name, routing)
-
-    numeric = bool(
-        _CURRENCY_RE.search(trace_text)
-        or _UNIT_RE.search(trace_text)
-        or _answer_is_number(trace_text)
-    )
-
-    unquoted = _strip_quoted(_without_json_lines(trace_text))
-    open_world = any(c in lowered for c in routing.open_world_cues) or bool(
-        _CAP_SPAN_RE.search(unquoted)
-    )
-
+def _flags(text: str, reply: _Reply, routing: RoutingConfig) -> FeatureFlags:
+    lowered = text.lower()
+    # The summary line escapes its quotes, which defeats quote stripping, so
+    # named-entity spans are read from the other lines only. A quoted span
+    # may cross lines: strip quotes from the joined text.
+    unquoted = _QUOTED_RE.sub(" ", reply.prose)
     return FeatureFlags(
-        has_idk=has_idk,
-        is_numeric_answer=numeric,
-        is_ocr_answer=is_ocr,
-        is_named_object=named,
-        speculative=speculative,
-        open_world_cue=open_world,
+        has_idk=any(p in lowered for p in routing.unanswerable_phrases),
+        is_numeric_answer=bool(
+            _CURRENCY_RE.search(text) or _UNIT_RE.search(text)
+            or (reply.answer and _NUMBER_RE.search(reply.answer))
+        ),
+        is_ocr_answer=any(p in lowered for p in routing.ocr_patterns),
+        is_named_object=is_specific_identity(reply.object_name, routing),
+        speculative=any(p in lowered for p in routing.speculative_patterns),
+        open_world_cue=any(c in lowered for c in routing.open_world_cues)
+        or bool(_CAP_SPAN_RE.search(unquoted)),
     )
-
-
-def _answer_is_number(trace_text: str) -> bool:
-    # Numeric answers show up in the trailing JSON answer field when present.
-    for line in reversed(trace_text.strip().splitlines()):
-        if _JSON_LINE_RE.match(line):
-            try:
-                answer = str(json.loads(line).get("answer", ""))
-            except ValueError:
-                return False
-            return bool(_NUMBER_RE.search(answer))
-    return False
 
 
 def parse_trace(text: str, routing: RoutingConfig,
                 token_probs: tuple[float, ...] = ()) -> ReasoningTrace:
-    """Parse numbered steps plus the trailing JSON summary into a trace."""
-    steps: list[str] = []
-    draft = ""
-    parsed_json = False
-    for line in text.splitlines():
-        match = _STEP_RE.match(line)
-        if match:
-            steps.append(match.group(2))
-            continue
-        if _JSON_LINE_RE.match(line):
-            try:
-                payload = json.loads(line)
-                draft = str(payload.get("answer", "")).strip()
-                parsed_json = True
-            except ValueError:
-                continue
+    """Parse numbered steps plus the trailing JSON summary into a trace. A
+    reply with neither is unparseable and gives the conservative trace."""
+    idk_draft = f"{CANNOT_DETERMINE} answer that the query is about."
+    reply = _read(text)
+    if not reply.steps and reply.answer is None:
+        return ReasoningTrace([], idk_draft, FeatureFlags(has_idk=True), text, token_probs)
 
-    if not steps and not parsed_json:
-        return _conservative_trace(text, routing, token_probs)
-
+    steps = reply.steps
     if len(steps) > MAX_STEPS:
         logger.warning("trace has %d steps; truncating to %d", len(steps), MAX_STEPS)
         steps = steps[:MAX_STEPS]
 
-    flags = extract_flags(text, routing)
-    unanswerable = flags.has_idk
-    if not draft:
-        draft = steps[-1] if steps else ""
-    if unanswerable and not any(
-        p in draft.lower() for p in routing.unanswerable_phrases
-    ):
-        draft = f"{CANNOT_DETERMINE} answer that the query is about."
+    flags = _flags(text, reply, routing)
+    draft = reply.answer or (steps[-1] if steps else "")
+    if flags.has_idk and not any(p in draft.lower() for p in routing.unanswerable_phrases):
+        draft = idk_draft
 
     return ReasoningTrace(
         steps=steps,
         draft_answer=draft,
-        unanswerable=unanswerable,
         flags=flags,
         raw_text=text,
         token_probs=token_probs,
-        object_name=extract_object_name(text),
-    )
-
-
-def _conservative_trace(text: str, routing: RoutingConfig,
-                        token_probs: tuple[float, ...]) -> ReasoningTrace:
-    flags = FeatureFlags(has_idk=True)
-    return ReasoningTrace(
-        steps=[],
-        draft_answer=f"{CANNOT_DETERMINE} answer that the query is about.",
-        unanswerable=True,
-        flags=flags,
-        raw_text=text,
-        token_probs=token_probs,
+        object_name=reply.object_name,
     )
 
 

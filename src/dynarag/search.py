@@ -359,14 +359,26 @@ class ImageKgIndex:
         return index
 
     def build(self, entries: list[KgEntry]) -> "ImageKgIndex":
-        self._entries = _url_ordered(entries)
-        vectors = [e.image_embedding for e in self._entries]
+        """Every entry's image embedding must have the first entry's dimension
+        (ValueError naming the first url, in url order, that differs)."""
+        entries = _url_ordered(entries)
+        vectors = [e.image_embedding for e in entries]
         dim = vectors[0].shape[0] if vectors else 0
+        for entry, vector in zip(entries, vectors):
+            if vector.shape[0] != dim:
+                raise ValueError(f"kg entry {entry.url}: image_embedding has dim "
+                                 f"{vector.shape[0]}, not the KG's {dim}")
+        self._entries = entries
         self._matrix = np.vstack(vectors) if vectors else np.zeros((0, dim))
         return self
 
     def __len__(self) -> int:
         return len(self._entries) if self._entries is not None else 0
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the image embeddings searched; 0 before a build."""
+        return self._matrix.shape[1] if self._matrix is not None else 0
 
     def search(self, image_embedding: np.ndarray, k: int) -> list[SearchHit]:
         if self._entries is None:
@@ -463,6 +475,9 @@ class ImageStore:
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def __iter__(self):
+        return iter(self._records.values())
 
 
 def unit_embedding_for(text: str, dim: int = 256) -> np.ndarray:

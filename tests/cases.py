@@ -9,8 +9,8 @@ exemplar queries for the three branches.
 
 import json
 
-# (input file of the demo world, field, wrong-typed value): each must be a
-# one-line input error naming the file, the line and the field.
+# (input file of the demo world, field, wrong-typed or malformed value): each
+# must be a one-line input error naming the file, the line and the field.
 WRONG_TYPED_FIELDS = [
     ("model_fixtures", "token_probs", 5),
     ("kg_corpus", "attributes", [1, 2]),
@@ -20,6 +20,7 @@ WRONG_TYPED_FIELDS = [
     ("dataset", "turn_index", [0]),
     ("web_corpus", "snippet", ["a"]),
     ("web_corpus", "is_hard_negative", "false"),
+    ("dataset", "image_ref", ""),
 ]
 
 

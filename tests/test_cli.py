@@ -5,6 +5,7 @@ import pytest
 from cases import WRONG_TYPED_FIELDS, with_wrong_type
 from dynarag.cli import main
 from dynarag.fixtures import write_world
+from dynarag.search import unit_embedding_for
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +252,36 @@ def test_a_duplicate_image_id_is_one_error_line(world, tmp_path, capsys, command
     image_id = json.loads(lines[0])["image_id"]
     assert main(command_args(command, broken["config"], world, tmp_path)) == 2
     one_error_line(capsys, str(broken["config"]), f"duplicate image_id in image fixtures: {image_id}")
+
+
+SMALL = unit_embedding_for("small", 128).tolist()
+
+
+def line_3(path):
+    return json.loads(path.read_text().splitlines()[2])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_kg_row_of_another_dimension_is_one_error_line(world, tmp_path, capsys, command):
+    broken = write_world(tmp_path / "broken")
+    with_wrong_type(broken["kg_corpus"], "image_embedding", SMALL)
+    assert main(command_args(command, broken["config"], world, tmp_path)) == 2
+    one_error_line(capsys, str(broken["config"]), line_3(broken["kg_corpus"])["url"],
+                   "128", "256")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("field, value", [
+    ("whole_embedding", SMALL),
+    ("regions", [{"label": "sign", "bbox": [0, 0, 10, 10], "embedding": SMALL}]),
+], ids=["whole", "region"])
+def test_an_image_of_another_dimension_than_the_kg_is_one_error_line(world, tmp_path, capsys,
+                                                                     command, field, value):
+    broken = write_world(tmp_path / "broken")
+    with_wrong_type(broken["image_fixtures"], field, value)
+    image_id = line_3(broken["image_fixtures"])["image_id"]
+    assert main(command_args(command, broken["config"], world, tmp_path)) == 2
+    one_error_line(capsys, str(broken["config"]), f"image {image_id}", "128", "256")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

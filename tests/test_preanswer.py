@@ -123,7 +123,7 @@ def test_scripted_ocr_fixture_parses_to_draft_and_flags():
         domain,
     )
     assert trace.draft_answer == 'The umbrellas say "Sunny Days".'
-    assert not trace.unanswerable
+    assert not trace.flags.has_idk
     assert trace.flags.is_ocr_answer
     assert trace.token_probs == (0.9, 0.9)
 
@@ -134,7 +134,6 @@ def test_cannot_determine_marks_unanswerable():
         json.dumps({"reasoning": "r", "answer": "I cannot determine the name."}),
     ])
     trace = parse_trace(text, ROUTING)
-    assert trace.unanswerable
     assert trace.flags.has_idk
     assert "cannot determine" in trace.draft_answer.lower()
     assert trace.object_name is None
@@ -149,9 +148,20 @@ def test_seven_steps_truncate_to_five(caplog):
     assert any("truncating" in r.message for r in caplog.records)
 
 
-def test_unparseable_output_yields_conservative_trace():
+def test_an_object_named_past_the_step_cut_is_kept():
+    steps = [f"{i}. Step number {i} of the reasoning." for i in range(1, 7)]
+    steps.append('7. The exact name of the object that the query "q" is about is '
+                 "the Eiffel Tower.")
+    text = "\n".join(steps + [json.dumps({"reasoning": "r", "answer": "x"})])
+    trace = parse_trace(text, ROUTING)
+    assert len(trace.steps) == 5
+    assert trace.object_name == "Eiffel Tower"
+    assert trace.flags.is_named_object
+    assert extract_flags(text, ROUTING).is_named_object
+
+
+def test_unparseable_output_is_conservatively_unanswerable():
     trace = parse_trace("complete nonsense with no structure", ROUTING)
-    assert trace.unanswerable
     assert trace.flags.has_idk
     assert trace.steps == []
 
@@ -161,7 +171,7 @@ def test_parse_failure_inside_module_is_conservative():
     domain = module.classify_domain("q")
     trace = module.dcot_preanswer(
         turn_model([evaluator_entry("bad", "garbage blob")], "q", "img", "bad"), domain)
-    assert trace.unanswerable and trace.flags.has_idk
+    assert trace.flags.has_idk
 
 
 def test_first_step_names_the_object():
@@ -195,6 +205,20 @@ def test_numeric_detection():
         json.dumps({"reasoning": "r", "answer": "A plate of pasta."}),
     ])
     assert not extract_flags(verbal, ROUTING).is_numeric_answer
+
+
+def test_the_draft_and_the_numeric_flag_read_the_same_summary_line():
+    # The last summary-shaped line does not decode, so the earlier one gives
+    # the draft and must give the numeric flag too.
+    text = "\n".join([
+        '1. The exact name of the object that the query "q" is about is the receipt.',
+        json.dumps({"reasoning": "added", "answer": "12"}),
+        "{not json}",
+    ])
+    trace = parse_trace(text, ROUTING)
+    assert trace.draft_answer == "12"
+    assert trace.flags.is_numeric_answer
+    assert extract_flags(text, ROUTING).is_numeric_answer
 
 
 def test_speculative_detection():

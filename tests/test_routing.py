@@ -15,7 +15,7 @@ def trace_from(text: str) -> ReasoningTrace:
 
 def flags_trace(**kwargs) -> ReasoningTrace:
     return ReasoningTrace(
-        steps=["synthetic"], draft_answer="synthetic", unanswerable=False,
+        steps=["synthetic"], draft_answer="synthetic",
         flags=FeatureFlags(**kwargs), raw_text="synthetic",
     )
 
@@ -59,7 +59,7 @@ def all_flag_combinations():
 def test_router_is_total_and_pure():
     for flags in all_flag_combinations():
         trace = flags_trace()
-        trace = ReasoningTrace(trace.steps, trace.draft_answer, False, flags, "t")
+        trace = ReasoningTrace(trace.steps, trace.draft_answer, flags, "t")
         first = route_search(trace)
         second = route_search(trace)
         assert first == second
@@ -70,13 +70,13 @@ def test_has_idk_always_rags():
     for flags in all_flag_combinations():
         if not flags.has_idk:
             continue
-        trace = ReasoningTrace(["s"], "a", True, flags, "t")
+        trace = ReasoningTrace(["s"], "a", flags, "t")
         assert route_search(trace).branch is Branch.RAG_AUGMENT
 
 
 def test_direct_output_is_never_uncertain():
     for flags in all_flag_combinations():
-        trace = ReasoningTrace(["s"], "a", flags.has_idk, flags, "t")
+        trace = ReasoningTrace(["s"], "a", flags, "t")
         decision = route_search(trace)
         if decision.branch is Branch.DIRECT_OUTPUT:
             assert not flags.has_idk
