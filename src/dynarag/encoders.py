@@ -126,7 +126,8 @@ class MultiVectorQueryEncoder:
     """Encode a (question, image) pair into ``n`` query-token vectors.
 
     Vector 0 embeds the whole question, blended with the image embedding when
-    one is available; the remaining slots embed round-robin token groups so
+    one is given; an image of another dimension than the text encoder's
+    raises ValueError. The remaining slots embed round-robin token groups so
     different facets of the question land in different vectors. Slots with no
     tokens fall back to the whole-question vector, keeping all ``n`` defined.
     """
@@ -151,7 +152,10 @@ class MultiVectorQueryEncoder:
         embedded = encoder.embed(np.concatenate(rows), [len(r) for r in rows])
 
         whole = embedded[0]
-        if image_embedding is not None and image_embedding.shape == whole.shape:
+        if image_embedding is not None:
+            if image_embedding.shape != whole.shape:
+                raise ValueError(f"image embedding has shape {image_embedding.shape}, "
+                                 f"not the encoder's ({encoder.dim},)")
             whole = normalize(whole + np.asarray(image_embedding, dtype=np.float64))
         vectors = np.tile(whole, (n, 1))
         vectors[1:len(rows)] = embedded[1:]

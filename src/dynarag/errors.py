@@ -49,6 +49,10 @@ class ParseError(DynaragError):
 
 NUMBER = (int, float)
 
+# Nesting this deep could crash orjson on a thread stack smaller than the main
+# thread's. It takes as many ``{`` or ``[`` and as many closing brackets.
+_DEEP = 10_000
+
 
 def typed(value, kind, name: str):
     """``value`` if it is a ``kind`` (a type or a tuple of types); otherwise
@@ -72,7 +76,12 @@ def read_jsonl(path: str | Path, parse) -> list:
     reads Python's extensions (``NaN``, ``Infinity``, ``1e309``, a lone
     surrogate escape) and words the error of a malformed line. The two agree
     on every line orjson accepts but one with an integer outside
-    [-2**63, 2**64), which orjson reads as the nearest float."""
+    [-2**63, 2**64), which orjson reads as the nearest float.
+
+    orjson nests without limit and overflows the C stack (a crash, not an
+    error) past some 50,000 levels, so a line that could nest ``_DEEP``
+    levels goes to ``json.loads`` alone. Its RecursionError, past the
+    interpreter's recursion limit, is that line's ParseError."""
     items = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -80,7 +89,10 @@ def read_jsonl(path: str | Path, parse) -> list:
                 continue
             try:
                 try:
-                    raw = orjson.loads(line)
+                    if len(line) >= 2 * _DEEP and line.count("{") + line.count("[") >= _DEEP:
+                        raw = json.loads(line)
+                    else:
+                        raw = orjson.loads(line)
                 except orjson.JSONDecodeError:
                     raw = json.loads(line)
                 if not isinstance(raw, dict):
@@ -88,7 +100,7 @@ def read_jsonl(path: str | Path, parse) -> list:
                 items.append(parse(raw))
             except KeyError as exc:
                 raise ParseError(f"missing key {exc}", path, lineno) from exc
-            except (ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError, RecursionError) as exc:
                 raise ParseError(str(exc), path, lineno) from exc
     return items
 

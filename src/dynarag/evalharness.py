@@ -94,7 +94,7 @@ class EvalRecord:
             session_id=typed(raw["session_id"], str, "session_id"),
             turn_index=int(turn_index),
             question=question,
-            image_ref=typed(raw.get("image_ref"), (str, type(None)), "image_ref"),
+            image_ref=raw["image_ref"],
             deadline_s=deadline_s,
         )
         labels = typed(raw.get("taxonomy", {}), dict, "taxonomy")

@@ -11,13 +11,14 @@ image, the question, the dialogue history and the time budget.
 **slots)`` fill the ``query`` and ``history`` slots, build the
 ``ModelRequest`` and call the gateway's method of the same name. The modules
 that prompt the model take a ``TurnModel`` and hold no gateway of their own.
+Every turn has an image (``QueryTurn`` checks it), and the reply scripted for
+a turn's fixture key is the reply to that turn's image, so a request does not
+carry the image itself.
 
-Backends:
-  - ScriptedBackend: deterministic responses loaded from a JSONL fixture file,
-    keyed by (template_id, fixture_key). Doubles as the replay backend for
-    recordings made with Recorder.
-  - Recorder: wraps any backend and appends each response to a JSONL file in
-    the same fixture format, so a run recorded once replays bit-identically.
+The one backend, ``ScriptedBackend``, answers each call with the reply
+scripted for its (template_id, fixture_key), loaded from a JSONL fixture
+file. Two entries for one key raise ValueError, as a duplicate url or image
+id does.
 
 Fixture file format (one JSON object per line):
   {"template_id": ..., "fixture_key": ..., "text": ..., "token_probs": [...],
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +36,6 @@ from .errors import (
     NUMBER,
     BackendTimeout,
     GatewayError,
-    MissingSlot,
     UnknownFixture,
     UnknownTemplate,
     read_jsonl,
@@ -51,7 +50,6 @@ class ModelRequest:
     template_id: str
     slots: dict[str, str]
     fixture_key: str
-    image_ref: str | None = None
 
 
 @dataclass(frozen=True)
@@ -107,8 +105,12 @@ class ScriptedBackend:
     """Immutable fixture-keyed backend. Safe for concurrent reads."""
 
     def __init__(self, entries: list[FixtureEntry] | None = None):
-        # A later entry for a key wins: a Recorder log repeats keys.
-        self._entries = {(e.template_id, e.fixture_key): e for e in entries or []}
+        self._entries: dict[tuple[str, str], FixtureEntry] = {}
+        for entry in entries or []:
+            key = (entry.template_id, entry.fixture_key)
+            if key in self._entries:
+                raise ValueError(f"duplicate fixture key in model fixtures: {key}")
+            self._entries[key] = entry
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
@@ -127,44 +129,17 @@ class ScriptedBackend:
         return ModelResponse(entry.text, entry.token_probs, latency)
 
 
-class Recorder:
-    """Append every response of the wrapped backend to a JSONL fixture file."""
-
-    def __init__(self, inner, path: str | Path):
-        self._inner = inner
-        self._path = Path(path)
-        self._lock = threading.Lock()
-
-    def complete(self, template_id: str, fixture_key: str, prompt: str,
-                 budget: TimeBudget | None = None) -> ModelResponse:
-        response = self._inner.complete(template_id, fixture_key, prompt, budget)
-        entry = FixtureEntry(
-            template_id=template_id,
-            fixture_key=fixture_key,
-            text=response.text,
-            token_probs=response.token_probs,
-            latency_ms=response.latency * 1000.0,
-        )
-        with self._lock, open(self._path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry.to_dict()) + "\n")
-        return response
-
-
 @dataclass
 class ModelGateway:
     """The pipeline's prompt templates (``prompts.TEMPLATES``) over a
     pluggable completion backend."""
 
-    backend: ScriptedBackend | Recorder
+    backend: ScriptedBackend
 
     def generate(self, request: ModelRequest, budget: TimeBudget | None = None) -> ModelResponse:
         template = TEMPLATES.get(request.template_id)
         if template is None:
             raise UnknownTemplate(f"no template {request.template_id!r}")
-        if template.requires_image and request.image_ref is None:
-            raise MissingSlot(
-                f"template {request.template_id!r} requires an image reference"
-            )
         prompt = template.render(request.slots)
         return self.backend.complete(request.template_id, request.fixture_key, prompt, budget)
 
@@ -184,12 +159,13 @@ class ModelGateway:
 @dataclass(frozen=True)
 class TurnModel:
     """The gateway bound to one turn: every call is keyed by the turn's
-    fixture key, shows the turn's image, gets the turn's question and history
-    as its ``query`` and ``history`` slots, and draws on the turn's budget."""
+    fixture key, gets the turn's question and history as its ``query`` and
+    ``history`` slots, and draws on the turn's budget. ``image_ref`` is the
+    turn's image, which the image agent and the reranker look up."""
 
     gateway: ModelGateway
     fixture_key: str
-    image_ref: str | None
+    image_ref: str
     query: str
     history: str
     budget: TimeBudget | None
@@ -197,7 +173,7 @@ class TurnModel:
     def _request(self, template_id: str, slots: dict[str, str]) -> ModelRequest:
         return ModelRequest(template_id,
                             {"query": self.query, "history": self.history, **slots},
-                            self.fixture_key, self.image_ref)
+                            self.fixture_key)
 
     def generate(self, template_id: str, **slots: str) -> ModelResponse:
         return self.gateway.generate(self._request(template_id, slots), self.budget)
@@ -210,8 +186,12 @@ class TurnModel:
 
 def last_line_json(response: ModelResponse) -> dict:
     """The JSON object on the last line of a reply (models reason first).
-    Any other JSON value there raises ValueError, as unparseable text does."""
-    value = json.loads(response.text.strip().splitlines()[-1])
+    Any other JSON value there, or one nested past the recursion limit,
+    raises ValueError, as unparseable text does."""
+    try:
+        value = json.loads(response.text.strip().splitlines()[-1])
+    except RecursionError as exc:
+        raise ValueError("last line nests too deep to decode") from exc
     if not isinstance(value, dict):
         raise ValueError(f"last line is a JSON {type(value).__name__}, not an object")
     return value

@@ -7,7 +7,7 @@ actually the thing shown. Objects are plain names; a selection reply outside
 the candidates is repaired to its head word or to the nearest name.
 Detection and crop embeddings come from per-image fixtures (no pixel models
 here); verification reads a fixture flag on the KG entry. Without candidates
-the whole image is searched; without an image fixture nothing is.
+the whole image is searched; when the turn's image has no fixture nothing is.
 A failed or undecodable model call falls back (no candidates, the first
 candidate); a model call past the turn's deadline ends the turn.
 """
@@ -195,12 +195,12 @@ class ImageSearchAgent:
     def ground(self, model: TurnModel, object_num: int,
                k: int) -> tuple[list[SearchHit], VerifiedEntity | None]:
         """Run the whole visual toolchain on the turn's image; with no
-        candidate object the whole image is searched. Without an image
-        fixture there is no region to search: no hits, no entity.
+        candidate object the whole image is searched. Without a fixture for
+        the image there is no region to search: no hits, no entity.
         """
         candidates = self.extract_objects(model, object_num)
         target = self.select_object(model, candidates) if candidates else None
-        record = self.image_store.get(model.image_ref) if model.image_ref else None
+        record = self.image_store.get(model.image_ref)
         if record is None:
             return [], None
         regions = ([_whole_image(record)] if target is None

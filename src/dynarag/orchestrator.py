@@ -13,12 +13,18 @@ runtime's gateway to the turn's fixture key, image, question, dialogue history
 and budget once (a ``TurnModel``); every module that prompts the model gets
 that binding.
 
-Every stage draws on one shared TimeBudget; a breach anywhere, a model call
-inside an agent included, converts the turn into an "I don't know" fallback
-without ever propagating the timeout out of ``answer_turn``, and so does any
-other library error (``DynaragError``). Stage wall-time is read from the
-orchestrator clock, so tests run on simulated time while production uses the
-monotonic clock.
+Every turn has an image (``QueryTurn`` checks it); an image id without a
+fixture grounds nothing and reranks without the image.
+
+Every stage draws on one shared TimeBudget, which ends at the turn's deadline
+or with the session budget, whichever comes first. A breach anywhere, a model
+call inside an agent included, converts the turn into an "I don't know"
+fallback without ever propagating the timeout out of ``answer_turn``, and so
+does any other library error (``DynaragError``). All leave through one
+handler: ``budget_fallback`` when the session budget was the tighter limit,
+``deadline_fallback`` for the turn's own deadline, ``error_fallback``
+otherwise. Stage wall-time is read from the orchestrator clock, so tests run
+on simulated time while production uses the monotonic clock.
 
 ``Orchestrator.run_session`` is the one session loop: the eval harness and
 the ``trace`` command both drive turns through it.
@@ -68,14 +74,14 @@ class QueryTurn:
     session_id: str
     turn_index: int
     question: str
-    image_ref: str | None
+    image_ref: str
     deadline_s: float
 
     def __post_init__(self):
         if self.turn_index < 0:
             raise ValueError("turn_index must be non-negative")
-        if self.image_ref == "":  # the image agent would read it as no image
-            raise ValueError("image_ref: expected a non-empty str or None, got ''")
+        if not (isinstance(self.image_ref, str) and self.image_ref):
+            raise ValueError(f"image_ref: expected a non-empty str, got {self.image_ref!r}")
 
     @property
     def fixture_key(self) -> str:
@@ -124,10 +130,6 @@ def _fallback_answer(reason: str) -> VerifiedAnswer:
                     Verdict.INCORRECT)
 
 
-def _fallback_route(rationale: str) -> RouteDecision:
-    return RouteDecision(Branch.DIRECT_OUTPUT, rationale, FeatureFlags())
-
-
 class Orchestrator:
     """Runs turns and sessions: a runtime plus a clock.
 
@@ -145,16 +147,6 @@ class Orchestrator:
 
     def answer_turn(self, turn: QueryTurn, session: SessionState) -> tuple[str, PipelineTrace]:
         start = self.clock.now()
-        if session.remaining() <= 0:
-            trace = PipelineTrace(
-                route=_fallback_route("session budget exhausted before the turn"),
-                tools=None,
-                evidence=None,
-                answer=_fallback_answer("session budget exhausted"),
-                stage_timings={STAGE_BUDGET_FALLBACK: 0.0},
-            )
-            return FALLBACK_ANSWER, trace
-
         deadline_s = min(turn.deadline_s, session.remaining())
         budget = TimeBudget(self.clock, deadline_at=start + deadline_s)
         timings: dict[str, float] = {}
@@ -193,14 +185,17 @@ class Orchestrator:
                 )
         except DynaragError as exc:
             logger.info("turn %s fell back: %s", key, exc)
-            if isinstance(exc, BackendTimeout):
-                marker, what = STAGE_DEADLINE_FALLBACK, "deadline exceeded"
-            else:
+            if not isinstance(exc, BackendTimeout):
                 marker, what = STAGE_ERROR_FALLBACK, type(exc).__name__
+            elif session.remaining() < turn.deadline_s:
+                marker, what = STAGE_BUDGET_FALLBACK, "session budget exhausted"
+            else:
+                marker, what = STAGE_DEADLINE_FALLBACK, "deadline exceeded"
             answer = _fallback_answer(f"{what}: {exc}")
             timings[marker] = 0.0
             if route is None:
-                route = _fallback_route(f"{what} before routing")
+                route = RouteDecision(Branch.DIRECT_OUTPUT, f"{what} before routing",
+                                      FeatureFlags())
 
         trace_out = PipelineTrace(
             route=route,
@@ -277,11 +272,9 @@ class Orchestrator:
     def _rerank_stage(self, model, hits, stage) -> AssembledContext:
         runtime = self.runtime
         with stage("rerank"):
-            image_embedding = runtime.image_store.embedding(model.image_ref) \
-                if model.image_ref else None
             return rerank(
                 model.query,
-                image_embedding,
+                runtime.image_store.embedding(model.image_ref),
                 hits,
                 runtime.config.rerank,
                 runtime.query_encoder,

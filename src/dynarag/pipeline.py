@@ -46,8 +46,7 @@ class PipelineRuntime:
 
     def __post_init__(self):
         cfg = self.config
-        if len(self.kg_index):
-            self._check_image_dims()
+        self._check_dims()
         self.query_encoder = MultiVectorQueryEncoder(self.text_encoder)
         self.chunk_store = ChunkCodeStore(self.text_encoder)
         self.pre_answer = PreAnswerModule(
@@ -58,15 +57,21 @@ class PipelineRuntime:
                                           cfg.agents.k_total)
         self.post_answer = PostAnswerModule(cfg.verifier)
 
-    def _check_image_dims(self):
-        """Every image embedding, whole and per region, is searched against
-        the KG: a different dimension raises ValueError naming the image."""
-        dim = self.kg_index.dim
-        for record in self.image_store:
-            for vector in (record.whole_embedding, *(r["embedding"] for r in record.regions)):
-                if vector.shape[0] != dim:
-                    raise ValueError(f"image {record.image_id}: embedding has dim "
-                                     f"{vector.shape[0]}, not the KG's {dim}")
+    def _check_dims(self):
+        """One embedding dimension per runtime, ``config.encoder.dim``: an
+        image embedding, whole or per region, is searched against the KG rows
+        and blended into the question's vector. A KG row or an image of
+        another dimension raises ValueError naming it."""
+        dim = self.config.encoder.dim
+        vectors = [(f"kg entry {entry.url}: image_embedding", entry.image_embedding)
+                   for entry in self.kg_index]
+        vectors += [(f"image {record.image_id}: embedding", vector)
+                    for record in self.image_store
+                    for vector in (record.whole_embedding,
+                                   *(r["embedding"] for r in record.regions))]
+        for name, vector in vectors:
+            if vector.shape[0] != dim:
+                raise ValueError(f"{name} has dim {vector.shape[0]}, not the encoder's {dim}")
 
     @property
     def text_encoder(self) -> HashedTextEncoder:

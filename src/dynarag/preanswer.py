@@ -142,7 +142,7 @@ def _read(text: str) -> _Reply:
         if _JSON_LINE_RE.match(line):
             try:
                 answer = str(json.loads(line).get("answer", "")).strip()
-            except ValueError:
+            except (ValueError, RecursionError):  # nested past the recursion limit
                 pass
             continue
         prose.append(line)

@@ -1,6 +1,9 @@
 """The pipeline's six prompt templates and the in-context example packs keyed
 by domain.
 
+Every turn has an image, and five templates (all but ``decompose``) show it
+to the model; the image is not a slot, so no template checks for it.
+
 ``TEMPLATES`` maps each template id to its ``PromptTemplate``. It is a
 constant: a gateway reads it and nothing registers into it. Template bodies use
 ``{slot}`` placeholders, and a template's required slots are exactly the
@@ -26,7 +29,6 @@ _SLOT = re.compile(r"\{(\w+)\}")
 class PromptTemplate:
     template_id: str
     body: str
-    requires_image: bool
     required_slots: frozenset[str] = field(init=False)
 
     def __post_init__(self):
@@ -148,12 +150,12 @@ def examples_for_domain(domain: str) -> str:
 
 
 TEMPLATES: dict[str, PromptTemplate] = {
-    t.template_id: t for t in (
-        PromptTemplate("evaluator", EVALUATOR, requires_image=True),
-        PromptTemplate("object_list", OBJECT_LIST, requires_image=True),
-        PromptTemplate("object_select", OBJECT_SELECT, requires_image=True),
-        PromptTemplate("decompose", DECOMPOSE, requires_image=False),
-        PromptTemplate("post_answer", POST_ANSWER, requires_image=True),
-        PromptTemplate("verifier", VERIFIER, requires_image=True),
+    template_id: PromptTemplate(template_id, body) for template_id, body in (
+        ("evaluator", EVALUATOR),
+        ("object_list", OBJECT_LIST),
+        ("object_select", OBJECT_SELECT),
+        ("decompose", DECOMPOSE),
+        ("post_answer", POST_ANSWER),
+        ("verifier", VERIFIER),
     )
 }

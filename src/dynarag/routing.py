@@ -87,7 +87,7 @@ def _excluded_category(text: str, routing: RoutingConfig) -> str | None:
     return None
 
 
-def route_tools(query: str, trace: ReasoningTrace, image_ref: str | None,
+def route_tools(query: str, trace: ReasoningTrace, image_ref: str,
                 routing: RoutingConfig) -> ToolDecision:
     """Local replica of the four-step tool decision logic."""
     combined = f"{query}\n{trace.raw_text}"

@@ -375,10 +375,9 @@ class ImageKgIndex:
     def __len__(self) -> int:
         return len(self._entries) if self._entries is not None else 0
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the image embeddings searched; 0 before a build."""
-        return self._matrix.shape[1] if self._matrix is not None else 0
+    def __iter__(self):
+        """The entries in url order (none before a build)."""
+        return iter(self._entries or ())
 
     def search(self, image_embedding: np.ndarray, k: int) -> list[SearchHit]:
         if self._entries is None:

@@ -180,6 +180,26 @@ def test_a_dataset_row_that_disables_its_turn_is_one_error_line(world, tmp_path,
     one_error_line(capsys, "line 2", needle)
 
 
+@pytest.mark.parametrize("command", ["eval", "trace"])
+@pytest.mark.parametrize("image_ref", [None, "", ...], ids=["null", "blank", "missing"])
+def test_a_dataset_row_without_an_image_is_one_error_line(world, tmp_path, capsys, command,
+                                                          image_ref):
+    lines = world["dataset"].read_text().splitlines()
+    row = json.loads(lines[1])
+    if image_ref is ...:
+        del row["image_ref"]
+    else:
+        row["image_ref"] = image_ref
+    dataset = tmp_path / "no-image.jsonl"
+    dataset.write_text("\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n")
+    extra = (["--report-out", str(tmp_path / "report.json")] if command == "eval"
+             else ["--index", "0"])
+    code = main([command, "--config", str(world["config"]),
+                 "--dataset", str(dataset), *extra])
+    assert code == 2
+    one_error_line(capsys, f"{dataset}: line 2", "image_ref")
+
+
 def command_args(command, config, world, tmp_path):
     extra = {"ingest": [],
              "eval": ["--dataset", str(world["dataset"]),
@@ -252,6 +272,17 @@ def test_a_duplicate_image_id_is_one_error_line(world, tmp_path, capsys, command
     image_id = json.loads(lines[0])["image_id"]
     assert main(command_args(command, broken["config"], world, tmp_path)) == 2
     one_error_line(capsys, str(broken["config"]), f"duplicate image_id in image fixtures: {image_id}")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_duplicate_fixture_key_is_one_error_line(world, tmp_path, capsys, command):
+    broken = write_world(tmp_path / "broken")
+    lines = broken["model_fixtures"].read_text().splitlines()
+    broken["model_fixtures"].write_text("\n".join([*lines, lines[0]]) + "\n")
+    row = json.loads(lines[0])
+    key = (row["template_id"], row["fixture_key"])
+    assert main(command_args(command, broken["config"], world, tmp_path)) == 2
+    one_error_line(capsys, str(broken["config"]), f"duplicate fixture key in model fixtures: {key}")
 
 
 SMALL = unit_embedding_for("small", 128).tolist()

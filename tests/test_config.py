@@ -164,13 +164,29 @@ def test_encoder_dim_must_be_a_whole_number_of_at_least_one(tmp_path, dim):
     assert PipelineConfig.from_dict({"encoder": {"dim": 1}}).encoder.dim == 1
 
 
-def test_the_domain_classifier_embeds_with_the_runtime_encoder(tmp_path):
-    world = write_world(tmp_path / "world")
+def config_at_dim_512(world, **paths):
+    """The world's config with a 512-d encoder and some paths overridden."""
     doc = yaml.safe_load(world["config"].read_text())
-    world["config"].write_text(yaml.safe_dump({**doc, "encoder": {"dim": 512}}))
-    runtime = build_runtime(PipelineConfig.from_file(world["config"]))
+    world["config"].write_text(yaml.safe_dump(
+        {**doc, "paths": {**doc["paths"], **paths}, "encoder": {"dim": 512}}))
+    return PipelineConfig.from_file(world["config"])
+
+
+def test_the_domain_classifier_embeds_with_the_runtime_encoder(tmp_path):
+    # The world's KG rows and images are 256-d: without them a 512-d encoder runs.
+    world = write_world(tmp_path / "world")
+    runtime = build_runtime(config_at_dim_512(world, kg_corpus=None, image_fixtures=None))
     assert runtime.text_encoder.dim == 512
     assert runtime.pre_answer.classifier.encoder is runtime.text_encoder
+
+
+@pytest.mark.parametrize("dropped, named", [("image_fixtures", "kg entry "),
+                                            ("kg_corpus", "image ")])
+def test_a_kg_row_or_image_of_another_dimension_than_the_encoder_is_rejected(
+        tmp_path, dropped, named):
+    world = write_world(tmp_path / "world")
+    with pytest.raises(ValueError, match=f"^{named}.* has dim 256, not the encoder's 512$"):
+        build_runtime(config_at_dim_512(world, **{dropped: None}))
 
 
 def test_empty_config_file_gives_defaults(tmp_path):

@@ -43,7 +43,7 @@ def oracle_slot_counts(tokens, dim=256) -> dict[int, int]:
 
 def oracle_multivector(question, image_embedding, n, dim=256):
     whole = oracle_encode_tokens(tokenize(question), dim)
-    if image_embedding is not None and image_embedding.shape == whole.shape:
+    if image_embedding is not None:
         whole = normalize(whole + image_embedding)
     vectors = np.tile(whole, (n, 1))
     tokens = tokenize(question)
@@ -385,6 +385,14 @@ def test_multivector_blends_image_embedding_into_first_slot():
     assert not np.array_equal(with_img[0], without[0])
     # token-group slots are unaffected by the image
     assert np.array_equal(with_img[1], without[1])
+
+
+def test_multivector_rejects_an_image_of_another_dimension():
+    # A skipped blend would leave slot 0 the plain question vector while the
+    # coarse stage scores it as blended.
+    image = HashedTextEncoder(128).encode("storefront image")
+    with pytest.raises(ValueError, match=r"shape \(128,\), not the encoder's \(256,\)"):
+        MultiVectorQueryEncoder().encode("who founded this cafe", image, 4)
 
 
 def test_multivector_rejects_nonpositive_n():

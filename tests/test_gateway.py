@@ -20,7 +20,6 @@ from dynarag.gateway import (
     FixtureEntry,
     ModelGateway,
     ModelRequest,
-    Recorder,
     ScriptedBackend,
     last_line_json,
 )
@@ -40,7 +39,7 @@ def entry(template="decompose", key="umbrella-q1", text="scripted trace",
 
 
 def request(key="umbrella-q1") -> ModelRequest:
-    """A ``decompose`` request: the one template that needs no image."""
+    """A ``decompose`` request, whose fixture ``entry`` makes by default."""
     return ModelRequest(
         template_id="decompose",
         slots={"query": "q", "reasoning": "1. r", "visual_context": "", "history": ""},
@@ -49,20 +48,19 @@ def request(key="umbrella-q1") -> ModelRequest:
 
 
 # Every template written out by hand; each names the turn's question ``query``:
-# template id -> (required slots, requires an image).
+# template id -> required slots.
 REGISTERED = {
-    "evaluator": ({"query", "domain", "examples", "history"}, True),
-    "object_list": ({"query", "object_num"}, True),
-    "object_select": ({"query", "object_list"}, True),
-    "decompose": ({"query", "reasoning", "visual_context", "history"}, False),
-    "post_answer": ({"query", "evidence", "history"}, True),
-    "verifier": ({"query", "evidence", "answer"}, True),
+    "evaluator": {"query", "domain", "examples", "history"},
+    "object_list": {"query", "object_num"},
+    "object_select": {"query", "object_list"},
+    "decompose": {"query", "reasoning", "visual_context", "history"},
+    "post_answer": {"query", "evidence", "history"},
+    "verifier": {"query", "evidence", "answer"},
 }
 
 
 def test_templates_read_their_slots_from_their_bodies():
-    assert {tid: (set(t.required_slots), t.requires_image)
-            for tid, t in TEMPLATES.items()} == REGISTERED
+    assert {tid: set(t.required_slots) for tid, t in TEMPLATES.items()} == REGISTERED
     assert all(t.template_id == tid for tid, t in TEMPLATES.items())
 
 
@@ -116,7 +114,7 @@ def oracle_render(body: str, slots: dict[str, str]) -> str:
 @pytest.mark.parametrize("template_id", sorted(REGISTERED))
 @pytest.mark.parametrize("value", ["What does {history} say?", "see {query} or {evidence}"])
 def test_slot_values_render_verbatim(template_id, value):
-    names = sorted(REGISTERED[template_id][0])
+    names = sorted(REGISTERED[template_id])
     slots = {name: f"{value} [{name}]" for name in names}
     template = TEMPLATES[template_id]
     prompt = template.render(slots)
@@ -125,7 +123,7 @@ def test_slot_values_render_verbatim(template_id, value):
         assert prompt.count(f"{value} [{name}]") == template.body.count("{" + name + "}")
 
     backend = CapturingBackend()
-    ModelGateway(backend).generate(ModelRequest(template_id, slots, "k", image_ref="img"))
+    ModelGateway(backend).generate(ModelRequest(template_id, slots, "k"))
     assert backend.calls == [(template_id, "k", prompt)]
 
 
@@ -133,11 +131,10 @@ def test_a_bare_gateway_serves_every_template():
     entries = model_entries()
     gateway = ModelGateway(ScriptedBackend(entries))
     served = set()
-    for template_id, (names, _) in REGISTERED.items():
+    for template_id, names in REGISTERED.items():
         fixture = next(e for e in entries if e.template_id == template_id)
         response = gateway.generate(ModelRequest(
-            template_id, {name: "x" for name in names}, fixture.fixture_key,
-            image_ref="img"))
+            template_id, {name: "x" for name in names}, fixture.fixture_key))
         assert response.text == fixture.text
         served.add(template_id)
     assert served == set(TEMPLATES)
@@ -150,7 +147,11 @@ def test_mock_echoes_scripted_fixture():
     assert response.token_probs == (1.0, 1.0)
 
 
-@pytest.mark.parametrize("last_line", ['["a"]', '5', '"text"', 'null'])
+@pytest.mark.parametrize("last_line", [
+    '["a"]', '5', '"text"', 'null',
+    pytest.param('{"a": ' * 100_000 + "1" + "}" * 100_000,
+                 id="nested-past-the-recursion-limit"),
+])
 def test_last_line_json_rejects_anything_but_an_object(last_line):
     gateway = make_gateway([entry(text=f"reasoning first\n{last_line}")])
     with pytest.raises(ValueError):
@@ -198,20 +199,11 @@ def test_missing_slot():
 
 
 def test_empty_template_body_renders_empty(monkeypatch):
-    monkeypatch.setitem(TEMPLATES, "empty", PromptTemplate("empty", "", requires_image=False))
+    monkeypatch.setitem(TEMPLATES, "empty", PromptTemplate("empty", ""))
     gateway = make_gateway([FixtureEntry("empty", "k", "ok", (0.5,), 0.0)])
     assert TEMPLATES["empty"].render({}) == ""
     response = gateway.generate(ModelRequest("empty", {}, "k"))
     assert response.text == "ok"
-
-
-def test_vision_template_requires_image():
-    gateway = ModelGateway(ScriptedBackend([entry(template="evaluator")]))
-    slots = {"query": "q", "domain": "other", "examples": "", "history": ""}
-    with pytest.raises(MissingSlot):
-        gateway.generate(ModelRequest("evaluator", slots, "umbrella-q1"))
-    ok = gateway.generate(ModelRequest("evaluator", slots, "umbrella-q1", image_ref="img-1"))
-    assert ok.text == "scripted trace"
 
 
 def test_fixture_probabilities_validated_at_load():
@@ -230,9 +222,12 @@ def test_a_fixture_entry_checks_its_probabilities_when_made(probs):
         entry(probs=probs)
 
 
-def test_a_later_fixture_entry_for_a_key_wins():
-    backend = ScriptedBackend([entry(text="first"), entry(key="other"), entry(text="last")])
-    assert backend.complete("decompose", "umbrella-q1", "prompt").text == "last"
+def test_a_duplicate_fixture_key_is_rejected():
+    with pytest.raises(ValueError, match="duplicate fixture key.*'decompose', 'umbrella-q1'"):
+        ScriptedBackend([entry(text="first"), entry(key="other"), entry(text="last")])
+    # one key under two templates is two keys
+    backend = ScriptedBackend([entry(), entry(template="verifier", text="other")])
+    assert backend.complete("verifier", "umbrella-q1", "prompt").text == "other"
 
 
 def test_response_probability_bounds_hold():
@@ -258,21 +253,6 @@ def test_latency_beyond_budget_times_out_at_deadline():
     with pytest.raises(BackendTimeout):
         gateway.generate(request(), budget)
     assert clock.now() == 10.0
-
-
-def test_record_then_replay_bit_identical(tmp_path):
-    log = tmp_path / "recording.jsonl"
-    scripted = ScriptedBackend([entry(), entry(key="second", text="other", probs=(0.9,))])
-    gateway = ModelGateway(Recorder(scripted, log))
-
-    originals = [gateway.generate(request()), gateway.generate(request("second"))]
-
-    replay = ModelGateway(ScriptedBackend.from_jsonl(log))
-    replays = [replay.generate(request()), replay.generate(request("second"))]
-    assert replays == originals
-
-    with pytest.raises(UnknownFixture):
-        replay.generate(request("never-recorded"))
 
 
 def test_fixture_file_round_trip(tmp_path):

@@ -290,7 +290,6 @@ def test_ground_without_image_fixture_finds_nothing():
     assert agent.ground(turn_model(listed, image_ref="img-nope"), 5, 5) == ([], None)
     assert agent.ground(turn_model([fe("object_list", "k", "garbage")],
                                    image_ref="img-nope"), 5, 5) == ([], None)
-    assert agent.ground(turn_model(listed, image_ref=None), 5, 5) == ([], None)
 
 
 @pytest.mark.parametrize("raw, score", [

@@ -12,7 +12,9 @@ import pytest
 
 import dynarag.reranker
 from dynarag.encoders import HashedTextEncoder
+from dynarag.fixtures import model_entries
 from dynarag.orchestrator import QueryTurn
+from dynarag.prompts import TEMPLATES
 from dynarag.reranker import chunk_evidence
 from dynarag.timing import SimulatedClock
 
@@ -90,3 +92,35 @@ def test_tracer_records_the_reranker_funnel_of_a_rag_turn(tracer_module, world_r
     assert chunk.attrs["chunks"] > chunk.attrs["hits"]
     assert spans["reranker.coarse"].parent == spans["reranker.rerank"].id
     assert spans["reranker.coarse"].attrs["kept"] > 0
+
+
+def test_the_span_attributes_the_tracer_reads_match_the_turn(tracer_module, world_runtime):
+    """``_attrs`` reads the template id and latency of a model call, the
+    sub-queries of a text search and the branch and stages of a turn off
+    their arguments and results by position and name: a change to
+    ``ModelRequest``, ``text_search`` or ``PipelineTrace`` that moved them
+    would skew the per-template call counts and the branch shares."""
+    tracer = tracer_module.Tracer().install()
+    try:
+        orchestrator = world_runtime.orchestrator(clock=SimulatedClock())
+        turn = QueryTurn("cafe-q1", 0, "Who founded this cafe?", "img-cafe", 10.0)
+        [(answer, trace)] = orchestrator.run_session([turn])
+    finally:
+        tracer.uninstall()
+    latency_s = {(e.template_id, e.fixture_key): e.latency_ms / 1000.0
+                 for e in model_entries()}
+    spans = [span for span in tracer.spans if span.turn == turn.fixture_key]
+
+    calls = [span.attrs for span in spans if span.name == "gateway.generate"]
+    assert len(calls) >= 5
+    for attrs in calls:
+        assert attrs["template"] in TEMPLATES
+        assert attrs["latency_s"] == latency_s[(attrs["template"], turn.fixture_key)]
+
+    [search] = [span.attrs for span in spans if span.name == "text_agent.search"]
+    assert search["subqueries"] >= 1
+
+    [turn_span] = [span.attrs for span in spans if span.name == "orchestrator.answer_turn"]
+    assert turn_span == {"branch": "rag_augment", "stages": trace.stages,
+                         "fallback": False}
+    assert turn_span["stages"][-3:] == ["rerank", "generate", "verify"]

@@ -166,6 +166,13 @@ def test_unparseable_output_is_conservatively_unanswerable():
     assert trace.steps == []
 
 
+def test_a_summary_line_nested_past_the_recursion_limit_does_not_decode():
+    deep = '{"a": ' * 100_000 + "1" + "}" * 100_000
+    trace = parse_trace("1. The answer is 42.\n" + deep, ROUTING)
+    assert trace.steps == ["The answer is 42."]
+    assert trace.draft_answer == "The answer is 42."
+
+
 def test_parse_failure_inside_module_is_conservative():
     module = make_module()
     domain = module.classify_domain("q")

@@ -5,16 +5,21 @@ of line the two read differently: an integer outside [-2**63, 2**64)."""
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynarag
 import dynarag.errors
 from dynarag.config import PipelineConfig
 from dynarag.errors import ParseError, read_jsonl
 from dynarag.evalharness import load_dataset
+from dynarag.fixtures import write_world
 from dynarag.pipeline import build_runtime
 from dynarag.search import KgEntry
 
@@ -129,7 +134,7 @@ def test_a_malformed_line_keeps_the_json_module_error_text(tmp_path, lines, line
 
 
 def test_a_non_finite_value_is_still_rejected_on_its_line(tmp_path):
-    row = {"session_id": "s", "question": "q", "ground_truth": "a"}
+    row = {"session_id": "s", "question": "q", "image_ref": "img", "ground_truth": "a"}
     path = write_lines(tmp_path / "dataset.jsonl",
                        [json.dumps(row), json.dumps({**row, "deadline_s": math.nan})])
     with pytest.raises(ParseError, match="line 2: deadline_s must be finite"):
@@ -158,7 +163,7 @@ def test_an_integer_beyond_64_bits_reads_as_the_nearest_float(tmp_path):
     """orjson reads an integer literal outside [-2**63, 2**64) as the nearest
     float, where ``json`` gives the exact int. A whole-number ``turn_index``
     so loads as that float's integer, and a KG attribute as its float text."""
-    row = {"session_id": "s", "question": "q", "ground_truth": "a"}
+    row = {"session_id": "s", "question": "q", "image_ref": "img", "ground_truth": "a"}
     dataset = write_lines(tmp_path / "dataset.jsonl", [
         json.dumps({**row, "turn_index": 18446744073709551617})])
     [record] = load_dataset(dataset, 10.0)
@@ -169,3 +174,42 @@ def test_an_integer_beyond_64_bits_reads_as_the_nearest_float(tmp_path):
         "attributes": {"Serial": 123456789012345678901234}})])
     [entry] = read_jsonl(kg, KgEntry.from_dict)
     assert entry.attributes == {"serial": "1.2345678901234569e+23"}
+
+
+def nested(depth: int) -> str:
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+def test_a_line_with_many_brackets_but_little_nesting_reads_as_json_loads_reads_it(
+        tmp_path):
+    line = json.dumps({"x": [[]] * 12_000, "y": [{}] * 12_000})
+    [read] = read_jsonl(write_lines(tmp_path / "wide.jsonl", [line]), lambda raw: raw)
+    assert identical(read, json.loads(line))
+
+
+def test_a_line_nested_past_the_recursion_limit_is_its_parse_error(tmp_path):
+    path = write_lines(tmp_path / "deep.jsonl", ['{"a": 1}', nested(20_000)])
+    with pytest.raises(ParseError, match="line 2: maximum recursion depth exceeded"):
+        read_jsonl(path, lambda raw: raw)
+
+
+@pytest.mark.parametrize("command, name", [("ingest", "web_corpus"), ("eval", "dataset")])
+def test_a_line_nested_deep_enough_to_crash_orjson_is_one_error_line(tmp_path, command,
+                                                                     name):
+    """orjson overflows the C stack on some 60,000 nested objects, which kills
+    the process (exit 139), so the command runs in a subprocess."""
+    world = write_world(tmp_path)
+    with open(world[name], "a", encoding="utf-8") as fh:
+        fh.write(nested(60_000) + "\n")
+    line = len(world[name].read_text().splitlines())
+    args = [sys.executable, "-m", "dynarag.cli", command, "--config", str(world["config"])]
+    if command == "eval":
+        args += ["--dataset", str(world["dataset"]),
+                 "--report-out", str(tmp_path / "report.json")]
+    src = str(Path(dynarag.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, result.stderr[-500:]
+    [error] = result.stderr.splitlines()
+    assert error.startswith(f"error: {world[name]}: line {line}: maximum recursion depth")

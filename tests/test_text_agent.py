@@ -47,7 +47,7 @@ def make_agent(docs=DOCS, k_total=10) -> TextSearchAgent:
 
 def turn_model(entries, query, key, budget=None) -> TurnModel:
     """Turn ``key`` asking ``query`` over the scripted ``entries``."""
-    return TurnModel(ModelGateway(ScriptedBackend(entries)), key, None, query, "", budget)
+    return TurnModel(ModelGateway(ScriptedBackend(entries)), key, "img", query, "", budget)
 
 
 def decompose_entry(key, subs):
