@@ -8,6 +8,7 @@ chooses which search modalities to run.
 from dynarag.fixtures import build_world_runtime
 from dynarag.gateway import TurnModel
 from dynarag.routing import Branch, route_search, route_tools
+from dynarag.timing import SimulatedClock, TimeBudget
 
 runtime = build_world_runtime()
 cfg = runtime.config
@@ -24,7 +25,8 @@ for key, question, image in EXEMPLARS:
     domain = pre.classify_domain(question)
     print(f"  domain: {domain.name} ({domain.confidence:.2f})")
 
-    model = TurnModel(runtime.gateway, key, image, question, history="", budget=None)
+    budget = TimeBudget(SimulatedClock(), deadline_at=cfg.limits.turn_deadline_s)
+    model = TurnModel(runtime.gateway, key, image, question, history="", budget=budget)
     trace = pre.dcot_preanswer(model, domain)
     print(f"  draft:  {trace.draft_answer}")
     flags = trace.flags

@@ -9,6 +9,7 @@ per-sub-query web results.
 
 from dynarag.fixtures import build_world_runtime
 from dynarag.gateway import TurnModel
+from dynarag.timing import SimulatedClock, TimeBudget
 
 runtime = build_world_runtime()
 cfg = runtime.config
@@ -17,8 +18,9 @@ QUESTION = "Who founded this cafe?"
 IMAGE = "img-cafe"
 KEY = "cafe-q1:0"
 # Every model call of the turn: its fixture key, image, question, no earlier
-# turns and no deadline.
-model = TurnModel(runtime.gateway, KEY, IMAGE, QUESTION, history="", budget=None)
+# turns and the turn's deadline on simulated time.
+budget = TimeBudget(SimulatedClock(), deadline_at=cfg.limits.turn_deadline_s)
+model = TurnModel(runtime.gateway, KEY, IMAGE, QUESTION, history="", budget=budget)
 
 image_agent = runtime.image_agent
 

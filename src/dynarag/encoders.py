@@ -9,12 +9,15 @@ encoders can be plugged in behind the same ``encode`` surface.
 Encoding is split in two so hashing can be paid once and reused: a token's
 code is its slot, plus ``dim`` when its sign is negative, and ``count_rows``
 turns the codes of many rows into their signed slot counts and squared norms
-with one weighted bincount, the one counting rule every path shares:
-``embed`` divides the counts by the norms, and a web query is ranked by its
-counts themselves. Every count is a sum of +-1 and every squared norm a sum
-of squared counts, all exact integers in float64 (below 2^53, so for texts
-of fewer than ~9.4e7 tokens), so the result has the same bits whatever order
-the sums run in.
+with one weighted bincount: ``embed`` divides the counts by the norms, and a
+web query is ranked by its counts themselves. The web corpus is counted
+apart, by the sparse sort and run-reduce of ``search.SlotPostings.build``: a
+dense docs x dim float64 matrix would take about 18 MB for the 9k positive
+docs of a 10k-doc corpus, while for the few rows of a query or of one doc's
+chunks the dense bincount is the faster rule. Every count is a sum of +-1
+and every squared norm a sum of squared counts, all exact integers in
+float64 (below 2^53, so for texts of fewer than ~9.4e7 tokens), so both
+rules give the same bits whatever order the sums run in.
 
 Codes come from ``row_codes``, which hashes each distinct token once per call
 (once per corpus partition when the web index is built, once per doc in the
@@ -25,7 +28,9 @@ memo, and a second build hashes again.
 Evidence chunks are embedded once per doc, by the reranker's chunk store,
 the first time the doc reaches the reranker: one ``embed`` call, of which the
 store keeps each row's non-zero slots and values. Coarse scoring reads those
-and embeds only the query.
+and embeds only the query, whose rows ``MultiVectorQueryEncoder.encode``
+lays out: the whole question (with the image blended in) first, then one row
+per non-empty token group.
 """
 
 from __future__ import annotations
@@ -123,13 +128,13 @@ class HashedTextEncoder:
 
 
 class MultiVectorQueryEncoder:
-    """Encode a (question, image) pair into ``n`` query-token vectors.
+    """Encode a (question, image) pair into at most ``n`` query vectors.
 
-    Vector 0 embeds the whole question, blended with the image embedding when
+    Row 0 embeds the whole question, blended with the image embedding when
     one is given; an image of another dimension than the text encoder's
-    raises ValueError. The remaining slots embed round-robin token groups so
-    different facets of the question land in different vectors. Slots with no
-    tokens fall back to the whole-question vector, keeping all ``n`` defined.
+    raises ValueError. The rows after it embed round-robin token groups, one
+    per group that has a token (``min(n - 1, tokens)`` of them), so different
+    facets of the question land in different vectors.
     """
 
     def __init__(self, text_encoder: HashedTextEncoder | None = None):
@@ -149,14 +154,10 @@ class MultiVectorQueryEncoder:
         # The whole question and every non-empty group, hashed once, one embed.
         groups = n - 1
         rows = [codes] + [codes[j::groups] for j in range(min(groups, len(tokens)))]
-        embedded = encoder.embed(np.concatenate(rows), [len(r) for r in rows])
-
-        whole = embedded[0]
+        vectors = encoder.embed(np.concatenate(rows), [len(r) for r in rows])
         if image_embedding is not None:
-            if image_embedding.shape != whole.shape:
+            if image_embedding.shape != (encoder.dim,):
                 raise ValueError(f"image embedding has shape {image_embedding.shape}, "
                                  f"not the encoder's ({encoder.dim},)")
-            whole = normalize(whole + np.asarray(image_embedding, dtype=np.float64))
-        vectors = np.tile(whole, (n, 1))
-        vectors[1:len(rows)] = embedded[1:]
+            vectors[0] = normalize(vectors[0] + np.asarray(image_embedding, dtype=np.float64))
         return vectors

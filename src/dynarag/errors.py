@@ -107,9 +107,5 @@ def read_jsonl(path: str | Path, parse) -> list:
 
 # --- search index ----------------------------------------------------------
 
-class IndexNotBuilt(DynaragError):
-    pass
-
-
 class DimensionMismatch(DynaragError):
     pass

@@ -98,11 +98,9 @@ class EvalRecord:
             deadline_s=deadline_s,
         )
         labels = typed(raw.get("taxonomy", {}), dict, "taxonomy")
-        taxonomy = {
-            "dynamism": str(labels.get("dynamism", "static")),
-            "category": str(labels.get("category", "unknown")),
-            "domain": str(labels.get("domain", "other")),
-        }
+        taxonomy = {axis: typed(labels.get(axis, default), str, f"taxonomy.{axis}")
+                    for axis, default in (("dynamism", "static"), ("category", "unknown"),
+                                          ("domain", "other"))}
         return cls(turn=turn, ground_truth=truth, taxonomy=taxonomy)
 
 

@@ -7,10 +7,13 @@ and the fixture key a scripted backend looks the reply up by.
 Every model call of a turn shares the turn's context: the fixture key, the
 image, the question, the dialogue history and the time budget.
 ``TurnModel`` binds the gateway to that context once per turn; its
-``generate(template_id, **slots)`` and ``try_generate(template_id, decode,
-**slots)`` fill the ``query`` and ``history`` slots, build the
-``ModelRequest`` and call the gateway's method of the same name. The modules
-that prompt the model take a ``TurnModel`` and hold no gateway of their own.
+``generate(template_id, **slots)`` fills the ``query`` and ``history``
+slots, builds the ``ModelRequest`` and calls ``ModelGateway.generate`` with
+the turn's budget, and ``try_generate(template_id, decode, **slots)`` decodes
+that reply or gives None. A model call has that one path, ``TurnModel`` ->
+``ModelGateway.generate`` -> backend, and always spends from a budget. The
+modules that prompt the model take a ``TurnModel`` and hold no gateway of
+their own.
 Every turn has an image (``QueryTurn`` checks it), and the reply scripted for
 a turn's fixture key is the reply to that turn's image, so a request does not
 carry the image itself.
@@ -117,15 +120,14 @@ class ScriptedBackend:
         return cls(read_jsonl(path, FixtureEntry.from_dict))
 
     def complete(self, template_id: str, fixture_key: str, prompt: str,
-                 budget: TimeBudget | None = None) -> ModelResponse:
+                 budget: TimeBudget) -> ModelResponse:
         entry = self._entries.get((template_id, fixture_key))
         if entry is None:
             raise UnknownFixture(
                 f"no scripted response for ({template_id!r}, {fixture_key!r})"
             )
         latency = entry.latency_ms / 1000.0
-        if budget is not None:
-            budget.spend(latency)
+        budget.spend(latency)
         return ModelResponse(entry.text, entry.token_probs, latency)
 
 
@@ -136,24 +138,12 @@ class ModelGateway:
 
     backend: ScriptedBackend
 
-    def generate(self, request: ModelRequest, budget: TimeBudget | None = None) -> ModelResponse:
+    def generate(self, request: ModelRequest, budget: TimeBudget) -> ModelResponse:
         template = TEMPLATES.get(request.template_id)
         if template is None:
             raise UnknownTemplate(f"no template {request.template_id!r}")
         prompt = template.render(request.slots)
         return self.backend.complete(request.template_id, request.fixture_key, prompt, budget)
-
-    def try_generate(self, request: ModelRequest, decode,
-                     budget: TimeBudget | None = None):
-        """``decode(generate(request))``, or None when the call fails or its
-        reply does not decode. ``BackendTimeout`` propagates: past the deadline
-        the turn ends instead of falling back and working on."""
-        try:
-            return decode(self.generate(request, budget))
-        except BackendTimeout:
-            raise
-        except (GatewayError, ValueError, KeyError, IndexError):
-            return None
 
 
 @dataclass(frozen=True)
@@ -168,20 +158,25 @@ class TurnModel:
     image_ref: str
     query: str
     history: str
-    budget: TimeBudget | None
-
-    def _request(self, template_id: str, slots: dict[str, str]) -> ModelRequest:
-        return ModelRequest(template_id,
-                            {"query": self.query, "history": self.history, **slots},
-                            self.fixture_key)
+    budget: TimeBudget
 
     def generate(self, template_id: str, **slots: str) -> ModelResponse:
-        return self.gateway.generate(self._request(template_id, slots), self.budget)
+        request = ModelRequest(template_id,
+                               {"query": self.query, "history": self.history, **slots},
+                               self.fixture_key)
+        return self.gateway.generate(request, self.budget)
 
     def try_generate(self, template_id: str, decode, **slots: str):
-        """``ModelGateway.try_generate`` of the bound request."""
-        return self.gateway.try_generate(self._request(template_id, slots), decode,
-                                         self.budget)
+        """``decode(generate(template_id, **slots))``, or None when the call
+        fails or its reply does not decode. ``BackendTimeout`` propagates:
+        past the deadline the turn ends instead of falling back and working
+        on."""
+        try:
+            return decode(self.generate(template_id, **slots))
+        except BackendTimeout:
+            raise
+        except (GatewayError, ValueError, KeyError, IndexError):
+            return None
 
 
 def last_line_json(response: ModelResponse) -> dict:

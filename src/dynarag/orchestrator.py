@@ -47,7 +47,6 @@ from .postanswer import (
     Verdict,
     VerifiedAnswer,
     finalize,
-    white_box_verify,
 )
 from .preanswer import FeatureFlags, ReasoningTrace
 from .reranker import AssembledContext, rerank
@@ -214,18 +213,13 @@ class Orchestrator:
                         Verdict.CORRECT)
 
     def _run_verify(self, model, session, trace, stage):
-        cfg = self.runtime.config
         with stage("text_search"):
             hits = self._text_hits(model, session, trace, None)
         evidence = self._rerank_stage(model, hits, stage)
         with stage("verify"):
             stats = TokenStats.from_probs(trace.token_probs or (1.0,))
-            passed = white_box_verify(stats, cfg.verifier)
-            draft_blob = "\n".join(trace.steps + [trace.draft_answer])
-            verdict = self.runtime.post_answer.model_verify(model, evidence.text,
-                                                            draft_blob)
-            answer = finalize(
-                " ".join(trace.steps), trace.draft_answer, stats, passed, verdict
+            answer = self.runtime.post_answer.verify_and_finalize(
+                model, evidence.text, " ".join(trace.steps), trace.draft_answer, stats
             )
         return answer, evidence
 

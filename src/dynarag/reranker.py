@@ -5,7 +5,9 @@ Each evidence doc is chunked and embedded once per runtime: the
 and its unit row as sparse (slot, value) entries, and ``chunk_evidence``
 hands the turn its hits' entries as ``Evidence``. Stage one scores every
 chunk by the maximum cosine similarity between the multi-vector query
-encoding and the chunk's unit row, over the chunk's own entries, so a score
+encoding (every row ``MultiVectorQueryEncoder.encode`` returns: the whole
+question, image-blended when there is one, and each non-empty token group)
+and the chunk's unit row, over the chunk's own entries, so a score
 depends on the question and the chunk alone; it keeps candidates at or above
 tau_coarse, then caps at the K1 best, and only those become ``Chunk``
 objects. Stage two scores each survivor point-wise by question-token
@@ -288,13 +290,12 @@ def coarse_score(
 
     qvecs = query_encoder.encode(question, image_embedding, config.n_query_tokens)
     slots, values, bounds = evidence.entries()
-    # As ``MultiVectorQueryEncoder`` lays them out, rows 1..groups embed the
-    # question's token groups and the rest repeat row 0.
-    groups = min(len(qvecs) - 1, len(tokenize(question)))
+    # Row 0 is the whole question, blended with the image when there is one;
+    # the token-group rows follow.
     if image_embedding is None:
-        plain = qvecs[:1 + groups]
+        plain = qvecs
     else:
-        blended, plain = qvecs[0], qvecs[1:1 + groups]
+        blended, plain = qvecs[0], qvecs[1:]
 
     # ndarray methods rather than their numpy functions, which cost more a
     # call: many turns score only a few dozen chunks.

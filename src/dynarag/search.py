@@ -1,12 +1,13 @@
 """Deterministic mock retrieval backends: web-text search and image-KG search.
 
-Both indexes are immutable after ingest and rank the full corpus exactly
-(desk scale; the brute-force scan is the implementation, not an
-approximation). Each holds its corpus sorted by url, so ties by position are
-ties by url, and one ``top_k`` (a partial selection of the k-th largest score,
-then an exact sort of the candidates at or above it) ranks every list, the
-reranker's two stages included, as a full sort by (-score, position) would.
-A KG score is a per-row reduction (``np.einsum``, no BLAS call), so it depends
+Both indexes are immutable after ingest and rank the full corpus exactly (desk
+scale; the brute-force scan is the implementation, not an approximation). A
+new index holds the empty corpus, which finds no hits, until ``build``
+replaces it. Each holds its corpus sorted by url, so ties by position are ties
+by url, and one ``top_k`` (a partial selection of the k-th largest score, then
+an exact sort of the candidates at or above it) ranks every list, the
+reranker's two stages included, as a full sort by (-score, position) would. A
+KG score is a per-row reduction (``np.einsum``, no BLAS call), so it depends
 on the query and the entry alone. The web index can interleave corpus items
 flagged as hard negatives at a configurable rate to mimic retrieval noise.
 
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import HashedTextEncoder, tokenize
-from .errors import NUMBER, DimensionMismatch, IndexNotBuilt, read_jsonl, typed
+from .errors import NUMBER, DimensionMismatch, read_jsonl, typed
 
 WEB_RESULT_CAP = 50  # the web API returns at most 50 pages per query
 # The exactness bound on nq * nn_max**2 (see the module docstring).
@@ -278,8 +279,9 @@ class WebSearchIndex:
         self.hard_negative_rate = hard_negative_rate
         # Positives and hard negatives are ranked apart, each over its own
         # postings.
-        self._positives: SlotPostings | None = None
-        self._negatives: SlotPostings | None = None
+        self._positives: SlotPostings
+        self._negatives: SlotPostings
+        self.build([])
 
     @classmethod
     def ingest(cls, corpus_path: str | Path, encoder: HashedTextEncoder | None = None,
@@ -297,13 +299,9 @@ class WebSearchIndex:
         return self
 
     def __len__(self) -> int:
-        if self._positives is None:
-            return 0
         return len(self._positives.docs) + len(self._negatives.docs)
 
     def search(self, query: str, k: int) -> list[SearchHit]:
-        if self._positives is None:
-            raise IndexNotBuilt("ingest a corpus before searching")
         if k < 0:
             raise ValueError("k must be non-negative")
         k = min(k, WEB_RESULT_CAP)
@@ -349,8 +347,9 @@ class ImageKgIndex:
     """Cosine top-k over knowledge-graph entries keyed by image embedding."""
 
     def __init__(self):
-        self._entries: list[KgEntry] | None = None
-        self._matrix: np.ndarray | None = None
+        self._entries: list[KgEntry]
+        self._matrix: np.ndarray
+        self.build([])
 
     @classmethod
     def ingest(cls, corpus_path: str | Path) -> "ImageKgIndex":
@@ -373,15 +372,13 @@ class ImageKgIndex:
         return self
 
     def __len__(self) -> int:
-        return len(self._entries) if self._entries is not None else 0
+        return len(self._entries)
 
     def __iter__(self):
-        """The entries in url order (none before a build)."""
-        return iter(self._entries or ())
+        """The entries in url order."""
+        return iter(self._entries)
 
     def search(self, image_embedding: np.ndarray, k: int) -> list[SearchHit]:
-        if self._entries is None:
-            raise IndexNotBuilt("ingest a corpus before searching")
         if k < 0:
             raise ValueError("k must be non-negative")
         if k == 0 or not self._entries:

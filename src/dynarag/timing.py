@@ -4,11 +4,13 @@ Deadline enforcement runs against a ``Clock`` so the same orchestration code
 works on wall time in production and on simulated time in tests, where mock
 backend latencies advance the clock instantly. That is what makes it cheap to
 exercise a 10 s deadline against a 20 s slow stage hundreds of times.
+
+A ``TimeBudget`` always has a deadline (``math.inf`` for none), and every
+model call spends from one.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 from .errors import BackendTimeout
@@ -26,21 +28,19 @@ class MonotonicClock:
 
 
 class SimulatedClock:
-    """Virtual clock: sleep advances time instantly. Thread-safe."""
+    """Virtual clock: sleep advances time instantly. Single-threaded: every
+    turn runs on the caller's thread."""
 
     def __init__(self, start: float = 0.0):
         self._now = start
-        self._lock = threading.Lock()
 
     def now(self) -> float:
-        with self._lock:
-            return self._now
+        return self._now
 
     def sleep(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("cannot sleep a negative duration")
-        with self._lock:
-            self._now += seconds
+        self._now += seconds
 
 
 class TimeBudget:
@@ -51,13 +51,11 @@ class TimeBudget:
     raises BackendTimeout, so elapsed time never overshoots the budget.
     """
 
-    def __init__(self, clock, deadline_at: float | None = None):
+    def __init__(self, clock, deadline_at: float):
         self.clock = clock
         self.deadline_at = deadline_at
 
     def remaining(self) -> float:
-        if self.deadline_at is None:
-            return float("inf")
         return self.deadline_at - self.clock.now()
 
     def expired(self) -> bool:

@@ -1,5 +1,6 @@
-"""Hand-labelled routing and tool-selection case tables, and input-file
-lines with a value of the wrong type.
+"""Hand-labelled routing and tool-selection case tables, input-file lines
+with a value of the wrong type, and the budget of a model call that no test
+times.
 
 Each routing case is a full scripted reasoning trace plus the branch it must
 land on; each tool case adds the expected (need_image_search,
@@ -8,6 +9,15 @@ exemplar queries for the three branches.
 """
 
 import json
+import math
+
+from dynarag.timing import SimulatedClock, TimeBudget
+
+
+def unlimited_budget() -> TimeBudget:
+    """A budget on a fresh simulated clock whose deadline never comes: every
+    model call spends from a budget, also where a test does not time it."""
+    return TimeBudget(SimulatedClock(), deadline_at=math.inf)
 
 # (input file of the demo world, field, wrong-typed or malformed value): each
 # must be a one-line input error naming the file, the line and the field.
@@ -21,6 +31,8 @@ WRONG_TYPED_FIELDS = [
     ("web_corpus", "snippet", ["a"]),
     ("web_corpus", "is_hard_negative", "false"),
     ("dataset", "image_ref", ""),
+    ("dataset", "taxonomy", {"domain": ["a"]}),
+    ("dataset", "taxonomy", {"category": None}),
 ]
 
 

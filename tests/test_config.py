@@ -277,6 +277,8 @@ def test_a_wrong_typed_value_in_any_input_file_names_its_line(tmp_path, name, fi
     with pytest.raises(ParseError) as err:
         LOADERS[name](path)
     assert (err.value.path, err.value.line) == (path, 3)
+    if isinstance(value, dict):  # a taxonomy label is named by its axis
+        field = f"{field}.{next(iter(value))}"
     assert str(err.value).startswith(f"{path}: line 3: {field}: expected ")
 
 

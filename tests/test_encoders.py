@@ -45,14 +45,10 @@ def oracle_multivector(question, image_embedding, n, dim=256):
     whole = oracle_encode_tokens(tokenize(question), dim)
     if image_embedding is not None:
         whole = normalize(whole + image_embedding)
-    vectors = np.tile(whole, (n, 1))
     tokens = tokenize(question)
     groups = n - 1
-    if groups > 0 and tokens:
-        for j in range(groups):
-            if tokens[j::groups]:
-                vectors[j + 1] = oracle_encode_tokens(tokens[j::groups], dim)
-    return vectors
+    rows = [tokens[j::groups] for j in range(groups)] if groups else []
+    return np.vstack([whole] + [oracle_encode_tokens(row, dim) for row in rows if row])
 
 
 def random_token_lists(seed, count=60, max_len=80):
@@ -362,19 +358,21 @@ def test_dimension_configurable():
 def test_multivector_shape_and_unit_rows():
     enc = MultiVectorQueryEncoder()
     for n in (1, 3, 8, 16):
-        vectors = enc.encode("who founded this cafe in oakland", None, n)
-        assert vectors.shape == (n, 256)
+        vectors = enc.encode("who founded this cafe in oakland", None, n)  # 6 tokens
+        assert vectors.shape == (1 + min(n - 1, 6), 256)
         norms = np.linalg.norm(vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
 
-def test_multivector_empty_slots_fall_back_to_whole_question():
+def test_multivector_returns_one_row_per_non_empty_group():
     enc = MultiVectorQueryEncoder()
-    vectors = enc.encode("hi", None, 8)  # 1 token, 7 groups: most are empty
+    vectors = enc.encode("hi", None, 8)  # 1 token, 7 groups: one is not empty
     whole = HashedTextEncoder().encode("hi")
-    # slot 0 is the whole question; empty group slots must equal it too
+    # row 0 is the whole question, row 1 its one non-empty group
+    assert vectors.shape == (2, 256)
     assert np.array_equal(vectors[0], whole)
-    assert np.array_equal(vectors[2], whole)
+    assert np.array_equal(vectors[1], whole)
+    assert enc.encode("", None, 8).shape == (1, 256)
 
 
 def test_multivector_blends_image_embedding_into_first_slot():

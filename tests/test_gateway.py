@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from cases import unlimited_budget
+
 import dynarag
 from dynarag.errors import (
     BackendTimeout,
@@ -21,6 +23,7 @@ from dynarag.gateway import (
     ModelGateway,
     ModelRequest,
     ScriptedBackend,
+    TurnModel,
     last_line_json,
 )
 from dynarag.evalharness import EvalRecord, evaluate, group_sessions
@@ -47,6 +50,12 @@ def request(key="umbrella-q1") -> ModelRequest:
     )
 
 
+def try_decompose(gateway: ModelGateway, decode):
+    """``TurnModel.try_generate`` of the ``request()`` call."""
+    model = TurnModel(gateway, "umbrella-q1", "img", "q", "", unlimited_budget())
+    return model.try_generate("decompose", decode, reasoning="1. r", visual_context="")
+
+
 # Every template written out by hand; each names the turn's question ``query``:
 # template id -> required slots.
 REGISTERED = {
@@ -68,13 +77,13 @@ class CapturingBackend:
     def __init__(self):
         self.calls = []
 
-    def complete(self, template_id, fixture_key, prompt, budget=None):
+    def complete(self, template_id, fixture_key, prompt, budget):
         self.calls.append((template_id, fixture_key, prompt))
         return ScriptedBackend([entry(template_id, fixture_key)]).complete(
             template_id, fixture_key, prompt, budget)
 
 
-DEMO_PROMPTS_SHA256 = "286db9387ae1655ab6271bd12bf44a4bf177d0ed16297d05de1155396a232a87"
+DEMO_PROMPTS_SHA256 = "20a8016ed6ccabda3f3d3ea721d75f2e862ad16050980ed14b1ac792b749b5f6"
 
 
 def test_demo_eval_sends_the_pinned_prompts(world_runtime):
@@ -84,13 +93,16 @@ def test_demo_eval_sends_the_pinned_prompts(world_runtime):
     fixture_key, prompt) list. It was computed at commit 6be90cc, before the
     modules took one per-turn ``TurnModel`` in place of the gateway and the
     turn's key, image, question, history and budget as separate arguments.
+    It changed once since, in the ``answer`` slot of the six search_verify
+    turns' verifier prompts alone: the draft's reasoning steps are joined by
+    spaces, as a rag_augment turn's reason is, no longer by newlines.
     """
     calls = []
 
     class Capturing:
         inner = ScriptedBackend(model_entries())
 
-        def complete(self, template_id, fixture_key, prompt, budget=None):
+        def complete(self, template_id, fixture_key, prompt, budget):
             calls.append((template_id, fixture_key, prompt))
             return self.inner.complete(template_id, fixture_key, prompt, budget)
 
@@ -123,7 +135,7 @@ def test_slot_values_render_verbatim(template_id, value):
         assert prompt.count(f"{value} [{name}]") == template.body.count("{" + name + "}")
 
     backend = CapturingBackend()
-    ModelGateway(backend).generate(ModelRequest(template_id, slots, "k"))
+    ModelGateway(backend).generate(ModelRequest(template_id, slots, "k"), unlimited_budget())
     assert backend.calls == [(template_id, "k", prompt)]
 
 
@@ -134,7 +146,8 @@ def test_a_bare_gateway_serves_every_template():
     for template_id, names in REGISTERED.items():
         fixture = next(e for e in entries if e.template_id == template_id)
         response = gateway.generate(ModelRequest(
-            template_id, {name: "x" for name in names}, fixture.fixture_key))
+            template_id, {name: "x" for name in names}, fixture.fixture_key),
+            unlimited_budget())
         assert response.text == fixture.text
         served.add(template_id)
     assert served == set(TEMPLATES)
@@ -142,7 +155,7 @@ def test_a_bare_gateway_serves_every_template():
 
 def test_mock_echoes_scripted_fixture():
     gateway = make_gateway([entry()])
-    response = gateway.generate(request())
+    response = gateway.generate(request(), unlimited_budget())
     assert response.text == "scripted trace"
     assert response.token_probs == (1.0, 1.0)
 
@@ -155,13 +168,13 @@ def test_mock_echoes_scripted_fixture():
 def test_last_line_json_rejects_anything_but_an_object(last_line):
     gateway = make_gateway([entry(text=f"reasoning first\n{last_line}")])
     with pytest.raises(ValueError):
-        last_line_json(gateway.generate(request()))
-    assert gateway.try_generate(request(), last_line_json) is None
+        last_line_json(gateway.generate(request(), unlimited_budget()))
+    assert try_decompose(gateway, last_line_json) is None
 
 
 def test_last_line_json_returns_the_object_on_the_last_line():
     gateway = make_gateway([entry(text='step 1\n{"answer": "x"}\n')])
-    assert last_line_json(gateway.generate(request())) == {"answer": "x"}
+    assert last_line_json(gateway.generate(request(), unlimited_budget())) == {"answer": "x"}
 
 
 def test_try_generate_lets_a_decoder_bug_propagate():
@@ -170,39 +183,40 @@ def test_try_generate_lets_a_decoder_bug_propagate():
 
     gateway = make_gateway([entry(text='{"answer": "x"}')])
     with pytest.raises(TypeError):
-        gateway.try_generate(request(), broken)
+        try_decompose(gateway, broken)
 
 
 def test_same_request_is_byte_identical():
     gateway = make_gateway([entry()])
-    first = gateway.generate(request())
-    second = gateway.generate(request())
+    first = gateway.generate(request(), unlimited_budget())
+    second = gateway.generate(request(), unlimited_budget())
     assert first == second
 
 
 def test_missing_fixture_raises_unknown_fixture():
     gateway = make_gateway([entry()])
     with pytest.raises(UnknownFixture):
-        gateway.generate(request(key="no-such-key"))
+        gateway.generate(request(key="no-such-key"), unlimited_budget())
 
 
 def test_unknown_template():
     gateway = make_gateway()
     with pytest.raises(UnknownTemplate):
-        gateway.generate(ModelRequest("nope", {}, "k"))
+        gateway.generate(ModelRequest("nope", {}, "k"), unlimited_budget())
 
 
 def test_missing_slot():
     gateway = make_gateway([entry()])
     with pytest.raises(MissingSlot):
-        gateway.generate(ModelRequest("decompose", {"query": "q"}, "umbrella-q1"))
+        gateway.generate(ModelRequest("decompose", {"query": "q"}, "umbrella-q1"),
+                         unlimited_budget())
 
 
 def test_empty_template_body_renders_empty(monkeypatch):
     monkeypatch.setitem(TEMPLATES, "empty", PromptTemplate("empty", ""))
     gateway = make_gateway([FixtureEntry("empty", "k", "ok", (0.5,), 0.0)])
     assert TEMPLATES["empty"].render({}) == ""
-    response = gateway.generate(ModelRequest("empty", {}, "k"))
+    response = gateway.generate(ModelRequest("empty", {}, "k"), unlimited_budget())
     assert response.text == "ok"
 
 
@@ -227,12 +241,13 @@ def test_a_duplicate_fixture_key_is_rejected():
         ScriptedBackend([entry(text="first"), entry(key="other"), entry(text="last")])
     # one key under two templates is two keys
     backend = ScriptedBackend([entry(), entry(template="verifier", text="other")])
-    assert backend.complete("verifier", "umbrella-q1", "prompt").text == "other"
+    assert backend.complete("verifier", "umbrella-q1", "prompt",
+                            unlimited_budget()).text == "other"
 
 
 def test_response_probability_bounds_hold():
     gateway = make_gateway([entry(probs=(0.001, 0.5, 1.0))])
-    response = gateway.generate(request())
+    response = gateway.generate(request(), unlimited_budget())
     assert min(response.token_probs) > 0.0
     assert max(response.token_probs) <= 1.0
 
@@ -260,7 +275,7 @@ def test_fixture_file_round_trip(tmp_path):
     rows = [entry().to_dict(), entry(key="k2", text="two", probs=(0.25,), latency_ms=7.0).to_dict()]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     backend = ScriptedBackend.from_jsonl(path)
-    response = backend.complete("decompose", "k2", "prompt")
+    response = backend.complete("decompose", "k2", "prompt", unlimited_budget())
     assert response.text == "two"
     assert response.latency == pytest.approx(0.007)
 
@@ -271,7 +286,7 @@ def test_concurrent_reads_are_consistent():
 
     def worker():
         for _ in range(50):
-            results.append(gateway.generate(request()).text)
+            results.append(gateway.generate(request(), unlimited_budget()).text)
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cases import unlimited_budget
 from dynarag.errors import BackendTimeout
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend, TurnModel
 from dynarag.image_agent import (
@@ -63,9 +64,10 @@ def make_agent() -> ImageSearchAgent:
 
 def turn_model(entries=(), query="q", image_ref="img-street",
                budget=None) -> TurnModel:
-    """Turn "k" over the scripted ``entries``."""
+    """Turn "k" over the scripted ``entries``, on ``budget`` or, by default,
+    one without a deadline."""
     return TurnModel(ModelGateway(ScriptedBackend(list(entries))), "k", image_ref,
-                     query, "", budget)
+                     query, "", budget or unlimited_budget())
 
 
 def fe(template, key, text, latency_ms=0.0):

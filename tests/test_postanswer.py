@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cases import unlimited_budget
 from dynarag.config import VerifierConfig
 from dynarag.errors import BackendTimeout
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend, TurnModel
@@ -24,8 +25,10 @@ def make_module() -> PostAnswerModule:
 
 
 def turn_model(entries, key="k", budget=None) -> TurnModel:
-    """Turn ``key`` asking "q" about image "img" over the scripted ``entries``."""
-    return TurnModel(ModelGateway(ScriptedBackend(entries)), key, "img", "q", "", budget)
+    """Turn ``key`` asking "q" about image "img" over the scripted ``entries``,
+    on ``budget`` or, by default, one without a deadline."""
+    return TurnModel(ModelGateway(ScriptedBackend(entries)), key, "img", "q", "",
+                     budget or unlimited_budget())
 
 
 # --- token statistics ---------------------------------------------------------

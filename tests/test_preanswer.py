@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cases import unlimited_budget
 from dynarag.config import DomainConfig, PipelineConfig, RoutingConfig
 from dynarag.encoders import HashedTextEncoder, tokenize
 from dynarag.evalharness import load_dataset
@@ -27,7 +28,7 @@ def make_module() -> PreAnswerModule:
 
 def turn_model(entries, query, image_ref, key) -> TurnModel:
     return TurnModel(ModelGateway(ScriptedBackend(entries)), key, image_ref, query,
-                     "", None)
+                     "", unlimited_budget())
 
 
 def evaluator_entry(key, text, probs=(0.9, 0.9)):

@@ -12,7 +12,7 @@ import pytest
 
 from dynarag.config import PipelineConfig
 from dynarag.encoders import HashedTextEncoder, tokenize
-from dynarag.errors import DimensionMismatch, IndexNotBuilt, ParseError
+from dynarag.errors import DimensionMismatch, ParseError
 from dynarag.search import (
     ImageKgIndex,
     ImageRecord,
@@ -165,11 +165,12 @@ def test_kg_duplicate_url_rejected():
         ImageKgIndex().build([kg(1, np.eye(4)[0]), twin])
 
 
-def test_search_before_build_raises():
-    with pytest.raises(IndexNotBuilt):
-        WebSearchIndex().search("q", 3)
-    with pytest.raises(IndexNotBuilt):
-        ImageKgIndex().search(np.zeros(4), 3)
+def test_a_new_index_is_the_empty_corpus():
+    web, kg = WebSearchIndex(), ImageKgIndex()
+    assert len(web) == len(kg) == 0
+    assert list(kg) == []
+    assert web.search("q", 3) == []
+    assert kg.search(np.zeros(4), 3) == []
 
 
 # --- web search ------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cases import unlimited_budget
 from dynarag.config import RoutingConfig
 from dynarag.errors import BackendTimeout
 from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend, TurnModel
@@ -46,8 +47,10 @@ def make_agent(docs=DOCS, k_total=10) -> TextSearchAgent:
 
 
 def turn_model(entries, query, key, budget=None) -> TurnModel:
-    """Turn ``key`` asking ``query`` over the scripted ``entries``."""
-    return TurnModel(ModelGateway(ScriptedBackend(entries)), key, "img", query, "", budget)
+    """Turn ``key`` asking ``query`` over the scripted ``entries``, on
+    ``budget`` or, by default, one without a deadline."""
+    return TurnModel(ModelGateway(ScriptedBackend(entries)), key, "img", query, "",
+                     budget or unlimited_budget())
 
 
 def decompose_entry(key, subs):

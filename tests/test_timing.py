@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dynarag.errors import BackendTimeout
@@ -52,7 +54,7 @@ def test_budget_check_raises_once_expired():
 
 
 def test_unlimited_budget_never_expires():
-    budget = TimeBudget(SimulatedClock())
+    budget = TimeBudget(SimulatedClock(), deadline_at=math.inf)
     budget.spend(1e9)
     assert not budget.expired()
     assert budget.remaining() == float("inf")
