@@ -63,15 +63,15 @@ class PipelineRuntime:
         and blended into the question's vector. A KG row or an image of
         another dimension raises ValueError naming it."""
         dim = self.config.encoder.dim
-        vectors = [(f"kg entry {entry.url}: image_embedding", entry.image_embedding)
-                   for entry in self.kg_index]
-        vectors += [(f"image {record.image_id}: embedding", vector)
-                    for record in self.image_store
-                    for vector in (record.whole_embedding,
-                                   *(r["embedding"] for r in record.regions))]
-        for name, vector in vectors:
-            if vector.shape[0] != dim:
-                raise ValueError(f"{name} has dim {vector.shape[0]}, not the encoder's {dim}")
+        # build gave every KG row the first entry's dimension.
+        first = next(iter(self.kg_index), None)
+        if first is not None and first.image_embedding.shape[0] != dim:
+            _wrong_dim(f"kg entry {first.url}: image_embedding",
+                       first.image_embedding.shape[0], dim)
+        for record in self.image_store:
+            for vector in (record.whole_embedding, *(r["embedding"] for r in record.regions)):
+                if vector.shape[0] != dim:
+                    _wrong_dim(f"image {record.image_id}: embedding", vector.shape[0], dim)
 
     @property
     def text_encoder(self) -> HashedTextEncoder:
@@ -81,6 +81,10 @@ class PipelineRuntime:
 
     def orchestrator(self, clock=None) -> Orchestrator:
         return Orchestrator(self, clock)
+
+
+def _wrong_dim(name: str, got: int, dim: int):
+    raise ValueError(f"{name} has dim {got}, not the encoder's {dim}")
 
 
 def build_runtime(config: PipelineConfig) -> PipelineRuntime:
@@ -94,12 +98,9 @@ def build_runtime(config: PipelineConfig) -> PipelineRuntime:
     web_index = (
         WebSearchIndex.ingest(paths.web_corpus, encoder, config.hard_negative.rate)
         if paths.web_corpus
-        else WebSearchIndex(encoder, config.hard_negative.rate).build([])
+        else WebSearchIndex(encoder, config.hard_negative.rate)
     )
-    kg_index = (
-        ImageKgIndex.ingest(paths.kg_corpus) if paths.kg_corpus
-        else ImageKgIndex().build([])
-    )
+    kg_index = ImageKgIndex.ingest(paths.kg_corpus) if paths.kg_corpus else ImageKgIndex()
     image_store = (
         ImageStore.from_jsonl(paths.image_fixtures) if paths.image_fixtures
         else ImageStore()

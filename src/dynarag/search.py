@@ -8,14 +8,22 @@ by url, and one ``top_k`` (a partial selection of the k-th largest score, then
 an exact sort of the candidates at or above it) ranks every list, the
 reranker's two stages included, as a full sort by (-score, position) would. A
 KG score is a per-row reduction (``np.einsum``, no BLAS call), so it depends
-on the query and the entry alone. The web index can interleave corpus items
-flagged as hard negatives at a configurable rate to mimic retrieval noise.
+on the query and the entry alone. The KG search scores only the rows that can
+reach the top k: a float32 BLAS product with a rigorous error bound filters
+the rows (see ``_error_scale``), and the einsum scores the survivors, the
+refine step of FAISS's ``IndexRefineFlat`` (Johnson, Douze and Jegou,
+arXiv:1702.08734). The bound holds for any summation order, so the kept set,
+and with it every hit and score bit, is independent of the BLAS kernel and
+its thread count. The web index can interleave corpus items flagged as hard
+negatives at a configurable rate to mimic retrieval noise.
 
 The web index keeps each doc's signed hashed-token counts as integer slot
 postings (an inverted file, Zobel & Moffat, ACM Computing Surveys 2006) and
-ranks by the exact cosine: a query with slot counts ``q`` scores a doc with
-counts ``d`` by ``dot * |dot| / nn``, where ``dot = q . d`` and ``nn = d . d``
-are exact integers, so the key is one correctly rounded division. Docs with
+ranks by the exact cosine: a query with slot counts ``q`` (sparse, read from
+its token codes) scores a doc with counts ``d`` by ``dot * |dot| / nn``, where
+``dot = q . d`` and ``nn = d . d`` are exact integers, so the key is one
+correctly rounded division. Only docs with ``dot > 0`` are ranked when there
+are at least k of them: no other key can pass theirs. Docs with
 equal exact cosines get equal keys and fall in url order. The reported score
 is ``sign * sqrt(|key| / nq)`` with ``nq = q . q``, so tied docs carry equal
 scores. Exactness bound: two different ratios ``dot**2 / nn`` differ by at
@@ -110,7 +118,8 @@ class KgEntry:
             entity_name=typed(raw["entity_name"], str, "entity_name"),
             url=typed(raw["url"], str, "url"),
             image_embedding=raw["image_embedding"],
-            attributes={str(k).lower(): str(v) for k, v in attributes.items()},
+            attributes={str(k).lower(): str(typed(v, (str, *NUMBER, bool), f"attributes.{k}"))
+                        for k, v in attributes.items()},
         )
 
     def to_dict(self) -> dict:
@@ -189,16 +198,20 @@ def top_k(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
 
     Exact: the candidates are every position scoring above the k-th largest
     (finite) score plus, among the positions tied with it, the lowest ones,
-    as many as the top k has room for. Only those are sorted, so a query that
-    ties most of the corpus (an all-zero query vector scores 0.0 everywhere)
-    costs a bounded selection, not a full sort.
+    as many as the top k has room for. One pass finds every position at or
+    above the k-th score; the split into the two happens inside that set.
+    Only the candidates are sorted, so a query that ties most of the corpus
+    (an all-zero query vector scores 0.0 everywhere) costs a bounded
+    selection, not a full sort.
     """
     n = len(scores)
     if k < n:
         kth = np.partition(scores, n - k)[n - k]
-        above = np.flatnonzero(scores > kth)
-        candidates = np.concatenate(
-            [above, np.flatnonzero(scores == kth)[: k - len(above)]])
+        candidates = np.flatnonzero(scores >= kth)
+        if len(candidates) > k:  # ties at the k-th score: the lowest positions
+            above = scores[candidates] > kth
+            candidates = np.concatenate(
+                [candidates[above], candidates[~above][: k - np.count_nonzero(above)]])
     else:
         candidates = np.arange(n)
     order = candidates[np.lexsort((candidates, -scores[candidates]))]
@@ -265,8 +278,16 @@ class SlotPostings:
         # Every partial sum is at most sqrt(nq * nn) < 2**25: exact in float64.
         dot = np.bincount(np.concatenate(hit), np.concatenate(weights),
                           minlength=len(self.docs)) if hit else np.zeros(len(self.docs))
-        keys = dot * np.abs(dot) / self.nn
-        return [(self.docs[i], math.copysign(math.sqrt(abs(key) / nq), key) if nq else 0.0)
+        nn, rows = self.nn, range(len(self.docs))
+        # A doc with dot <= 0 has a key <= 0 and cannot pass a positive one:
+        # with k positive dot products, the top k is among them. The subset
+        # keeps ascending positions, so ties still fall in url order.
+        positive = np.flatnonzero(dot > 0)
+        if len(positive) >= k:
+            dot, nn, rows = dot[positive], nn[positive], positive
+        keys = dot * np.abs(dot) / nn
+        return [(self.docs[rows[i]],
+                 math.copysign(math.sqrt(abs(key) / nq), key) if nq else 0.0)
                 for i, key in top_k(keys, k)]
 
 
@@ -307,10 +328,8 @@ class WebSearchIndex:
         k = min(k, WEB_RESULT_CAP)
         if k == 0 or not len(self):
             return []
-        rows, squares = self.encoder.count_rows(*self.encoder.row_codes([tokenize(query)]))
-        slots = rows[0].nonzero()[0]
-        counts = dict(zip(slots.tolist(), rows[0, slots].astype(np.int64).tolist()))
-        nq = int(squares[0])
+        counts, nq = _slot_counts(self.encoder.row_codes([tokenize(query)])[0],
+                                  self.encoder.dim)
         # merged[:k] never holds more than k of either partition, so the top k
         # of each is enough.
         positives = self._positives.top(counts, nq, k)
@@ -318,6 +337,20 @@ class WebSearchIndex:
                      if self.hard_negative_rate > 0 else [])
         merged = _interleave(positives, negatives, self.hard_negative_rate)
         return [SearchHit(Source.WEB, score, d) for d, score in merged[:k]]
+
+
+def _slot_counts(codes: np.ndarray, dim: int) -> tuple[dict[int, int], int]:
+    """A query's non-zero signed slot counts, ``{slot: count}``, and its
+    squared norm, from its token codes (a code is its slot, plus ``dim`` for
+    sign -1)."""
+    counts: dict[int, int] = {}
+    for code in codes.tolist():
+        if code < dim:
+            counts[code] = counts.get(code, 0) + 1
+        else:
+            counts[code - dim] = counts.get(code - dim, 0) - 1
+    counts = {slot: count for slot, count in counts.items() if count}
+    return counts, sum(count * count for count in counts.values())
 
 
 def _interleave(positives: list, negatives: list, rate: float) -> list:
@@ -348,13 +381,18 @@ class ImageKgIndex:
 
     def __init__(self):
         self._entries: list[KgEntry]
-        self._matrix: np.ndarray
+        self._matrix: np.ndarray    # float64, read-only: the scores' source
+        self._matrix32: np.ndarray  # float32 copy: the filter's
+        self._norms: np.ndarray     # each row's norm
         self.build([])
 
     @classmethod
     def ingest(cls, corpus_path: str | Path) -> "ImageKgIndex":
-        index = cls()
-        index.build(read_jsonl(corpus_path, KgEntry.from_dict))
+        index = cls().build(read_jsonl(corpus_path, KgEntry.from_dict))
+        # The entries are the index's own: each holds its row of the matrix,
+        # not a second copy of it.
+        for entry, row in zip(index._entries, index._matrix):
+            object.__setattr__(entry, "image_embedding", row)
         return index
 
     def build(self, entries: list[KgEntry]) -> "ImageKgIndex":
@@ -367,8 +405,11 @@ class ImageKgIndex:
             if vector.shape[0] != dim:
                 raise ValueError(f"kg entry {entry.url}: image_embedding has dim "
                                  f"{vector.shape[0]}, not the KG's {dim}")
-        self._entries = entries
-        self._matrix = np.vstack(vectors) if vectors else np.zeros((0, dim))
+        matrix = np.vstack(vectors) if vectors else np.zeros((0, dim))
+        matrix.flags.writeable = False
+        self._entries, self._matrix = entries, matrix
+        self._matrix32 = matrix.astype(np.float32)
+        self._norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         return self
 
     def __len__(self) -> int:
@@ -388,10 +429,55 @@ class ImageKgIndex:
             raise DimensionMismatch(
                 f"query dim {query.shape[0]} != index dim {self._matrix.shape[1]}"
             )
+        rows = self._candidates(query, k)
+        if rows is None:
+            matrix, rows = self._matrix, range(len(self._entries))
+        else:
+            matrix = self._matrix[rows]
         return [
-            SearchHit(Source.IMAGE_KG, score, self._entries[i])
-            for i, score in top_k(np.einsum("ij,j->i", self._matrix, query), k)
+            SearchHit(Source.IMAGE_KG, score, self._entries[rows[i]])
+            for i, score in top_k(np.einsum("ij,j->i", matrix, query), k)
         ]
+
+    def _candidates(self, query: np.ndarray, k: int) -> np.ndarray | None:
+        """The ascending rows that can reach the query's top k, from a float32
+        filter (see ``_error_scale``), or None for every row: when k covers
+        the corpus, or when the query is too large for float32 to hold its
+        products (a component above 2**64)."""
+        n, dim = self._matrix.shape
+        if k >= n or np.abs(query).max() > 2.0 ** 64:
+            return None
+        q_norm = math.sqrt(np.einsum("i,i->", query, query))
+        scale = _error_scale(dim) * q_norm
+        if not math.isfinite(scale):
+            return None
+        approx = self._matrix32 @ query.astype(np.float32)
+        # The absolute term covers float32 underflow (see ``_error_scale``).
+        bound = self._norms * scale + 2.0 ** -122 * dim * (1 + self._norms.max() + q_norm)
+        lower = approx - bound
+        floor = np.partition(lower, n - k)[n - k]
+        return np.flatnonzero(approx + bound >= floor)
+
+
+def _error_scale(dim: int) -> float:
+    """``c`` such that ``c * |m| * |q|`` (plus an absolute underflow term)
+    bounds how far a float32 dot product of a KG row ``m`` and a query ``q``
+    lies from their float64 ``einsum`` score, whatever the summation order.
+
+    Rounding both vectors to float32 and summing ``dim`` float32 products
+    errs by at most ``gamma(dim + 2) * |m| * |q|``, ``gamma(j) = j*u / (1 -
+    j*u)`` with ``u = 2**-24`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 3.1), for any order of the sum, so for
+    any BLAS kernel and thread count. The ``(dim + 8) * 2**-50`` term covers
+    the float64 einsum's own rounding (``gamma(dim)`` with ``u = 2**-53``)
+    and the float64 arithmetic of the norms and the bounds. Underflow breaks
+    the relative model: each float32 conversion, product or sum below
+    ``2**-126`` may be flushed to zero, an absolute error of at most
+    ``2**-126`` apiece, which the search's ``2**-122 * dim * (1 + |m| + |q|)``
+    covers. Past ``(dim + 2) * u >= 1/2`` there is no bound (inf).
+    """
+    g = (dim + 2) * 2.0 ** -24
+    return g / (1 - g) + (dim + 8) * 2.0 ** -50 if g < 0.5 else math.inf
 
 
 @dataclass

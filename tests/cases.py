@@ -33,6 +33,9 @@ WRONG_TYPED_FIELDS = [
     ("dataset", "image_ref", ""),
     ("dataset", "taxonomy", {"domain": ["a"]}),
     ("dataset", "taxonomy", {"category": None}),
+    ("kg_corpus", "attributes", {"price": None}),
+    ("kg_corpus", "attributes", {"colours": ["red"]}),
+    ("kg_corpus", "attributes", {"size": {"width": 3}}),
 ]
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from dynarag.search import (
     KgEntry,
     WebDoc,
     WebSearchIndex,
+    _error_scale,
     _interleave,
     top_k,
     unit_embedding_for,
@@ -384,6 +386,34 @@ def test_kg_attribute_keys_lowercased():
     assert list(entry.attributes) == ["brand", "price"]
 
 
+def test_kg_attribute_numbers_and_booleans_load_as_text():
+    def entry(value):
+        return KgEntry.from_dict({
+            "entity_name": "e", "url": "kg://e",
+            "image_embedding": list(unit_embedding_for("e")),
+            "attributes": {"Price": value},
+        })
+
+    # null, lists and objects are rejected (WRONG_TYPED_FIELDS in cases.py).
+    assert [entry(v).attributes["price"] for v in ("$5", 5, 2.5, True)] == [
+        "$5", "5", "2.5", "True"]
+
+
+def test_an_ingested_kg_holds_each_embedding_once(tmp_path):
+    vecs = unit_rows(1, 3, 16)
+    path = tmp_path / "kg.jsonl"
+    path.write_text("".join(json.dumps(kg(i, vecs[i]).to_dict()) + "\n" for i in (2, 0, 1)))
+    index = ImageKgIndex.ingest(path)
+    assert not index._matrix.flags.writeable
+    for entry, row, vec in zip(index, index._matrix, vecs):
+        assert np.shares_memory(entry.image_embedding, row)
+        assert np.array_equal(entry.image_embedding, vec)
+    # Entries handed to build keep their own arrays.
+    entries = [kg(i, vecs[i]) for i in range(3)]
+    built = ImageKgIndex().build(entries)
+    assert not any(np.shares_memory(e.image_embedding, built._matrix) for e in entries)
+
+
 # --- exactness against the brute-force oracle ------------------------------------------
 
 
@@ -440,22 +470,27 @@ def test_kg_score_depends_only_on_the_query_and_the_entry(n):
     index = ImageKgIndex().build(entries)
     alone = {e.url: ImageKgIndex().build([e]) for e in entries}
     for query in vecs[n:]:
-        hits = index.search(query, n)
-        assert len(hits) == n
-        for hit in hits:
-            assert hit.score.hex() == alone[hit.url].search(query, 1)[0].score.hex()
+        for k in (1, 5, n):
+            hits = index.search(query, k)
+            assert len(hits) == k
+            for hit in hits:
+                assert hit.score.hex() == alone[hit.url].search(query, 1)[0].score.hex()
 
 
 KG_SEARCH_SCRIPT = """
 import numpy as np
 from dynarag.search import ImageKgIndex, KgEntry
-rows = np.random.default_rng(5).normal(size=(2520, 256))
+rng = np.random.default_rng(5)
+rows = rng.normal(size=(2520, 256))
 rows /= np.linalg.norm(rows, axis=1, keepdims=True)
 index = ImageKgIndex().build(
     [KgEntry(f"e{i}", f"kg://e/{i:04d}", rows[i], {}) for i in range(2500)])
-for query in rows[2500:]:
-    for hit in index.search(query, 2500):
-        print(hit.url, hit.score.hex())
+# Random queries, and near-ties: KG rows moved by 1e-9.
+queries = np.vstack([rows[2500:], rows[:20] + rng.normal(size=(20, 256)) * 1e-9])
+for query in queries:
+    for k in (1, 10, 2500):
+        for hit in index.search(query, k):
+            print(hit.url, hit.score.hex())
 """
 
 
@@ -468,7 +503,7 @@ def test_kg_hits_do_not_depend_on_the_blas_thread_count():
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout.splitlines())
-    assert len(outputs[0]) == 20 * 2500
+    assert len(outputs[0]) == 40 * (1 + 10 + 2500)
     assert outputs[0] == outputs[1]
 
 
@@ -556,6 +591,68 @@ def test_kg_search_matches_full_sort_with_one_hot_ties():
             got = [(h.url, h.score) for h in index.search(query, k)]
             want = [(urls[i], s) for i, s in full_sort(matrix @ query, urls, k)]
             assert got == want, k
+
+
+# --- float32 filter and refine in the KG index ----------------------------------------
+
+
+def einsum_top_k(matrix, query, k):
+    """The full scan: every row's einsum score, ranked by (-score, position)."""
+    scores = np.einsum("ij,j->i", matrix, query)
+    return [(i, score.hex()) for i, score in full_sort(scores, range(len(matrix)), k)]
+
+
+def kg_hits(index, query, k):
+    return [(int(h.url.rsplit("/", 1)[1]), h.score.hex()) for h in index.search(query, k)]
+
+
+def near_tie_kg(seed, clusters=50, copies=4, dim=64):
+    """An index over clusters of unit rows 1e-9 apart, plus exact duplicates
+    of five rows, in url order; returns it with its rows."""
+    rng = np.random.default_rng(seed)
+    base = unit_rows(seed, clusters, dim)
+    rows = np.repeat(base, copies, axis=0)
+    rows += rng.normal(size=rows.shape) * 1e-9
+    rows = np.vstack([rows, rows[:5 * copies:copies]])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return ImageKgIndex().build([kg(i, row) for i, row in enumerate(rows)]), rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kg_filter_and_refine_matches_the_full_scan_on_near_ties(seed):
+    index, rows = near_tie_kg(seed)
+    rng = np.random.default_rng(seed + 100)
+    queries = list(rows[::9]) + list(rows[::13] + rng.normal(size=rows[::13].shape) * 1e-9)
+    queries += list(unit_rows(seed + 200, 10, rows.shape[1]))
+    for query in queries:
+        for k in (1, 2, 3, 5, 10, 50):
+            assert kg_hits(index, query, k) == einsum_top_k(rows, query, k), k
+
+
+@pytest.mark.parametrize("dim", [1, 6, 64, 256, 4096])
+def test_kg_filter_bound_covers_float32_and_the_einsums_own_rounding(dim):
+    def gamma(j, u):
+        return j * u / (1 - j * u)
+
+    # Rounding both vectors to float32 and a float32 dot product in any
+    # order, plus the float64 einsum the kept rows are scored with.
+    need = gamma(dim + 2, Fraction(1, 2 ** 24)) + gamma(dim, Fraction(1, 2 ** 53))
+    assert Fraction(_error_scale(dim)) > need
+    assert _error_scale(2 ** 23) == math.inf
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e20, 1e18, 1e-43, 1e-300, 0.0])
+def test_kg_queries_at_the_edges_of_float32_rank_as_the_full_scan(scale):
+    # 1e40 overflows a float32 cast and 1e20 passes 2**64: both take the full
+    # scan. 1e-43 rounds to float32 subnormals with a few bits; 1e-300 and 0
+    # round to zero, so only the absolute term keeps the bound above the error.
+    index, rows = near_tie_kg(7)
+    queries = [rows[11] * scale, (rows[11] + rows[40]) * scale]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in queries:
+            for k in (1, 5, 10):
+                assert kg_hits(index, query, k) == einsum_top_k(rows, query, k), k
 
 
 # --- exact ties in the web index -----------------------------------------------------
@@ -672,3 +769,55 @@ def test_web_index_raises_beyond_the_exactness_bound():
         WebSearchIndex().build([WebDoc(url="https://b/longer", title="",
                                        snippet="w " * 5793)])
     WebSearchIndex().build([WebDoc(url="https://b/longest", title="", snippet="w " * 5792)])
+
+
+def brute_force_web(docs, rate, dim, text, k):
+    """Reference web search: every doc of each partition scored on its own
+    from per-token slot counts, sorted by (-score, url) and cut to k; then
+    interleaved. Returns (url, score bits) and the number of docs of each
+    partition with a positive dot product."""
+    query = oracle_slot_counts(tokenize(text), dim)
+    nq = sum(c * c for c in query.values())
+    k = min(k, 50)
+    parts, positive = [], []
+    for hard in (False, True):
+        scored, dots = [], []
+        for d in docs:
+            if d.is_hard_negative == hard:
+                counts = oracle_slot_counts(tokenize(f"{d.title} {d.snippet}"), dim)
+                dot = sum(c * counts.get(slot, 0) for slot, c in query.items())
+                nn = sum(c * c for c in counts.values()) or 1
+                scored.append((d.url, oracle_score(Fraction(dot * abs(dot), nn), nq)))
+                dots.append(dot)
+        parts.append(sorted(scored, key=lambda hit: (-hit[1], hit[0]))[:k])
+        positive.append(sum(dot > 0 for dot in dots))
+    merged = _interleave(parts[0], parts[1] if rate > 0 else [], rate)[:k]
+    return [(url, score.hex()) for url, score in merged], positive
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+@pytest.mark.parametrize("dim", [16, 256])
+def test_web_top_k_matches_the_brute_force_oracle_with_few_positive_dots(rate, dim):
+    # At dim 16 slots collide with opposite signs, so many dots are negative.
+    rng = np.random.default_rng(dim)
+    vocab = [f"v{j}" for j in range(40)]
+    rare, negative_only = "rare", "negonly"
+    if dim == 256:  # two tokens whose slots no vocab token shares
+        (rare, negative_only), _ = distinct_slot_tokens(
+            2, {slot for token in vocab for slot in oracle_slot_counts([token])})
+    texts = [" ".join(rng.choice(vocab, size=int(rng.integers(2, 9)))) for _ in range(150)]
+    texts += [f"{rare} v1", f"{rare} {rare} v2", f"{negative_only} v3", f"{negative_only}"]
+    hard = [bool(i % 3 == 0) for i in range(150)] + [False, False, True, True]
+    docs = [WebDoc(url=f"https://p/{int(u):03d}", title="", snippet=text, is_hard_negative=h)
+            for u, text, h in zip(rng.permutation(len(texts)), texts, hard)]
+    index = WebSearchIndex(HashedTextEncoder(dim), hard_negative_rate=rate).build(docs)
+    few = only_negatives = 0
+    for query in ("v1 v2 v3", "v7", "v1 v1 v9 v30 v31", rare, negative_only,
+                  f"{rare} {negative_only}", f"v5 {rare}", "", "???"):
+        for k in (1, 2, 3, 5, 10, 50):
+            want, positive = brute_force_web(docs, rate, dim, query, k)
+            assert [(h.url, h.score.hex()) for h in index.search(query, k)] == want, (query, k)
+            few += 0 < positive[0] < k
+            only_negatives += positive[0] == 0 < positive[1]
+    assert few > 0
+    assert only_negatives > 0 or dim != 256
