@@ -11,19 +11,19 @@ code is its slot, plus ``dim`` when its sign is negative, and ``count_rows``
 turns the codes of many rows into their signed slot counts and squared norms
 with one weighted bincount: ``embed`` divides the counts by the norms, and a
 web query is ranked by its counts themselves. The web corpus is counted
-apart, by the sparse sort and run-reduce of ``search.SlotPostings.build``: a
-dense docs x dim float64 matrix would take about 18 MB for the 9k positive
-docs of a 10k-doc corpus, while for the few rows of a query or of one doc's
-chunks the dense bincount is the faster rule. Every count is a sum of +-1
-and every squared norm a sum of squared counts, all exact integers in
-float64 (below 2^53, so for texts of fewer than ~9.4e7 tokens), so both
-rules give the same bits whatever order the sums run in.
+apart, by the sparse sort and run-reduce of ``search.WebSearchIndex.build``:
+a dense docs x dim float64 matrix would take about 20 MB for a 10k-doc
+corpus, while for the few rows of a query or of one doc's chunks the dense
+bincount is the faster rule. Every count is a sum of +-1 and every squared
+norm a sum of squared counts, all exact integers in float64 (below 2^53, so
+for texts of fewer than ~9.4e7 tokens), so both rules give the same bits
+whatever order the sums run in.
 
 Codes come from ``row_codes``, which hashes each distinct token once per call
-(once per corpus partition when the web index is built, once per doc in the
-chunk store) through a dict local to the call, so they equal the codes of
-hashing every occurrence. Nothing outlives the call: the encoder keeps no
-memo, and a second build hashes again.
+(once when the web index is built, once per doc in the chunk store) through
+a dict local to the call, so they equal the codes of hashing every
+occurrence. Nothing outlives the call: the encoder keeps no memo, and a
+second build hashes again.
 
 Evidence chunks are embedded once per doc, by the reranker's chunk store,
 the first time the doc reaches the reranker: one ``embed`` call, of which the

@@ -17,13 +17,15 @@ and with it every hit and score bit, is independent of the BLAS kernel and
 its thread count. The web index can interleave corpus items flagged as hard
 negatives at a configurable rate to mimic retrieval noise.
 
-The web index keeps each doc's signed hashed-token counts as integer slot
-postings (an inverted file, Zobel & Moffat, ACM Computing Surveys 2006) and
-ranks by the exact cosine: a query with slot counts ``q`` (sparse, read from
-its token codes) scores a doc with counts ``d`` by ``dot * |dot| / nn``, where
-``dot = q . d`` and ``nn = d . d`` are exact integers, so the key is one
-correctly rounded division. Only docs with ``dot > 0`` are ranked when there
-are at least k of them: no other key can pass theirs. Docs with
+The web index keeps every doc's signed hashed-token counts, hard negatives
+included, as one set of integer slot postings (an inverted file, Zobel &
+Moffat, ACM Computing Surveys 2006) and ranks by the exact cosine: a query
+with slot counts ``q`` (sparse, read from its token codes) scores a doc with
+counts ``d`` by ``dot * |dot| / nn``, where ``dot = q . d`` and ``nn = d . d``
+are exact integers, so the key is one correctly rounded division. One
+bincount gives every doc's ``dot``; the positives and the hard negatives are
+ranked from it apart, and in each only docs with ``dot > 0`` are ranked when
+there are at least k of them: no other key can pass theirs. Docs with
 equal exact cosines get equal keys and fall in url order. The reported score
 is ``sign * sqrt(|key| / nq)`` with ``nq = q . q``, so tied docs carry equal
 scores. Exactness bound: two different ratios ``dot**2 / nn`` differ by at
@@ -32,7 +34,7 @@ rounding moves a value by at most ``nq * 2**-53``, so ``nq * nn_max**2 <
 2**52`` keeps different keys apart; ``2**50`` also leaves room for the score's
 three roundings, so different cosines keep different scores, in key order. A
 doc beyond the bound at build, or a query beyond it at search, raises
-ValueError.
+ValueError; ``nn_max`` is the whole corpus's, hard negatives included.
 """
 
 from __future__ import annotations
@@ -169,9 +171,11 @@ def _finite(values) -> np.ndarray:
 
 
 def _bbox(values) -> tuple:
-    """A region's (x, y, w, h): exactly four numbers, else ValueError."""
-    if len(typed(values, list, "bbox")) != 4 or not all(isinstance(v, NUMBER) for v in values):
-        raise ValueError("bbox: expected four numbers")
+    """A region's (x, y, w, h): exactly four finite numbers, else ValueError
+    (a NaN or infinite side could not be clamped to the image)."""
+    if len(typed(values, list, "bbox")) != 4 or not all(
+            isinstance(v, int) or (isinstance(v, float) and math.isfinite(v)) for v in values):
+        raise ValueError("bbox: expected four finite numbers")
     return tuple(values)
 
 
@@ -218,29 +222,44 @@ def top_k(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
     return list(zip(order.tolist(), scores[order].tolist()))
 
 
-@dataclass(frozen=True)
-class SlotPostings:
-    """One partition of the web corpus as signed slot counts, by slot (CSC).
+class WebSearchIndex:
+    """Exact cosine top-k over web docs' title + snippet token counts.
 
-    Slot ``s`` holds the docs ``ids[indptr[s]:indptr[s + 1]]``, ascending,
-    with their non-zero counts ``counts[indptr[s]:indptr[s + 1]]``. ``nn`` is
+    The corpus is held in url order as signed slot counts, by slot (CSC): slot
+    ``s`` holds the docs ``_ids[_indptr[s]:_indptr[s + 1]]``, ascending, with
+    their non-zero counts ``_counts[_indptr[s]:_indptr[s + 1]]``. ``_nn`` is
     each doc's squared norm, the exact integer sum of its squared counts (1
     for a doc without tokens, whose dot products are all 0). Every count obeys
-    ``count**2 <= nn < 2**25``, so it fits an int16. ``docs`` come in url
-    order, so docs with equal keys fall by url in ``top``.
+    ``count**2 <= nn < 2**25``, so it fits an int16. ``_is_hard_negative``
+    flags the docs ranked apart from the rest and interleaved into the hits
+    at ``hard_negative_rate``; both partitions are ranked from one dot
+    product.
     """
 
-    docs: list[WebDoc]
-    indptr: list[int]
-    ids: np.ndarray     # int32
-    counts: np.ndarray  # int16
-    nn: np.ndarray      # float64 holding exact integers
-    max_nq: int         # the largest query squared norm ranked exactly
+    def __init__(self, encoder: HashedTextEncoder | None = None,
+                 hard_negative_rate: float = 0.0):
+        self.encoder = encoder or HashedTextEncoder()
+        self.hard_negative_rate = hard_negative_rate
+        self._docs: list[WebDoc]
+        self._is_hard_negative: np.ndarray  # bool, one per doc
+        self._indptr: list[int]
+        self._ids: np.ndarray     # int32
+        self._counts: np.ndarray  # int16
+        self._nn: np.ndarray      # float64 holding exact integers
+        self._max_nq: int         # the largest query squared norm ranked exactly
+        self.build([])
 
     @classmethod
-    def build(cls, docs: list[WebDoc], encoder: HashedTextEncoder) -> "SlotPostings":
-        dim, n = encoder.dim, len(docs)
-        codes, lengths = encoder.row_codes(tokenize(f"{d.title} {d.snippet}") for d in docs)
+    def ingest(cls, corpus_path: str | Path, encoder: HashedTextEncoder | None = None,
+               hard_negative_rate: float = 0.0) -> "WebSearchIndex":
+        index = cls(encoder, hard_negative_rate)
+        index.build(read_jsonl(corpus_path, WebDoc.from_dict))
+        return index
+
+    def build(self, docs: list[WebDoc]) -> "WebSearchIndex":
+        docs = _url_ordered(docs)
+        dim, n = self.encoder.dim, len(docs)
+        codes, lengths = self.encoder.row_codes(tokenize(f"{d.title} {d.snippet}") for d in docs)
         # The codes come doc by doc, so a stable sort by slot keeps each slot's
         # docs ascending: every (slot, doc) pair is one run of tokens, and the
         # runs in order are the CSC entries.
@@ -259,84 +278,60 @@ class SlotPostings:
             raise ValueError(f"a doc's squared norm {nn_max} is too large for exact "
                              f"ranking (at most {math.isqrt(EXACT_LIMIT - 1)})")
         nn[nn == 0] = 1.0
-        return cls(docs=docs, indptr=np.searchsorted(slots, np.arange(dim + 1)).tolist(),
-                   ids=ids, counts=counts.astype(np.int16), nn=nn,
-                   max_nq=(EXACT_LIMIT - 1) // max(nn_max, 1) ** 2)
-
-    def top(self, query: dict[int, int], nq: int, k: int) -> list[tuple[WebDoc, float]]:
-        """The k >= 1 best docs for a query's non-zero slot counts ``query``
-        (squared norm ``nq``), by exact cosine, ties by url, with their scores."""
-        if nq > self.max_nq:
-            raise ValueError(f"a query of squared norm {nq} is too long for exact "
-                             f"ranking (at most {self.max_nq})")
-        ids, counts, indptr = self.ids, self.counts, self.indptr
-        hit, weights = [], []
-        for slot, count in query.items():
-            lo, hi = indptr[slot], indptr[slot + 1]
-            hit.append(ids[lo:hi])
-            weights.append(counts[lo:hi] if count == 1 else counts[lo:hi] * float(count))
-        # Every partial sum is at most sqrt(nq * nn) < 2**25: exact in float64.
-        dot = np.bincount(np.concatenate(hit), np.concatenate(weights),
-                          minlength=len(self.docs)) if hit else np.zeros(len(self.docs))
-        nn, rows = self.nn, range(len(self.docs))
-        # A doc with dot <= 0 has a key <= 0 and cannot pass a positive one:
-        # with k positive dot products, the top k is among them. The subset
-        # keeps ascending positions, so ties still fall in url order.
-        positive = np.flatnonzero(dot > 0)
-        if len(positive) >= k:
-            dot, nn, rows = dot[positive], nn[positive], positive
-        keys = dot * np.abs(dot) / nn
-        return [(self.docs[rows[i]],
-                 math.copysign(math.sqrt(abs(key) / nq), key) if nq else 0.0)
-                for i, key in top_k(keys, k)]
-
-
-class WebSearchIndex:
-    """Exact cosine top-k over web docs' title + snippet token counts."""
-
-    def __init__(self, encoder: HashedTextEncoder | None = None,
-                 hard_negative_rate: float = 0.0):
-        self.encoder = encoder or HashedTextEncoder()
-        self.hard_negative_rate = hard_negative_rate
-        # Positives and hard negatives are ranked apart, each over its own
-        # postings.
-        self._positives: SlotPostings
-        self._negatives: SlotPostings
-        self.build([])
-
-    @classmethod
-    def ingest(cls, corpus_path: str | Path, encoder: HashedTextEncoder | None = None,
-               hard_negative_rate: float = 0.0) -> "WebSearchIndex":
-        index = cls(encoder, hard_negative_rate)
-        index.build(read_jsonl(corpus_path, WebDoc.from_dict))
-        return index
-
-    def build(self, docs: list[WebDoc]) -> "WebSearchIndex":
-        docs = _url_ordered(docs)
-        self._positives = SlotPostings.build(
-            [d for d in docs if not d.is_hard_negative], self.encoder)
-        self._negatives = SlotPostings.build(
-            [d for d in docs if d.is_hard_negative], self.encoder)
+        self._docs = docs
+        self._is_hard_negative = np.array([d.is_hard_negative for d in docs], dtype=bool)
+        self._indptr = np.searchsorted(slots, np.arange(dim + 1)).tolist()
+        self._ids, self._counts, self._nn = ids, counts.astype(np.int16), nn
+        self._max_nq = (EXACT_LIMIT - 1) // max(nn_max, 1) ** 2
         return self
 
     def __len__(self) -> int:
-        return len(self._positives.docs) + len(self._negatives.docs)
+        return len(self._docs)
 
     def search(self, query: str, k: int) -> list[SearchHit]:
         if k < 0:
             raise ValueError("k must be non-negative")
         k = min(k, WEB_RESULT_CAP)
-        if k == 0 or not len(self):
+        if k == 0 or not self._docs:
             return []
-        counts, nq = _slot_counts(self.encoder.row_codes([tokenize(query)])[0],
-                                  self.encoder.dim)
+        slots, nq = _slot_counts(self.encoder.row_codes([tokenize(query)])[0],
+                                 self.encoder.dim)
+        if nq > self._max_nq:
+            raise ValueError(f"a query of squared norm {nq} is too long for exact "
+                             f"ranking (at most {self._max_nq})")
+        ids, counts, indptr, n = self._ids, self._counts, self._indptr, len(self._docs)
+        hit, weights = [], []
+        for slot, count in slots.items():
+            lo, hi = indptr[slot], indptr[slot + 1]
+            hit.append(ids[lo:hi])
+            weights.append(counts[lo:hi] if count == 1 else counts[lo:hi] * float(count))
+        # Every partial sum is at most sqrt(nq * nn) < 2**25: exact in float64.
+        dot = np.bincount(np.concatenate(hit), np.concatenate(weights),
+                          minlength=n) if hit else np.zeros(n)
         # merged[:k] never holds more than k of either partition, so the top k
         # of each is enough.
-        positives = self._positives.top(counts, nq, k)
-        negatives = (self._negatives.top(counts, nq, k)
-                     if self.hard_negative_rate > 0 else [])
+        hard = self._is_hard_negative
+        positives = self._top(dot, ~hard, nq, k)
+        negatives = self._top(dot, hard, nq, k) if self.hard_negative_rate > 0 else []
         merged = _interleave(positives, negatives, self.hard_negative_rate)
         return [SearchHit(Source.WEB, score, d) for d, score in merged[:k]]
+
+    def _top(self, dot: np.ndarray, part: np.ndarray, nq: int,
+             k: int) -> list[tuple[WebDoc, float]]:
+        """The k >= 1 best docs of one partition (a mask over the corpus) for
+        a query's dot products ``dot`` (squared norm ``nq``), by exact cosine,
+        ties by url, with their scores."""
+        # A doc with dot <= 0 has a key <= 0 and cannot pass a positive one:
+        # with k positive dot products, the top k is among them. The rows stay
+        # ascending, so ties still fall in url order.
+        rows = np.flatnonzero(part & (dot > 0))
+        if len(rows) < k:
+            rows = np.flatnonzero(part)
+        dot = dot[rows]
+        keys = dot * np.abs(dot) / self._nn[rows]
+        return [(self._docs[rows[i]],
+                 math.copysign(math.sqrt(abs(key) / nq), key) if nq else 0.0)
+                for i, key in top_k(keys, k)]
 
 
 def _slot_counts(codes: np.ndarray, dim: int) -> tuple[dict[int, int], int]:
@@ -358,9 +353,8 @@ def _interleave(positives: list, negatives: list, rate: float) -> list:
 
     Once the negatives run out, the remaining positives follow uninterrupted,
     so the loop ends even at a rate where ``credit -= 1.0`` changes nothing.
+    At a rate <= 0 the credit never reaches 1, so no negative is injected.
     """
-    if rate <= 0 or not negatives:
-        return list(positives)
     out = []
     pool = iter(negatives)
     credit = 0.0

@@ -36,6 +36,8 @@ WRONG_TYPED_FIELDS = [
     ("kg_corpus", "attributes", {"price": None}),
     ("kg_corpus", "attributes", {"colours": ["red"]}),
     ("kg_corpus", "attributes", {"size": {"width": 3}}),
+    ("image_fixtures", "bbox", [math.nan, 0, 5, 5]),
+    ("image_fixtures", "bbox", [0, 0, math.inf, 5]),
 ]
 
 

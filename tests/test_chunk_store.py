@@ -168,7 +168,7 @@ def test_long_html_docs_give_the_traces_of_per_chunk_encoding(long_docs_world,
                                                               monkeypatch):
     config, sessions = long_docs_world
     runtime = build_runtime(config)
-    docs = runtime.web_index._positives.docs + runtime.web_index._negatives.docs
+    docs = runtime.web_index._docs
     assert len(docs) == 100
     assert all(len(doc.html) > 10_000 for doc in docs)
     reference = assert_cold_and_warm_stores_match_the_reference(

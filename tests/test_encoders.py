@@ -14,7 +14,7 @@ from dynarag.encoders import (
 )
 from dynarag.config import RerankConfig
 from dynarag.reranker import ChunkCodeStore
-from dynarag.search import SlotPostings, WebDoc, WebSearchIndex
+from dynarag.search import WebDoc, WebSearchIndex
 
 
 def oracle_encode_tokens(tokens, dim=256):
@@ -168,31 +168,37 @@ def test_multivector_matches_the_per_group_oracle_bit_for_bit(n):
                         oracle_multivector(question, embedding, n))
 
 
+def postings_by_doc(index) -> list[dict[int, int]]:
+    """Each doc's ``{slot: count}`` read back from the index's postings,
+    after checking that every slot lists its docs ascending, each once."""
+    got = [{} for _ in index._docs]
+    for slot in range(index.encoder.dim):
+        lo, hi = index._indptr[slot], index._indptr[slot + 1]
+        ids = index._ids[lo:hi].tolist()
+        assert ids == sorted(set(ids))
+        for i, count in zip(ids, index._counts[lo:hi].tolist()):
+            got[i][slot] = count
+    return got
+
+
 def test_web_index_postings_match_the_per_token_oracle_bit_for_bit():
     docs = [WebDoc(url=f"https://d/{i}", title=f"Doc {i}" if i % 7 else "",
                    snippet=" ".join(tokens) or "???",
                    is_hard_negative=bool(i % 4 == 0))
             for i, tokens in enumerate(random_token_lists(seed=3, count=40))]
     index = WebSearchIndex(HashedTextEncoder(), hard_negative_rate=0.5).build(docs)
-    for postings, hard in ((index._positives, False), (index._negatives, True)):
-        part = sorted((d for d in docs if d.is_hard_negative == hard), key=lambda d: d.url)
-        want = [oracle_slot_counts(tokenize(f"{d.title} {d.snippet}")) for d in part]
-        assert postings.docs == part
-        assert postings.ids.dtype == np.int32 and postings.counts.dtype == np.int16
-        assert postings.indptr[0] == 0 and postings.indptr[-1] == len(postings.ids)
-        got = [{} for _ in part]
-        for slot in range(256):
-            lo, hi = postings.indptr[slot], postings.indptr[slot + 1]
-            ids = postings.ids[lo:hi].tolist()
-            assert ids == sorted(set(ids))
-            for i, count in zip(ids, postings.counts[lo:hi].tolist()):
-                got[i][slot] = count
-        assert got == want
-        nn = np.array([float(sum(c * c for c in counts.values()) or 1) for counts in want])
-        assert_bits(postings.nn, nn)
+    ordered = sorted(docs, key=lambda d: d.url)
+    want = [oracle_slot_counts(tokenize(f"{d.title} {d.snippet}")) for d in ordered]
+    assert index._docs == ordered
+    assert index._is_hard_negative.tolist() == [d.is_hard_negative for d in ordered]
+    assert 0 < sum(index._is_hard_negative) < len(docs)
+    assert index._ids.dtype == np.int32 and index._counts.dtype == np.int16
+    assert index._indptr[0] == 0 and index._indptr[-1] == len(index._ids)
+    assert postings_by_doc(index) == want
+    nn = np.array([float(sum(c * c for c in counts.values()) or 1) for counts in want])
+    assert_bits(index._nn, nn)
     # A snippet without a token gives a doc with no postings and nn 1.
-    assert any(not counts for counts in
-               (oracle_slot_counts(tokenize(f"{d.title} {d.snippet}")) for d in docs))
+    assert any(not counts for counts in want)
 
 
 def oracle_code(token, dim=256) -> int:
@@ -260,16 +266,15 @@ def corpus(seed=3, count=80):
             for i, tokens in enumerate(random_token_lists(seed=seed, count=count))]
 
 
-def test_web_index_build_hashes_each_distinct_token_once_per_partition(monkeypatch):
+def test_web_index_build_hashes_each_distinct_token_once_per_build(monkeypatch):
     docs = corpus()
     encoder = HashedTextEncoder()
     seen = count_sha1_inputs(monkeypatch)
     WebSearchIndex(encoder, hard_negative_rate=0.5).build(docs)
-    want: Counter = Counter()
-    for hard in (False, True):
-        want.update({token.encode("utf-8"): 1 for d in docs if d.is_hard_negative == hard
-                     for token in tokenize(f"{d.title} {d.snippet}")})
-    assert max(want.values()) == 2  # "doc" is in both partitions
+    want = Counter({token.encode("utf-8"): 1 for d in docs
+                    for token in tokenize(f"{d.title} {d.snippet}")})
+    # "doc" is in positives and hard negatives alike, and is hashed once.
+    assert {d.is_hard_negative for d in docs if "doc" in tokenize(d.title)} == {False, True}
     assert seen == want
     assert sum(seen.values()) < sum(len(tokenize(f"{d.title} {d.snippet}")) for d in docs) / 5
 
@@ -293,10 +298,9 @@ def test_building_and_chunking_leave_no_state_on_the_encoder():
         store.chunked(hit, config)
     assert encoder_state(encoder) == before
     second = WebSearchIndex(encoder, hard_negative_rate=0.5).build(docs)
-    for a, b in ((first._positives, second._positives), (first._negatives, second._negatives)):
-        assert a.indptr == b.indptr
-        for name in ("ids", "counts", "nn"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert first._indptr == second._indptr
+    for name in ("_ids", "_counts", "_nn", "_is_hard_negative"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
 
 @pytest.mark.parametrize("dim", [1, 7, 40000])
@@ -305,19 +309,13 @@ def test_postings_at_any_dim_match_the_per_token_oracle(dim):
     docs = corpus(seed=dim, count=30) + [
         WebDoc(url="https://d/empty", title="", snippet="???"),
         WebDoc(url="https://d/twice", title="", snippet="a a b b a")]
-    postings = SlotPostings.build(sorted(docs, key=lambda d: d.url), HashedTextEncoder(dim))
-    want = [oracle_slot_counts(tokenize(f"{d.title} {d.snippet}"), dim) for d in postings.docs]
-    got = [{} for _ in postings.docs]
-    for slot in range(dim):
-        lo, hi = postings.indptr[slot], postings.indptr[slot + 1]
-        ids = postings.ids[lo:hi].tolist()
-        assert ids == sorted(set(ids))
-        for i, count in zip(ids, postings.counts[lo:hi].tolist()):
-            got[i][slot] = count
-    assert got == want
-    assert postings.nn.tolist() == [float(sum(c * c for c in w.values()) or 1) for w in want]
-    empty = SlotPostings.build([], HashedTextEncoder(dim))
-    assert empty.indptr == [0] * (dim + 1) and len(empty.ids) == len(empty.nn) == 0
+    index = WebSearchIndex(HashedTextEncoder(dim)).build(docs)
+    want = [oracle_slot_counts(tokenize(f"{d.title} {d.snippet}"), dim) for d in index._docs]
+    assert postings_by_doc(index) == want
+    assert index._nn.tolist() == [float(sum(c * c for c in w.values()) or 1) for w in want]
+    empty = WebSearchIndex(HashedTextEncoder(dim))
+    assert empty._indptr == [0] * (dim + 1)
+    assert len(empty._ids) == len(empty._nn) == len(empty._is_hard_negative) == 0
 
 
 def test_tokenize_lowercases_and_keeps_apostrophes():

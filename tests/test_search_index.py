@@ -680,7 +680,7 @@ def web_scale_world(tmp_path_factory):
 
 def test_generated_world_top_10_matches_the_fraction_oracle(web_scale_world):
     index, questions = web_scale_world
-    docs = index._positives.docs + index._negatives.docs
+    docs = index._docs
     assert len(docs) == 1000 and index.hard_negative_rate > 0
     oracle = ExactWebOracle(docs, index.hard_negative_rate)
     queries = questions + [d.title for d in docs[:300]]
@@ -744,10 +744,8 @@ def test_web_index_holds_no_dense_matrix():
                    is_hard_negative=bool(i % 10 == 0))
             for i in range(2000)]
     index = WebSearchIndex(hard_negative_rate=0.1).build(docs)
-    parts = (index._positives, index._negatives)
-    arrays = [v for obj in (index, *parts) for v in vars(obj).values()
-              if isinstance(v, np.ndarray)]
-    entries = sum(len(part.ids) for part in parts)
+    arrays = [v for v in vars(index).values() if isinstance(v, np.ndarray)]
+    entries = len(index._ids)
     dim = index.encoder.dim
     assert sum(a.nbytes for a in arrays) <= 16 * entries + 16 * (dim + 1) + 16 * len(docs)
     # The dense float64 matrices this replaces held dim floats per doc.
@@ -769,6 +767,17 @@ def test_web_index_raises_beyond_the_exactness_bound():
         WebSearchIndex().build([WebDoc(url="https://b/longer", title="",
                                        snippet="w " * 5793)])
     WebSearchIndex().build([WebDoc(url="https://b/longest", title="", snippet="w " * 5792)])
+
+
+def test_one_exactness_bound_covers_the_hard_negatives_at_rate_zero():
+    # One bound for the whole corpus: a long hard negative limits the query
+    # length even at rate 0, where no hard negative is ranked.
+    long_doc = WebDoc(url="https://b/long", title="", snippet="w " * 4096,
+                      is_hard_negative=True)
+    index = WebSearchIndex(hard_negative_rate=0.0).build([long_doc, doc(1, "other words")])
+    assert [(h.url, h.score) for h in index.search("w", 2)] == [("https://d/001", 0.0)]
+    with pytest.raises(ValueError, match="too long for exact ranking"):
+        index.search("w w", 2)  # nq 4 > 3, the long doc's bound
 
 
 def brute_force_web(docs, rate, dim, text, k):
