@@ -9,7 +9,8 @@ Detection and crop embeddings come from per-image fixtures (no pixel models
 here); verification reads a fixture flag on the KG entry. Without candidates
 the whole image is searched; when the turn's image has no fixture nothing is.
 A failed or undecodable model call falls back (no candidates, the first
-candidate); a model call past the turn's deadline ends the turn.
+candidate); a name that is not a JSON string makes its reply undecodable. A
+model call past the turn's deadline ends the turn.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import typed
 from .gateway import TurnModel, last_line_json
 from .search import ImageKgIndex, ImageRecord, ImageStore, KgEntry, SearchHit, fuse_hits
 
@@ -77,9 +79,9 @@ def visual_match(entry: KgEntry) -> float | None:
         return 0.0
 
 
-def _object_list(response) -> list:
+def _object_list(response) -> list[str]:
     names = last_line_json(response)["object_list"]
-    if not isinstance(names, list):
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError("object_list is not a list of names")
     return names
 
@@ -108,7 +110,7 @@ class ImageSearchAgent:
 
         candidates: list[str] = []
         for raw in names:
-            name = _normalize_name(str(raw))
+            name = _normalize_name(raw)
             if not name or name in ACTION_BLACKLIST:
                 continue
             candidates.append(name)
@@ -123,7 +125,8 @@ class ImageSearchAgent:
             return candidates[0]
 
         chosen = model.try_generate(
-            "object_select", lambda r: _normalize_name(str(last_line_json(r)["object"])),
+            "object_select",
+            lambda r: _normalize_name(typed(last_line_json(r)["object"], str, "object")),
             object_list=json.dumps(candidates))
         if chosen is None:
             return candidates[0]

@@ -1,11 +1,16 @@
 """Per-turn pipeline execution under deadlines, and multi-turn sessions.
 
-A turn flows pre-answer -> search router -> branch chain:
+A turn flows pre-answer -> search router. On ``direct_output`` the draft
+answer ships as-is. Both search branches run one chain, and the branch only
+switches its steps on and off:
 
-  direct_output : nothing else; the draft answer ships as-is.
-  search_verify : text toolchain -> rerank -> dual verification of the draft.
-  rag_augment   : tool router -> visual toolchain (if image search is on) ->
-                  text toolchain -> rerank -> generation -> dual verification.
+  tool router       rag_augment only, then the session image rule
+  visual toolchain  rag_augment, when the tool decision asks for image search
+  text toolchain    always on search_verify; on rag_augment when the tool
+                    decision asks for text search
+  rerank            both
+  generation        rag_augment; search_verify keeps the draft as it is
+  verification      both: the white-box token check and the model verdict
 
 The modules a turn runs belong to the ``PipelineRuntime``; an orchestrator
 is that runtime plus the clock its turns are timed on. Each turn binds the
@@ -175,12 +180,12 @@ class Orchestrator:
                 route = route_search(trace)
 
             if route.branch is Branch.DIRECT_OUTPUT:
-                answer = self._direct_answer(trace)
-            elif route.branch is Branch.SEARCH_VERIFY:
-                answer, evidence = self._run_verify(model, session, trace, stage)
+                answer = finalize(" ".join(trace.steps), trace.draft_answer,
+                                  TokenStats.from_probs(trace.token_probs), True,
+                                  Verdict.CORRECT)
             else:
-                answer, evidence, tools, entity_name = self._run_rag(
-                    model, session, trace, stage
+                answer, evidence, tools, entity_name = self._search_chain(
+                    model, session, trace, route.branch, stage
                 )
         except DynaragError as exc:
             logger.info("turn %s fell back: %s", key, exc)
@@ -207,73 +212,57 @@ class Orchestrator:
         )
         return answer.final_answer, trace_out
 
-    def _direct_answer(self, trace: ReasoningTrace) -> VerifiedAnswer:
-        stats = TokenStats.from_probs(trace.token_probs or (1.0,))
-        return finalize(" ".join(trace.steps), trace.draft_answer, stats, True,
-                        Verdict.CORRECT)
-
-    def _run_verify(self, model, session, trace, stage):
-        with stage("text_search"):
-            hits = self._text_hits(model, session, trace, None)
-        evidence = self._rerank_stage(model, hits, stage)
-        with stage("verify"):
-            stats = TokenStats.from_probs(trace.token_probs or (1.0,))
-            answer = self.runtime.post_answer.verify_and_finalize(
-                model, evidence.text, " ".join(trace.steps), trace.draft_answer, stats
-            )
-        return answer, evidence
-
-    def _run_rag(self, model, session, trace, stage):
-        cfg = self.runtime.config
-        with stage("route_tools"):
-            tools = route_tools(model.query, trace, model.image_ref, cfg.routing)
-            tools = self._apply_session_image_rule(tools, trace, session)
-
+    def _search_chain(self, model, session, trace, branch, stage):
+        """The chain both search branches run, steps as the module docstring
+        lists them. Returns (answer, evidence, tools, entity name)."""
+        runtime = self.runtime
+        cfg = runtime.config
+        augment = branch is Branch.RAG_AUGMENT
+        tools: ToolDecision | None = None
         hits: list[SearchHit] = []
         entity = None
-        if tools.need_image_search:
-            with stage("image_search"):
-                image_hits, entity = self.runtime.image_agent.ground(
-                    model, cfg.agents.object_num, cfg.agents.k_per_query
-                )
-                hits.extend(image_hits)
+        if augment:
+            with stage("route_tools"):
+                tools = route_tools(model.query, trace, model.image_ref, cfg.routing)
+                tools = self._apply_session_image_rule(tools, trace, session)
+            if tools.need_image_search:
+                with stage("image_search"):
+                    hits, entity = runtime.image_agent.ground(
+                        model, cfg.agents.object_num, cfg.agents.k_per_query
+                    )
 
-        if tools.need_text_search:
+        if tools is None or tools.need_text_search:
             with stage("text_search"):
-                hits.extend(self._text_hits(model, session, trace, entity))
+                agent = runtime.text_agent
+                subqueries = agent.rephrase_and_split(
+                    model, trace, self._visual_context(entity, trace, session)
+                )
+                if entity is not None:
+                    subqueries.append(agent.fuse_object(model.query, entity))
+                hits = hits + agent.text_search(subqueries)
 
-        evidence = self._rerank_stage(model, hits, stage)
-        with stage("generate"):
-            reason, answer_text, stats = self.runtime.post_answer.generate_answer(
-                model, evidence.text
-            )
-        with stage("verify"):
-            answer = self.runtime.post_answer.verify_and_finalize(
-                model, evidence.text, reason, answer_text, stats
-            )
-        return answer, evidence, tools, (entity.entity_name if entity else None)
-
-    def _text_hits(self, model, session, trace, entity) -> list[SearchHit]:
-        """Decomposed (and, with a verified entity, object-fused) web search."""
-        agent = self.runtime.text_agent
-        subqueries = agent.rephrase_and_split(
-            model, trace, self._visual_context(entity, trace, session)
-        )
-        if entity is not None:
-            subqueries.append(agent.fuse_object(model.query, entity))
-        return agent.text_search(subqueries)
-
-    def _rerank_stage(self, model, hits, stage) -> AssembledContext:
-        runtime = self.runtime
         with stage("rerank"):
-            return rerank(
+            evidence = rerank(
                 model.query,
                 runtime.image_store.embedding(model.image_ref),
                 hits,
-                runtime.config.rerank,
+                cfg.rerank,
                 runtime.query_encoder,
                 runtime.chunk_store,
             )
+        if augment:
+            with stage("generate"):
+                reason, answer_text, stats = runtime.post_answer.generate_answer(
+                    model, evidence.text
+                )
+        else:
+            reason, answer_text = " ".join(trace.steps), trace.draft_answer
+            stats = TokenStats.from_probs(trace.token_probs)
+        with stage("verify"):
+            answer = runtime.post_answer.verify_and_finalize(
+                model, evidence.text, reason, answer_text, stats
+            )
+        return answer, evidence, tools, (entity.entity_name if entity else None)
 
     @staticmethod
     def _visual_context(entity, trace: ReasoningTrace,

@@ -7,9 +7,10 @@ that text: the first reasoning step embeds the original question verbatim, so
 every cue the router needs is recoverable from the trace alone.
 
 A reply is read in one pass over its lines. A numbered line is a step; a
-``{...}`` line is a summary line, and the last one that decodes as JSON gives
-both the draft answer and the numeric-answer flag. The object name is read
-from every step, also past the ``MAX_STEPS`` cut.
+``{...}`` line is a summary line, and the last one that decodes as JSON with
+a string or number ``answer`` gives both the draft answer and the
+numeric-answer flag. The object name is read from every step, also past the
+``MAX_STEPS`` cut.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .config import DomainConfig, RoutingConfig
 from .encoders import HashedTextEncoder, tokenize
+from .errors import NUMBER, typed
 from .gateway import TurnModel
 from .prompts import CANNOT_DETERMINE, examples_for_domain
 
@@ -141,7 +143,8 @@ def _read(text: str) -> _Reply:
     for line in text.splitlines():
         if _JSON_LINE_RE.match(line):
             try:
-                answer = str(json.loads(line).get("answer", "")).strip()
+                value = json.loads(line).get("answer", "")
+                answer = str(typed(value, (str, *NUMBER), "answer")).strip()
             except (ValueError, RecursionError):  # nested past the recursion limit
                 pass
             continue

@@ -174,7 +174,7 @@ def _bbox(values) -> tuple:
     """A region's (x, y, w, h): exactly four finite numbers, else ValueError
     (a NaN or infinite side could not be clamped to the image)."""
     if len(typed(values, list, "bbox")) != 4 or not all(
-            isinstance(v, int) or (isinstance(v, float) and math.isfinite(v)) for v in values):
+            isinstance(typed(v, NUMBER, "bbox"), int) or math.isfinite(v) for v in values):
         raise ValueError("bbox: expected four finite numbers")
     return tuple(values)
 

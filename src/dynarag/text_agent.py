@@ -8,8 +8,9 @@ object-aware query. Sub-queries are plain strings: the web search reads
 nothing else.
 Per-sub-query searches are merged by ``search.fuse_hits``, the same
 max-score url dedup as the image-side fusion. A failed or undecodable
-decomposition falls back to the original question; a model call past the
-turn's deadline ends the turn.
+decomposition (a sub-query text that is not a JSON string included) falls
+back to the original question; a model call past the turn's deadline ends
+the turn.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import logging
 import re
 from dataclasses import dataclass
 
+from .errors import typed
 from .gateway import TurnModel, last_line_json
 from .image_agent import VerifiedEntity
 from .preanswer import ReasoningTrace
@@ -84,7 +86,7 @@ class TextSearchAgent:
                     int(step)
                 except (TypeError, OverflowError):  # a list, an object, Infinity
                     raise ValueError(f"step {step!r} is not an integer") from None
-            text = str(item["text"])
+            text = typed(item["text"], str, "sub-query text")
             if not text.strip():
                 raise ValueError("sub-query text must be non-empty")
             subs.append(text)

@@ -38,6 +38,7 @@ WRONG_TYPED_FIELDS = [
     ("kg_corpus", "attributes", {"size": {"width": 3}}),
     ("image_fixtures", "bbox", [math.nan, 0, 5, 5]),
     ("image_fixtures", "bbox", [0, 0, math.inf, 5]),
+    ("image_fixtures", "bbox", [True, 0, 5, 5]),
 ]
 
 

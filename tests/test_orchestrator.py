@@ -172,6 +172,9 @@ CAFE_STAGES = ["pre_answer", "route_search", "route_tools", "image_search",
     ("decompose", '[{"text": "a"}]', "decomposition failed"),
     ("decompose", '{"sub_queries": [{"text": "a", "step": [1]}]}',
      "decomposition failed"),
+    ("decompose", '{"sub_queries": [{"text": null}]}', "decomposition failed"),
+    ("object_list", '{"object_list": [null, "cafe"]}', "object extraction failed"),
+    ("object_list", '{"object_list": ["cafe", 5]}', "object extraction failed"),
 ])
 def test_wrong_shape_reply_falls_back_inside_its_agent(world_runtime, caplog,
                                                       template, reply, warning):
@@ -184,7 +187,8 @@ def test_wrong_shape_reply_falls_back_inside_its_agent(world_runtime, caplog,
     assert not trace.answer.fallback
 
 
-@pytest.mark.parametrize("reply", ['["cafe"]', "7", '"cafe"'])
+@pytest.mark.parametrize("reply", ['["cafe"]', "7", '"cafe"', '{"object": 7}',
+                                   '{"object": ["cafe"]}'])
 def test_wrong_shape_object_select_falls_back_to_the_first_candidate(
         world_runtime, monkeypatch, reply):
     runtime = scripted(world_runtime,

@@ -174,6 +174,24 @@ def test_a_summary_line_nested_past_the_recursion_limit_does_not_decode():
     assert trace.draft_answer == "The answer is 42."
 
 
+@pytest.mark.parametrize("answer, draft", [
+    (12, "12"),
+    (2.5, "2.5"),
+    # Any other value does not decode, so the draft is the last step.
+    (None, 'The sign reads "Open".'),
+    (True, 'The sign reads "Open".'),
+    (["Open"], 'The sign reads "Open".'),
+    ({"text": "Open"}, 'The sign reads "Open".'),
+])
+def test_only_a_string_or_number_summary_answer_gives_the_draft(answer, draft):
+    text = "\n".join([
+        '1. The exact name of the object that the query "q" is about is the sign.',
+        '2. The sign reads "Open".',
+        json.dumps({"reasoning": "read it", "answer": answer}),
+    ])
+    assert parse_trace(text, ROUTING).draft_answer == draft
+
+
 def test_parse_failure_inside_module_is_conservative():
     module = make_module()
     domain = module.classify_domain("q")
