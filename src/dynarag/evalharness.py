@@ -13,7 +13,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -134,19 +134,7 @@ class EvalReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "accuracy": self.accuracy,
-                "overlap": self.overlap,
-                "elapse": self.elapse,
-                "n": self.n,
-                "per_taxonomy": self.per_taxonomy,
-                "records": self.records,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_markdown(self) -> str:
         lines = [
@@ -178,21 +166,13 @@ def _aggregate(rows: list[dict]) -> dict:
 
 
 def build_report(rows: list[dict]) -> EvalReport:
-    overall = _aggregate(rows)
     per_taxonomy: dict[str, dict[str, dict]] = {}
     for axis in TAXONOMY_AXES:
         groups: dict[str, list[dict]] = {}
         for row in rows:
             groups.setdefault(row[axis], []).append(row)
         per_taxonomy[axis] = {label: _aggregate(g) for label, g in groups.items()}
-    return EvalReport(
-        accuracy=overall["accuracy"],
-        overlap=overall["overlap"],
-        elapse=overall["elapse"],
-        n=overall["n"],
-        per_taxonomy=per_taxonomy,
-        records=rows,
-    )
+    return EvalReport(**_aggregate(rows), per_taxonomy=per_taxonomy, records=rows)
 
 
 def _row(record: EvalRecord, final_answer: str,

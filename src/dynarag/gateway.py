@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import (
@@ -95,13 +95,7 @@ class FixtureEntry:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "template_id": self.template_id,
-            "fixture_key": self.fixture_key,
-            "text": self.text,
-            "token_probs": list(self.token_probs),
-            "latency_ms": self.latency_ms,
-        }
+        return {**asdict(self), "token_probs": list(self.token_probs)}
 
 
 class ScriptedBackend:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import difflib
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass
 
@@ -62,8 +63,8 @@ def visual_match(entry: KgEntry) -> float | None:
     """The entry's scripted `visual_match` attribute as a score in [0, 1].
 
     Values accepted: "true"/"false" (or "yes"/"no") or a float, clamped;
-    anything else scores 0. Entries without the flag return None and the
-    caller falls back to the retrieval similarity.
+    anything else, NaN included, scores 0. Entries without the flag return
+    None and the caller falls back to the retrieval similarity.
     """
     raw = entry.attributes.get("visual_match")
     if raw is None:
@@ -74,9 +75,10 @@ def visual_match(entry: KgEntry) -> float | None:
     if lowered in ("false", "no"):
         return 0.0
     try:
-        return max(0.0, min(1.0, float(lowered)))
+        score = float(lowered)
     except ValueError:
         return 0.0
+    return 0.0 if math.isnan(score) else max(0.0, min(1.0, score))
 
 
 def _object_list(response) -> list[str]:
@@ -84,6 +86,15 @@ def _object_list(response) -> list[str]:
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError("object_list is not a list of names")
     return names
+
+
+def _selected_object(response) -> str:
+    """The reply's object, normalized; ValueError when no word is left, so an
+    empty selection falls back to the first candidate."""
+    name = _normalize_name(typed(last_line_json(response)["object"], str, "object"))
+    if not name:
+        raise ValueError("selected object has no word")
+    return name
 
 
 def _whole_image(record: ImageRecord) -> Region:
@@ -124,15 +135,13 @@ class ImageSearchAgent:
         if len(candidates) == 1:
             return candidates[0]
 
-        chosen = model.try_generate(
-            "object_select",
-            lambda r: _normalize_name(typed(last_line_json(r)["object"], str, "object")),
-            object_list=json.dumps(candidates))
+        chosen = model.try_generate("object_select", _selected_object,
+                                    object_list=json.dumps(candidates))
         if chosen is None:
             return candidates[0]
         if chosen in candidates:
             return chosen
-        head = chosen.split()[-1] if chosen else ""
+        head = chosen.split()[-1]
         if head in candidates:
             # Model answered "red car" against candidate "car".
             return head

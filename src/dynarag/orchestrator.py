@@ -40,8 +40,8 @@ from __future__ import annotations
 import logging
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-
+from dataclasses import asdict, dataclass, field
+from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import BackendTimeout, DynaragError
@@ -327,45 +327,31 @@ def check_session(turns: list[QueryTurn]) -> None:
             f"turn indices must be contiguous from 0 in session {turns[0].session_id!r}")
 
 
+def _enum_values(items: list[tuple[str, object]]) -> dict:
+    """``asdict`` factory that writes an enum member as its plain value."""
+    return {key: value.value if isinstance(value, Enum) else value
+            for key, value in items}
+
+
 def trace_to_dict(trace: PipelineTrace) -> dict:
-    """JSON-serializable view of a pipeline trace."""
-    answer = trace.answer
+    """JSON-serializable view of a pipeline trace.
+
+    ``route`` (with its ``features``), ``tools`` and ``answer`` (with its
+    ``stats``) are their dataclasses' fields in declaration order, enums as
+    their values; each evidence chunk is its id followed by its
+    ``ChunkScore`` fields. A field added to any of those dataclasses enters
+    the trace by itself and moves the digests pinned in
+    ``tests/data/trace_digests.json``.
+    """
     return {
-        "route": {
-            "branch": trace.route.branch.value,
-            "rationale": trace.route.rationale,
-            "features": dict(vars(trace.route.features)),
-        },
-        "tools": None if trace.tools is None else {
-            "need_image_search": trace.tools.need_image_search,
-            "need_text_search": trace.tools.need_text_search,
-            "rationale": trace.tools.rationale,
-        },
+        "route": asdict(trace.route, dict_factory=_enum_values),
+        "tools": None if trace.tools is None else asdict(trace.tools, dict_factory=_enum_values),
         "evidence": None if trace.evidence is None else {
             "text": trace.evidence.text,
-            "chunks": [
-                {
-                    "chunk_id": chunk.chunk_id,
-                    "coarse": score.coarse,
-                    "fine": score.fine,
-                    "cumulative": score.cumulative,
-                }
-                for chunk, score in trace.evidence.chunks
-            ],
+            "chunks": [{"chunk_id": chunk.chunk_id, **asdict(score)}
+                       for chunk, score in trace.evidence.chunks],
         },
-        "answer": {
-            "reason": answer.reason,
-            "answer": answer.answer,
-            "final_answer": answer.final_answer,
-            "white_box_pass": answer.white_box_pass,
-            "model_verdict": answer.model_verdict.value,
-            "fallback": answer.fallback,
-            "stats": {
-                "s_min": answer.stats.s_min,
-                "s_mean": answer.stats.s_mean,
-                "count": answer.stats.count,
-            },
-        },
+        "answer": asdict(trace.answer, dict_factory=_enum_values),
         "stage_timings": dict(trace.stage_timings),
         "stages": trace.stages,
         "entity_name": trace.entity_name,

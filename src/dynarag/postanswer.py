@@ -46,11 +46,11 @@ class TokenStats:
 class VerifiedAnswer:
     reason: str
     answer: str
-    stats: TokenStats
+    final_answer: str
     white_box_pass: bool
     model_verdict: Verdict
-    final_answer: str
     fallback: bool
+    stats: TokenStats
 
 
 def white_box_verify(stats: TokenStats, cfg: VerifierConfig) -> bool:

@@ -40,7 +40,7 @@ ValueError; ``nn_max`` is the whole corpus's, hard negatives included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -86,14 +86,7 @@ class WebDoc:
         return doc
 
     def to_dict(self) -> dict:
-        return {
-            "url": self.url,
-            "title": self.title,
-            "snippet": self.snippet,
-            "html": self.html,
-            "timestamp": self.timestamp,
-            "is_hard_negative": self.is_hard_negative,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -115,13 +108,19 @@ class KgEntry:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "KgEntry":
-        attributes = typed(raw.get("attributes", {}), dict, "attributes")
+        """Attribute keys are lowercased; two keys that then coincide would
+        hide one fact, so they raise ValueError."""
+        attributes = {}
+        for k, v in typed(raw.get("attributes", {}), dict, "attributes").items():
+            key = str(k).lower()
+            if key in attributes:
+                raise ValueError(f"attributes: key {k!r} repeats {key!r} after lowercasing")
+            attributes[key] = str(typed(v, (str, *NUMBER, bool), f"attributes.{k}"))
         return cls(
             entity_name=typed(raw["entity_name"], str, "entity_name"),
             url=typed(raw["url"], str, "url"),
             image_embedding=raw["image_embedding"],
-            attributes={str(k).lower(): str(typed(v, (str, *NUMBER, bool), f"attributes.{k}"))
-                        for k, v in attributes.items()},
+            attributes=attributes,
         )
 
     def to_dict(self) -> dict:

@@ -297,6 +297,7 @@ def test_ground_without_image_fixture_finds_nothing():
 @pytest.mark.parametrize("raw, score", [
     ("true", 1.0), ("Yes", 1.0), ("false", 0.0), ("no", 0.0),
     ("0.7", 0.7), ("1.5", 1.0), ("-2", 0.0), ("maybe", 0.0), (None, None),
+    ("nan", 0.0), ("NaN", 0.0), ("-nan", 0.0),
 ])
 def test_visual_match_reads_the_scripted_flag(raw, score):
     attributes = {} if raw is None else {"visual_match": raw}

@@ -66,6 +66,29 @@ def test_cafe_turn_runs_full_rag_chain(world_runtime):
     assert "James Freeman" in trace.evidence.text
 
 
+def test_a_rag_trace_keeps_its_printed_key_order(world_runtime):
+    """``dynarag trace`` prints ``trace_to_dict`` unsorted, and its route,
+    tools, answer and chunk scores follow their dataclasses' field order, so
+    a reordered field changes the printed format."""
+    _, trace = run_single(world_runtime, "cafe-q1", "Who founded this cafe?", "img-cafe")
+    view = trace_to_dict(trace)
+    assert list(view) == ["route", "tools", "evidence", "answer", "stage_timings",
+                          "stages", "entity_name", "elapsed_s"]
+    assert list(view["route"]) == ["branch", "rationale", "features"]
+    assert list(view["route"]["features"]) == [
+        "has_idk", "is_numeric_answer", "is_ocr_answer", "is_named_object",
+        "speculative", "open_world_cue"]
+    assert list(view["tools"]) == ["need_image_search", "need_text_search", "rationale"]
+    assert list(view["answer"]) == ["reason", "answer", "final_answer", "white_box_pass",
+                                    "model_verdict", "fallback", "stats"]
+    assert list(view["answer"]["stats"]) == ["s_min", "s_mean", "count"]
+    assert list(view["evidence"]["chunks"][0]) == ["chunk_id", "coarse", "fine",
+                                                   "cumulative"]
+    # enums are written as their plain values
+    assert type(view["route"]["branch"]) is str
+    assert type(view["answer"]["model_verdict"]) is str
+
+
 def test_verify_turn_keeps_draft_when_verified(world_runtime):
     answer, trace = run_single(
         world_runtime, "car-q1",
@@ -188,7 +211,8 @@ def test_wrong_shape_reply_falls_back_inside_its_agent(world_runtime, caplog,
 
 
 @pytest.mark.parametrize("reply", ['["cafe"]', "7", '"cafe"', '{"object": 7}',
-                                   '{"object": ["cafe"]}'])
+                                   '{"object": ["cafe"]}', '{"object": ""}',
+                                   '{"object": "!!!"}'])
 def test_wrong_shape_object_select_falls_back_to_the_first_candidate(
         world_runtime, monkeypatch, reply):
     runtime = scripted(world_runtime,

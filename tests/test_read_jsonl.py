@@ -20,8 +20,9 @@ from dynarag.config import PipelineConfig
 from dynarag.errors import ParseError, read_jsonl
 from dynarag.evalharness import load_dataset
 from dynarag.fixtures import write_world
+from dynarag.gateway import FixtureEntry
 from dynarag.pipeline import build_runtime
-from dynarag.search import KgEntry
+from dynarag.search import ImageRecord, KgEntry, WebDoc
 
 FORMS = ("{!r}", "{:.17g}", "{:.15g}", "{:.20e}")
 PER_LINE = 256
@@ -91,6 +92,22 @@ def test_every_input_line_reads_as_json_loads_reads_it(input_worlds, world):
         expected = json_loads_of_each_line(path)
         assert len(read) == len(expected), path.name
         assert all(identical(a, b) for a, b in zip(read, expected)), path.name
+
+
+RECORD_TYPES = {"web_corpus.jsonl": WebDoc, "kg_corpus.jsonl": KgEntry,
+                "image_fixtures.jsonl": ImageRecord, "model_fixtures.jsonl": FixtureEntry}
+
+
+@pytest.mark.parametrize("world", ["demo", "web_scale", "long_docs"])
+def test_every_record_line_is_the_to_dict_of_what_it_loads_as(input_worlds, world):
+    """The world writers dump each record's ``to_dict``, so a record line read
+    back and dumped again is the same line: no field is lost, added or
+    reordered on the way."""
+    for name, kind in RECORD_TYPES.items():
+        lines = (input_worlds[world].parent / name).read_text(encoding="utf-8").splitlines()
+        assert lines, name
+        for line in lines:
+            assert json.dumps(kind.from_dict(json.loads(line)).to_dict()) == line, name
 
 
 @pytest.mark.parametrize("line", [

@@ -399,6 +399,22 @@ def test_kg_attribute_numbers_and_booleans_load_as_text():
         "$5", "5", "2.5", "True"]
 
 
+def test_kg_attribute_keys_that_coincide_lowercased_are_rejected(tmp_path):
+    raw = {
+        "entity_name": "e", "url": "kg://e",
+        "image_embedding": list(unit_embedding_for("e")),
+        "attributes": {"Price": "$5", "price": "$7"},
+    }
+    with pytest.raises(ValueError, match="attributes: key 'price'"):
+        KgEntry.from_dict(raw)
+    path = tmp_path / "kg.jsonl"
+    path.write_text(json.dumps(kg(0, unit_embedding_for("x")).to_dict()) + "\n"
+                    + json.dumps(raw) + "\n")
+    with pytest.raises(ParseError, match="attributes") as err:
+        ImageKgIndex.ingest(path)
+    assert err.value.line == 2
+
+
 def test_an_ingested_kg_holds_each_embedding_once(tmp_path):
     vecs = unit_rows(1, 3, 16)
     path = tmp_path / "kg.jsonl"
