@@ -11,7 +11,7 @@ code is its slot, plus ``dim`` when its sign is negative, and ``count_rows``
 turns the codes of many rows into their signed slot counts and squared norms
 with one weighted bincount: ``embed`` divides the counts by the norms, and a
 web query is ranked by its counts themselves. The web corpus is counted
-apart, by the sparse sort and run-reduce of ``search.WebSearchIndex.build``:
+apart, by the per-block sort and run-reduce of ``search.WebSearchIndex.build``:
 a dense docs x dim float64 matrix would take about 20 MB for a 10k-doc
 corpus, while for the few rows of a query or of one doc's chunks the dense
 bincount is the faster rule. Every count is a sum of +-1 and every squared
@@ -23,7 +23,13 @@ Codes come from ``row_codes``, which hashes each distinct token once per call
 (once when the web index is built, once per doc in the chunk store) through
 a dict local to the call, so they equal the codes of hashing every
 occurrence. Nothing outlives the call: the encoder keeps no memo, and a
-second build hashes again.
+second build hashes again. The codes gather in a typed ``array.array`` of
+the code dtype (2 bytes a code at the default dim, where a list slot takes
+an 8-byte pointer) that the returned numpy array reads without a copy.
+SHA-1 comes from CPython's own ``_sha1`` module, the implementation
+``hashlib`` falls back to without OpenSSL, with the same digests; loading it
+maps no OpenSSL libcrypto. Only a build without that module (some
+FIPS-configured ones) takes ``hashlib.sha1``.
 
 Evidence chunks are embedded once per doc, by the reranker's chunk store,
 the first time the doc reaches the reranker: one ``embed`` call, of which the
@@ -35,12 +41,17 @@ per non-empty token group.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import struct
+from array import array
 from typing import Iterable, Sequence
 
 import numpy as np
+
+try:
+    from _sha1 import sha1
+except ImportError:  # a build without CPython's own SHA-1 module
+    from hashlib import sha1
 
 DEFAULT_DIM = 256
 
@@ -78,24 +89,26 @@ class HashedTextEncoder:
 
     def row_codes(self, rows: Iterable[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
         """The concatenated codes of the token rows (one code per token: its
-        slot, plus ``dim`` when its sign is -1) and each row's length (int32).
+        slot, plus ``dim`` when its sign is -1, in ``code_dtype``) and each
+        row's length (int32).
 
-        A dict local to the call hashes each distinct token once.
+        A dict local to the call hashes each distinct token once, with the
+        module's ``sha1``. The codes are appended to a typed buffer, which
+        the returned array shares.
         """
-        dim, sha1, unpack = self.dim, hashlib.sha1, _DIGEST_HEAD.unpack_from
+        dim, digest_of, unpack = self.dim, sha1, _DIGEST_HEAD.unpack_from
         memo: dict[str, int] = {}
-        codes: list[int] = []
-        lengths: list[int] = []
+        codes, lengths = array(self.code_dtype.char), array("i")
+        append = codes.append
         for tokens in rows:
             for token in tokens:
                 code = memo.get(token)
                 if code is None:
-                    word, flag = unpack(sha1(token.encode("utf-8")).digest())
+                    word, flag = unpack(digest_of(token.encode("utf-8")).digest())
                     code = memo[token] = word % dim if flag & 1 else word % dim + dim
-                codes.append(code)
+                append(code)
             lengths.append(len(tokens))
-        return (np.array(codes, dtype=self.code_dtype),
-                np.array(lengths, dtype=np.int32))
+        return np.frombuffer(codes, self.code_dtype), np.frombuffer(lengths, np.int32)
 
     def count_rows(self, codes: np.ndarray,
                    lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@ The chain is: extract candidate object names from the image/question, select
 the one the question is about, detect its region(s), run an image-KG search
 per region, fuse the hits, and verify that the best retrieved entity is
 actually the thing shown. Objects are plain names; a selection reply outside
-the candidates is repaired to its head word or to the nearest name.
+the candidates is repaired to its head word or to the nearest name (the
+first candidate when several are equally near).
 Detection and crop embeddings come from per-image fixtures (no pixel models
 here); verification reads a fixture flag on the KG entry. Without candidates
 the whole image is searched; when the turn's image has no fixture nothing is.
@@ -97,6 +98,21 @@ def _selected_object(response) -> str:
     return name
 
 
+def _nearest(name: str, candidates: list[str]) -> str:
+    """The candidate most similar to ``name`` by ``difflib``'s ratio, scored
+    as ``get_close_matches`` scores it; a tie, an all-zero one included,
+    goes to the earliest candidate (``get_close_matches`` would give the
+    greatest string)."""
+    matcher = difflib.SequenceMatcher()
+    matcher.set_seq2(name)
+
+    def similarity(candidate: str) -> float:
+        matcher.set_seq1(candidate)
+        return matcher.ratio()
+
+    return max(candidates, key=similarity)  # max keeps the first of equals
+
+
 def _whole_image(record: ImageRecord) -> Region:
     return Region((0, 0, record.width, record.height), "image", 1.0,
                   record.whole_embedding)
@@ -145,7 +161,7 @@ class ImageSearchAgent:
         if head in candidates:
             # Model answered "red car" against candidate "car".
             return head
-        nearest = difflib.get_close_matches(chosen, candidates, n=1, cutoff=0.0)[0]
+        nearest = _nearest(chosen, candidates)
         logger.warning("selected object %r not in candidates; using %r", chosen, nearest)
         return nearest
 

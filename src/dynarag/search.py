@@ -50,6 +50,9 @@ from .encoders import HashedTextEncoder, tokenize
 from .errors import NUMBER, DimensionMismatch, read_jsonl, typed
 
 WEB_RESULT_CAP = 50  # the web API returns at most 50 pages per query
+# Docs per block of the web postings build: only one block's codes are
+# sorted and reduced at a time.
+BUILD_BLOCK_DOCS = 1024
 # The exactness bound on nq * nn_max**2 (see the module docstring).
 EXACT_LIMIT = 2 ** 50
 
@@ -233,6 +236,14 @@ class WebSearchIndex:
     flags the docs ranked apart from the rest and interleaved into the hits
     at ``hard_negative_rate``; both partitions are ranked from one dot
     product.
+
+    ``build`` is blocked sort-based indexing (Manning, Raghavan and Schutze,
+    Introduction to Information Retrieval, 2008, section 4.2): each block of
+    ``BUILD_BLOCK_DOCS`` docs is sorted by slot and run-reduced on its own
+    codes, and its entries are placed in each slot after those of the blocks
+    before it. Only the corpus's codes and the blocks' entries, until they
+    are placed, span the whole corpus; no sort order, run mask or float
+    temporary does.
     """
 
     def __init__(self, encoder: HashedTextEncoder | None = None,
@@ -257,30 +268,31 @@ class WebSearchIndex:
 
     def build(self, docs: list[WebDoc]) -> "WebSearchIndex":
         docs = _url_ordered(docs)
-        dim, n = self.encoder.dim, len(docs)
-        codes, lengths = self.encoder.row_codes(tokenize(f"{d.title} {d.snippet}") for d in docs)
-        # The codes come doc by doc, so a stable sort by slot keeps each slot's
-        # docs ascending: every (slot, doc) pair is one run of tokens, and the
-        # runs in order are the CSC entries.
-        order = np.argsort(codes % dim, kind="stable")
-        codes, ids = codes[order], np.repeat(np.arange(n, dtype=np.int32), lengths)[order]
-        slots = codes % dim
-        run = np.ones(len(codes), dtype=bool)
-        run[1:] = (slots[1:] != slots[:-1]) | (ids[1:] != ids[:-1])
-        starts = np.flatnonzero(run)
-        counts = np.add.reduceat(np.where(codes < dim, np.int32(1), np.int32(-1)), starts)
-        starts, counts = starts[counts != 0], counts[counts != 0].astype(np.float64)
-        slots, ids = slots[starts], ids[starts]
-        nn = np.bincount(ids, weights=counts * counts, minlength=n)
-        nn_max = int(nn.max()) if n else 0
+        dim = self.encoder.dim
+        blocks, nn = _postings_blocks(self.encoder, docs)
+        nn_max = int(nn.max()) if len(docs) else 0
         if nn_max * nn_max >= EXACT_LIMIT:
             raise ValueError(f"a doc's squared norm {nn_max} is too large for exact "
                              f"ranking (at most {math.isqrt(EXACT_LIMIT - 1)})")
         nn[nn == 0] = 1.0
+        indptr = np.zeros(dim + 1, dtype=np.int64)
+        for _, _, per_slot in blocks:
+            indptr[1:] += per_slot
+        np.cumsum(indptr, out=indptr)
+        ids = np.empty(indptr[-1], dtype=np.int32)
+        counts = np.empty(indptr[-1], dtype=np.int16)
+        placed = indptr[:-1].copy()  # where each slot's next entry goes
+        for block_ids, block_counts, per_slot in blocks:
+            # A block's entries come by slot, so an entry goes to its slot's
+            # next place plus its rank among the block's entries of that slot.
+            first = np.cumsum(per_slot) - per_slot
+            at = np.repeat(placed - first, per_slot) + np.arange(len(block_ids))
+            ids[at], counts[at] = block_ids, block_counts
+            placed += per_slot
         self._docs = docs
         self._is_hard_negative = np.array([d.is_hard_negative for d in docs], dtype=bool)
-        self._indptr = np.searchsorted(slots, np.arange(dim + 1)).tolist()
-        self._ids, self._counts, self._nn = ids, counts.astype(np.int16), nn
+        self._indptr = indptr.tolist()
+        self._ids, self._counts, self._nn = ids, counts, nn
         self._max_nq = (EXACT_LIMIT - 1) // max(nn_max, 1) ** 2
         return self
 
@@ -331,6 +343,49 @@ class WebSearchIndex:
         return [(self._docs[rows[i]],
                  math.copysign(math.sqrt(abs(key) / nq), key) if nq else 0.0)
                 for i, key in top_k(keys, k)]
+
+
+def _postings_blocks(encoder: HashedTextEncoder,
+                     docs: list[WebDoc]) -> tuple[list[tuple], np.ndarray]:
+    """The docs' postings, counted in blocks of ``BUILD_BLOCK_DOCS`` docs, and
+    each doc's squared norm (float64, 0 for a doc without tokens).
+
+    A block is its entries' doc ids (int32) and counts (int16, exact when the
+    norms pass the exactness check), by slot and, within a slot, by doc, plus
+    its number of entries per slot. Only one block's codes are sorted at a
+    time, and the corpus's codes die with the call.
+    """
+    dim, n = encoder.dim, len(docs)
+    codes, lengths = encoder.row_codes(tokenize(f"{d.title} {d.snippet}") for d in docs)
+    blocks, nn, end = [], np.zeros(n), 0
+    for lo in range(0, n, BUILD_BLOCK_DOCS):
+        block_lengths = lengths[lo:lo + BUILD_BLOCK_DOCS]
+        start, end = end, end + int(block_lengths.sum())
+        slots, ids, counts = _block_postings(codes[start:end], block_lengths, dim)
+        nn[lo:lo + len(block_lengths)] = np.bincount(
+            ids, weights=np.square(counts, dtype=np.int64), minlength=len(block_lengths))
+        blocks.append((ids + np.int32(lo), counts.astype(np.int16),
+                       np.bincount(slots, minlength=dim)))
+    return blocks, nn
+
+
+def _block_postings(codes: np.ndarray, lengths: np.ndarray,
+                    dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block's non-zero signed slot counts, by slot and, within a slot,
+    by doc: each entry's slot, block-local doc id (int32) and count (int32),
+    from the docs' concatenated codes and their lengths."""
+    # The codes come doc by doc, so a stable sort by slot keeps each slot's
+    # docs ascending: every (slot, doc) pair is one run of tokens.
+    slots = codes % dim
+    order = np.argsort(slots, kind="stable")
+    slots, signs = slots[order], np.where(codes[order] < dim, np.int32(1), np.int32(-1))
+    ids = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)[order]
+    run = np.ones(len(slots), dtype=bool)
+    run[1:] = (slots[1:] != slots[:-1]) | (ids[1:] != ids[:-1])
+    starts = np.flatnonzero(run)
+    counts = np.add.reduceat(signs, starts)
+    starts, counts = starts[counts != 0], counts[counts != 0]
+    return slots[starts], ids[starts], counts
 
 
 def _slot_counts(codes: np.ndarray, dim: int) -> tuple[dict[int, int], int]:

@@ -1,11 +1,18 @@
 import copy
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dynarag import encoders, search
 from dynarag.encoders import (
     HashedTextEncoder,
     MultiVectorQueryEncoder,
@@ -248,15 +255,16 @@ def test_count_rows_match_the_per_token_oracle_bit_for_bit(dim):
 
 
 def count_sha1_inputs(monkeypatch) -> Counter:
-    """Every input hashed through ``hashlib.sha1`` from now on, counted."""
+    """Every input hashed through the encoder's own ``sha1`` binding from now
+    on, counted."""
     seen: Counter = Counter()
-    real = hashlib.sha1
+    real = encoders.sha1
 
     def counting(data=b"", *args, **kwargs):
         seen[data] += 1
         return real(data, *args, **kwargs)
 
-    monkeypatch.setattr(hashlib, "sha1", counting)
+    monkeypatch.setattr(encoders, "sha1", counting)
     return seen
 
 
@@ -316,6 +324,92 @@ def test_postings_at_any_dim_match_the_per_token_oracle(dim):
     empty = WebSearchIndex(HashedTextEncoder(dim))
     assert empty._indptr == [0] * (dim + 1)
     assert len(empty._ids) == len(empty._nn) == len(empty._is_hard_negative) == 0
+
+
+def block_corpus(dim) -> list[WebDoc]:
+    """``corpus()`` at ``dim``, where dims 1 and 7 cancel many counts to zero,
+    plus a doc without tokens and one whose tokens repeat; hard negatives
+    (every third doc) fall on both sides of block edges."""
+    return corpus(seed=3 if dim == 256 else dim) + [
+        WebDoc(url="https://d/empty", title="", snippet="???"),
+        WebDoc(url="https://d/twice", title="", snippet="a a b b a", is_hard_negative=True)]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 256, 40000])
+def test_the_block_build_matches_the_oracle_across_block_edges(monkeypatch, dim):
+    docs = block_corpus(dim)
+    encoder = HashedTextEncoder(dim)
+    if dim == 40000:
+        assert encoder.code_dtype.char == "I"  # uint32 codes in the typed buffer
+    monkeypatch.setattr(search, "BUILD_BLOCK_DOCS", len(docs))
+    whole = WebSearchIndex(encoder, hard_negative_rate=0.5).build(docs)
+    want = [oracle_slot_counts(tokenize(f"{d.title} {d.snippet}"), dim) for d in whole._docs]
+    nn = np.array([float(sum(c * c for c in w.values()) or 1) for w in want])
+    hard = whole._is_hard_negative.tolist()
+    for block in (1, 2, 3, 7, len(docs), len(docs) + 5):
+        monkeypatch.setattr(search, "BUILD_BLOCK_DOCS", block)
+        index = WebSearchIndex(encoder, hard_negative_rate=0.5).build(docs)
+        edges = range(block, len(docs), block)
+        assert block >= len(docs) or any(hard[e - 1] != hard[e] for e in edges)
+        assert postings_by_doc(index) == want, block
+        assert_bits(index._nn, nn)
+        assert index._indptr == whole._indptr and index._max_nq == whole._max_nq
+        for name in ("_ids", "_counts", "_is_hard_negative"):
+            got, full = getattr(index, name), getattr(whole, name)
+            assert got.dtype == full.dtype and got.tobytes() == full.tobytes(), (block, name)
+    assert not want[[d.url for d in whole._docs].index("https://d/empty")]
+
+
+def test_the_web_build_holds_no_whole_corpus_temporary():
+    # 20,000 docs of 30 tokens from 300 words: the hash memo is tiny, so the
+    # build's transient is its own arrays. A one-pass sort of every code held
+    # an int64 order, repeated ids, a run mask and float64 squares of the
+    # whole corpus: about 8 times the kept postings.
+    rng = np.random.default_rng(5)
+    vocab = [f"word{i}" for i in range(300)]
+    docs = [WebDoc(url=f"https://d/{i:05d}", title="",
+                   snippet=" ".join(vocab[j] for j in row), is_hard_negative=i % 10 == 0)
+            for i, row in enumerate(rng.integers(0, len(vocab), size=(20_000, 30)).tolist())]
+    encoder = HashedTextEncoder()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = WebSearchIndex(encoder, hard_negative_rate=0.1).build(docs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index._ids) > 400_000
+    # Measured: 4.0 MB transient for 3.5 MB kept (28.1 MB before blocks).
+    assert peak - kept < 2 * (kept - before)
+
+
+def run_python(code: str) -> str:
+    src = str(Path(encoders.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout.strip()
+
+
+def test_the_pipeline_hashes_without_loading_openssl():
+    # hashlib's OpenSSL binding maps libcrypto, ~3.5 MB of resident memory.
+    assert run_python("import sys, dynarag.pipeline\n"
+                      "print('_hashlib' in sys.modules)") == "False"
+
+
+def test_without_the_builtin_sha1_module_row_codes_hash_through_hashlib():
+    tokens = [str(t) for row in random_token_lists(seed=11, count=2) for t in row] + ["東京"]
+    code = ("import sys, json\n"
+            "sys.modules['_sha1'] = None\n"
+            "import hashlib\n"
+            "from dynarag import encoders\n"
+            "assert encoders.sha1 is hashlib.sha1\n"
+            f"codes, lengths = encoders.HashedTextEncoder().row_codes([{tokens!r}, []])\n"
+            "print(json.dumps([codes.dtype.str, codes.tolist(), lengths.tolist()]))")
+    dtype, codes, lengths = json.loads(run_python(code))
+    here = HashedTextEncoder().row_codes([tokens, []])
+    assert dtype == here[0].dtype.str and codes == here[0].tolist()
+    assert codes == [oracle_code(t) for t in tokens] and lengths == [len(tokens), 0]
 
 
 def test_tokenize_lowercases_and_keeps_apostrophes():

@@ -1,4 +1,6 @@
+import difflib
 import json
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from dynarag.gateway import FixtureEntry, ModelGateway, ScriptedBackend, TurnMod
 from dynarag.image_agent import (
     ImageSearchAgent,
     Region,
+    _nearest,
     visual_match,
 )
 from dynarag.timing import SimulatedClock, TimeBudget
@@ -140,6 +143,34 @@ def test_select_unknown_name_repaired_to_nearest():
     model = turn_model([fe("object_select", "k", json.dumps({"object": "vehicle"}))])
     out = make_agent().select_object(model, ["car", "tree"])
     assert out in ("car", "tree")
+
+
+@pytest.mark.parametrize("reply", ["xyz", "qqq"])
+@pytest.mark.parametrize("candidates", [["awning", "cafe"], ["cafe", "awning"]])
+def test_select_sharing_no_character_gives_the_first_candidate(reply, candidates):
+    # Every candidate scores 0; get_close_matches would pick the greatest string.
+    model = turn_model([fe("object_select", "k", json.dumps({"object": reply}))])
+    assert make_agent().select_object(model, candidates) == candidates[0]
+
+
+def test_select_nearest_keeps_every_untied_close_match():
+    rng = random.Random(7)
+    names = ["".join(rng.choice("abcdeor ") for _ in range(rng.randint(1, 9))).strip() or "a"
+             for _ in range(400)]
+    checked = 0
+    for i in range(0, 396, 4):
+        chosen, candidates = names[i], names[i + 1:i + 4]
+        matcher = difflib.SequenceMatcher()
+        matcher.set_seq2(chosen)
+        ratios = []
+        for candidate in candidates:
+            matcher.set_seq1(candidate)
+            ratios.append(matcher.ratio())
+        if max(ratios) > 0 and ratios.count(max(ratios)) == 1:
+            want = difflib.get_close_matches(chosen, candidates, n=1, cutoff=0.0)
+            assert [_nearest(chosen, candidates)] == want
+            checked += 1
+    assert checked > 50
 
 
 def test_select_empty_candidates_raises():
